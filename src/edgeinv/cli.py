@@ -23,7 +23,8 @@ from .reconstruct import (
     reconstruct_by_splits,
     reconstruct_exhaustive,
 )
-from .scores import all_bipartitions, model_fit_score, split_report, split_score
+from .scores import all_bipartitions, model_fit_score, score_splits, \
+    split_report
 from .simulate import (
     joint_distribution,
     random_presentation,
@@ -159,7 +160,7 @@ def cmd_score(args) -> int:
         splits = [Bipartition.parse(args.split, psi.n)]
     else:
         splits = all_bipartitions(psi.n, nontrivial_only=True)
-    scores = [split_score(psi, b, model, average=average) for b in splits]
+    scores = score_splits(psi, model, splits, average=average).values()
     print(json.dumps(split_report(model, psi.n, scores), indent=2))
     return 0
 

@@ -25,13 +25,11 @@ import numpy as np
 from .groups import EquivariantModel
 from .scores import (
     DEFAULT_SCORE_TOL,
-    EdgeTestReport,
     SplitScore,
     all_bipartitions,
-    edge_invariant_test,
     genericity_check,
+    score_splits,
     split_report,
-    split_score,
 )
 from .simulate import Alignment
 from .tensors import PatternTensor, averaged
@@ -102,51 +100,52 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
     Without a unique passer the minimum-total-score topology is returned with
     a "no-unique-pass" warning; exact ties are broken by the canonical
     enumeration order and warned about.  ``tol=None`` selects the data-driven
-    default (median of all edge scores / 100).
+    default (median of all edge scores / 100, each topology's splits counted).
     """
     n = psi.n
     if not 3 <= n <= MAX_EXHAUSTIVE_LEAVES:
         raise ValueError(f"exhaustive scan supports 3..{MAX_EXHAUSTIVE_LEAVES}"
                          f" leaves, got {n}")
-    scored_psi = averaged(psi, model) if average and model.order > 1 else psi
-    reports: list[EdgeTestReport] = []
+    scored_psi = averaged(psi, model) if average else psi
+    table = score_splits(scored_psi, model,
+                         all_bipartitions(n, nontrivial_only=True),
+                         average=False)
     topologies = enumerate_trivalent_topologies(n)
-    for tree in topologies:
-        reports.append(edge_invariant_test(scored_psi, tree, model,
-                                           tol=tol or DEFAULT_SCORE_TOL,
-                                           average=False))
+    tree_scores = [tuple(table[s] for s in tree.interior_splits())
+                   for tree in topologies]
     if tol is None:
-        tol = data_driven_tol(s.score for r in reports for s in r.scores)
-        reports = [EdgeTestReport(r.tree, all(s.score <= tol for s in r.scores),
-                                  r.scores, tol) for r in reports]
+        tol = data_driven_tol(s.score for scores in tree_scores
+                              for s in scores)
+    candidates = tuple(
+        CandidateReport(tree, sum(s.score for s in scores),
+                        all(s.score <= tol for s in scores))
+        for tree, scores in zip(topologies, tree_scores))
 
-    candidates = tuple(CandidateReport(r.tree, r.total_score, r.passed)
-                       for r in reports)
     warnings: list[str] = []
-    passers = [r for r in reports if r.passed]
+    passers = [i for i, c in enumerate(candidates) if c.passed]
     if len(passers) == 1:
         winner = passers[0]
     else:
-        if len(passers) == 0:
-            warnings.append(WARN_NO_UNIQUE_PASS)
-        else:
-            warnings.append(WARN_NO_UNIQUE_PASS)
+        warnings.append(WARN_NO_UNIQUE_PASS)
+        if passers:
             warnings.append(f"{len(passers)} topologies pass at tol {tol:g}")
-        best = min(r.total_score for r in reports)
-        tied = [r for r in reports if r.total_score <= best + 1e-15]
+        best = min(c.total_score for c in candidates)
+        tied = [i for i, c in enumerate(candidates)
+                if c.total_score <= best + 1e-15]
         if len(tied) > 1:
             warnings.append(WARN_TIE)
         winner = tied[0]
 
     genericity: tuple[str, ...] = ()
     if check_genericity:
-        audit = genericity_check(scored_psi, model, winner.tree,
+        audit = genericity_check(scored_psi, model, topologies[winner],
                                  average=False)
         genericity = tuple(audit.warnings())
     return ReconstructionResult(
-        method="exhaustive", tree=winner.tree, chosen_splits=winner.scores,
-        rejected_splits=(), warnings=tuple(warnings),
-        genericity_warnings=genericity, candidates=candidates, tol=tol)
+        method="exhaustive", tree=topologies[winner],
+        chosen_splits=tree_scores[winner], rejected_splits=(),
+        warnings=tuple(warnings), genericity_warnings=genericity,
+        candidates=candidates, tol=tol)
 
 
 def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
@@ -156,20 +155,22 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
                           ) -> ReconstructionResult:
     """Greedy split selection plus combinatorial assembly.
 
-    All nontrivial bipartitions are scored; ascending by score, each is kept
-    when compatible with everything already kept, until n-3 survive.  The
-    assembled tree is re-verified with the edge-invariant test.  When fewer
-    than n-3 mutually compatible splits exist the result carries no tree and
-    the skipped splits document the conflict.
+    All nontrivial bipartitions are scored once; ascending by score, each is
+    kept when compatible with everything already kept, until n-3 survive.
+    The assembled tree is re-verified against the edge tolerance from the
+    same split table.  When fewer than n-3 mutually compatible splits exist
+    the result carries no tree and the skipped splits document the conflict.
     """
     n = psi.n
     if not 4 <= n <= MAX_SPLIT_LEAVES:
         raise ValueError(f"split selection supports 4..{MAX_SPLIT_LEAVES}"
                          f" leaves, got {n}")
-    scored_psi = averaged(psi, model) if average and model.order > 1 else psi
-    scores = [split_score(scored_psi, b, model, average=False)
-              for b in all_bipartitions(n, nontrivial_only=True)]
-    scores.sort(key=lambda s: (s.score, s.split.sort_key()))
+    scored_psi = averaged(psi, model) if average else psi
+    table = score_splits(scored_psi, model,
+                         all_bipartitions(n, nontrivial_only=True),
+                         average=False)
+    scores = sorted(table.values(),
+                    key=lambda s: (s.score, s.split.sort_key()))
     if tol is None:
         tol = data_driven_tol(s.score for s in scores)
 
@@ -198,12 +199,11 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
         except SplitSystemError as err:  # defensive; greedy keeps compatibility
             warnings.append(f"assembly failed: {err}")
         if tree is not None:
-            verdict = edge_invariant_test(scored_psi, tree, model, tol=tol,
-                                          average=False)
-            if not verdict.passed:
+            worst = max(table[s].score for s in tree.interior_splits())
+            if worst > tol:
                 warnings.append(
                     f"assembled tree fails the edge test at tol {tol:g} "
-                    f"(max score {verdict.max_score:.3g})")
+                    f"(max score {worst:.3g})")
             above = [s for s in chosen if s.score > tol]
             if above:
                 warnings.append(f"{len(above)} chosen splits score above "

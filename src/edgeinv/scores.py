@@ -67,21 +67,24 @@ def split_score(psi: PatternTensor, split: Bipartition,
     if split.is_trivial:
         zeros = tuple(0.0 for _ in target.entries)
         return SplitScore(split, zeros, 0.0, target, None)
-    scored = averaged(psi, model) if average and model.order > 1 else psi
+    scored = averaged(psi, model) if average else psi
     tf = thin_flatten(scored, split, model)
-    residuals = []
-    for t, block in enumerate(tf.blocks):
-        if block.size == 0:
-            residuals.append(0.0)
-            continue
-        spectrum = np.linalg.svd(block, compute_uv=False)
-        tail = spectrum[target[t]:]
-        residuals.append(float(np.sqrt((tail ** 2).sum())))
+    residuals = tuple(float(np.sqrt((spectrum[m:] ** 2).sum()))
+                      for spectrum, m in zip(tf.spectra, target))
     norm = scored.norm()
     weighted = sum(d * r * r for d, r in zip(model.dims, residuals))
     score = float(np.sqrt(weighted) / norm) if norm > 0 else 0.0
-    return SplitScore(split, tuple(residuals), score, target,
-                      thin_rank(tf, rank_tol))
+    return SplitScore(split, residuals, score, target, thin_rank(tf, rank_tol))
+
+
+def score_splits(psi: PatternTensor, model: EquivariantModel,
+                 splits: Iterable[Bipartition],
+                 average: bool = True) -> dict[Bipartition, SplitScore]:
+    """The split table: one score per bipartition, in the order given, from
+    a single group average of the tensor (skipped when ``average`` is False).
+    """
+    scored = averaged(psi, model) if average else psi
+    return {s: split_score(scored, s, model, average=False) for s in splits}
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,6 @@ class EdgeTestReport:
     passed: bool
     scores: tuple[SplitScore, ...]
     tol: float
-
-    @property
-    def total_score(self) -> float:
-        return sum(s.score for s in self.scores)
 
     @property
     def max_score(self) -> float:
@@ -109,12 +108,10 @@ def edge_invariant_test(psi: PatternTensor, tree: TreeTopology,
     """Pass iff every interior edge split of ``tree`` scores at most ``tol``."""
     if psi.n != tree.n_leaves:
         raise ValueError("tensor and tree disagree on the leaf count")
-    scored = averaged(psi, model) if average and model.order > 1 else psi
-    scores = tuple(split_score(scored, s, model, average=False)
-                   for s in sorted(tree.interior_splits(),
-                                   key=Bipartition.sort_key))
-    passed = all(s.score <= tol for s in scores)
-    return EdgeTestReport(tree, passed, scores, tol)
+    scores = tuple(score_splits(psi, model, tree.interior_splits(),
+                                average).values())
+    return EdgeTestReport(tree, all(s.score <= tol for s in scores), scores,
+                          tol)
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
         raise ValueError("genericity audit capped at 10 leaves")
     if tree.n_leaves != n:
         raise ValueError("tensor and tree disagree on the leaf count")
-    scored = averaged(psi, model) if average and model.order > 1 else psi
+    scored = averaged(psi, model) if average else psi
     entries = []
     for split in all_bipartitions(n):
         ceiling = expected_rank_vector(model, tree, split)
@@ -264,7 +261,7 @@ def evaluate_generators(psi: PatternTensor, split: Bipartition,
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    scored = averaged(psi, model) if average and model.order > 1 else psi
+    scored = averaged(psi, model) if average else psi
     tf = thin_flatten(scored, split, model)
     target = model.multiplicities(1)
     best = 0.0

@@ -24,12 +24,10 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .groups import EquivariantModel, builtin_model
-from .tensors import PatternTensor
+from .tensors import STATES, PatternTensor, pattern_string
 from .trees import TreeTopology, from_newick, to_newick
 
 EQUIVARIANCE_TOL = 1e-12
-STATES = "ACGT"
-STATE_INDEX = {s: i for i, s in enumerate(STATES)}
 
 
 def position_orbits(model: EquivariantModel) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -257,17 +255,8 @@ def sample_alignment(psi: PatternTensor, sites: int, seed: int,
     draws = rng.multinomial(sites, probs)
     counts = {}
     for idx in np.flatnonzero(draws):
-        pattern = _index_to_pattern(int(idx), psi.n)
-        counts[pattern] = int(draws[idx])
+        counts[pattern_string(int(idx), psi.n)] = int(draws[idx])
     return Alignment(taxa, counts)
-
-
-def _index_to_pattern(index: int, n: int) -> str:
-    out = []
-    for _ in range(n):
-        out.append(STATES[index % 4])
-        index //= 4
-    return "".join(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +295,16 @@ def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
         raise ValueError("sequences have unequal lengths")
     if len(set(taxa)) != len(taxa):
         raise ValueError("duplicate taxon names")
-    length = len(seqs[0])
-    if length == 0:
+    if not seqs[0]:
         raise ValueError("alignment has no sites")
     counts: dict[str, int] = {}
-    dropped = 0
-    for col in range(length):
-        pattern = "".join(s[col] for s in seqs)
-        if any(ch not in STATE_INDEX for ch in pattern):
-            if ambiguous == "drop":
-                dropped += 1
-                continue
-            raise ValueError(f"non-ACGT symbol in column {col + 1}")
-    for col in range(length):
-        pattern = "".join(s[col] for s in seqs)
-        if any(ch not in STATE_INDEX for ch in pattern):
-            continue
-        counts[pattern] = counts.get(pattern, 0) + 1
+    for col, pattern in enumerate(map("".join, zip(*seqs)), start=1):
+        if pattern in counts:
+            counts[pattern] += 1
+        elif not pattern.strip(STATES):  # every symbol is one of ACGT
+            counts[pattern] = 1
+        elif ambiguous == "error":
+            raise ValueError(f"non-ACGT symbol in column {col}")
     if not counts:
         raise ValueError("no usable columns remain")
     return Alignment(tuple(taxa), counts)

@@ -17,8 +17,10 @@ invariance by sampling noise.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -97,10 +99,15 @@ class PatternTensor:
     @classmethod
     def from_pattern_counts(cls, counts: dict[str, float], n: int,
                             stochastic: bool = False) -> "PatternTensor":
+        if not 0 <= n <= MAX_LEAVES:  # before allocating 4**n entries
+            raise ValueError(f"{n} positions outside the dense range "
+                             f"0..{MAX_LEAVES}")
         values = np.zeros(4 ** n)
         for pattern, weight in counts.items():
             if len(pattern) != n:
                 raise ValueError(f"pattern {pattern!r} is not length {n}")
+            if not set(pattern) <= STATE_INDEX.keys():
+                raise ValueError(f"non-ACGT symbol in pattern {pattern!r}")
             idx = 0
             for ch in pattern:
                 idx = idx * 4 + STATE_INDEX[ch]
@@ -117,15 +124,11 @@ def pattern_string(index: int, n: int) -> str:
 
 
 def averaged(psi: PatternTensor, model: EquivariantModel) -> PatternTensor:
-    """Group-average ``psi`` onto the exactly invariant tensors."""
-    values = group_average(psi.values, model, psi.n)
-    return replace(psi, values=values)
-
-
-def invariance_gap(psi: PatternTensor, model: EquivariantModel) -> float:
-    """Euclidean distance from ``psi`` to its group average."""
-    return float(np.linalg.norm(psi.values - group_average(psi.values, model,
-                                                           psi.n)))
+    """Group-average ``psi`` onto the exactly invariant tensors; the trivial
+    group leaves it unchanged."""
+    if model.order == 1:
+        return psi
+    return replace(psi, values=group_average(psi.values, model, psi.n))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +172,8 @@ class ThinFlattening:
     vanish (to 1e-10) on exactly invariant tensors.
 
     Raw block entries depend on the multiplicity-space bases chosen during
-    basis construction; their singular values (hence all ranks and scores
-    downstream) do not, since the bases are orthonormal.
+    basis construction; their singular values (``spectra``, hence all ranks
+    and scores downstream) do not, since the bases are orthonormal.
     """
 
     split: object
@@ -181,6 +184,12 @@ class ThinFlattening:
     col_mult: MultiplicityVector
     leakage: float
     copy_disagreement: float
+
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, ...]:
+        """Each block's singular values, descending; empty for empty blocks."""
+        return tuple(np.linalg.svd(b, compute_uv=False) if b.size
+                     else np.empty(0) for b in self.blocks)
 
 
 def thin_flatten(psi: PatternTensor, split,
@@ -266,13 +275,11 @@ def thin_rank(tf: ThinFlattening, tol: float = 1e-7) -> RankVector:
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
-    spectra = [np.linalg.svd(b, compute_uv=False) if b.size else np.empty(0)
-               for b in tf.blocks]
-    sigma_max = max((s[0] for s in spectra if s.size), default=0.0)
+    sigma_max = max((s[0] for s in tf.spectra if s.size), default=0.0)
     if sigma_max == 0.0:
         entries = tuple(0 for _ in tf.blocks)
     else:
-        entries = tuple(int((s > tol * sigma_max).sum()) for s in spectra)
+        entries = tuple(int((s > tol * sigma_max).sum()) for s in tf.spectra)
     total = sum(entries)
     weighted = sum(d * r for d, r in zip(tf.dims, entries))
     return RankVector(entries, tol, total, weighted)
@@ -348,6 +355,8 @@ def tensor_to_bytes(psi: PatternTensor) -> bytes:
 def tensor_from_bytes(blob: bytes) -> PatternTensor:
     if blob[:4] != _MAGIC:
         raise ValueError("not a pattern-tensor container")
+    if len(blob) < 12:
+        raise ValueError("pattern-tensor container is shorter than its header")
     version, n, k, flags = struct.unpack("<HHHH", blob[4:12])
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
@@ -379,7 +388,11 @@ def tensor_to_json(psi: PatternTensor, include_zeros: bool = False) -> str:
 
 def tensor_from_json(text: str) -> PatternTensor:
     doc = json.loads(text)
-    counts = {pattern: value for pattern, value in doc["entries"]}
-    return PatternTensor.from_pattern_counts(counts, doc["n"],
-                                             stochastic=doc.get("stochastic",
-                                                                False))
+    try:
+        counts = {str(pattern): float(value)
+                  for pattern, value in doc["entries"]}
+        n = operator.index(doc["n"])
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed tensor JSON: {err!r}") from None
+    return PatternTensor.from_pattern_counts(
+        counts, n, stochastic=doc.get("stochastic", False))

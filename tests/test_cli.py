@@ -145,6 +145,19 @@ class TestReconstruct:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("name, data", [
+        ("no_entries.json", b'{"n": 4, "k": 4, "states": "ACGT"}'),
+        ("bad_symbol.json", b'{"n": 2, "entries": [["AX", 1.0]]}'),
+        ("short.eqpt", b"EQPT\x01\x00\x04"),
+    ])
+    def test_malformed_input_exit_one(self, capsys, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, _, err = run(capsys, "reconstruct", "--model", "K81",
+                           "--input", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+
 
 class TestFit:
     def test_nested_scores(self, capsys, tmp_path):

@@ -4,6 +4,7 @@ empirical tensors, and diagnostic behavior on degenerate inputs."""
 import numpy as np
 import pytest
 
+import edgeinv.scores
 from edgeinv.groups import builtin_model
 from edgeinv.reconstruct import (
     WARN_NO_UNIQUE_PASS,
@@ -13,6 +14,7 @@ from edgeinv.reconstruct import (
     reconstruct_by_splits,
     reconstruct_exhaustive,
 )
+from edgeinv.scores import all_bipartitions, split_score
 from edgeinv.simulate import (
     Alignment,
     joint_distribution,
@@ -95,6 +97,34 @@ class TestExhaustive:
         tree = enumerate_trivalent_topologies(5)[7]
         psi = joint_distribution(random_presentation(model, tree, 5))
         assert reconstruct_exhaustive(psi, model).tree == tree
+
+    @pytest.mark.parametrize("tol", [0.0, None, 1e-8])
+    def test_decisions_use_the_reported_tol(self, tol):
+        model = builtin_model("K81")
+        tree = enumerate_trivalent_topologies(5)[7]
+        psi = joint_distribution(random_presentation(model, tree, 5))
+        scores = {s: split_score(psi, s, model).score
+                  for s in all_bipartitions(5, nontrivial_only=True)}
+        result = reconstruct_exhaustive(psi, model, tol=tol)
+        for c in result.candidates:
+            assert c.passed == all(scores[s] <= result.tol
+                                   for s in c.tree.interior_splits())
+
+    def test_each_split_flattened_once(self, monkeypatch):
+        flattened = []
+        original = edgeinv.scores.thin_flatten
+
+        def counted(psi, split, model):
+            flattened.append(split)
+            return original(psi, split, model)
+
+        monkeypatch.setattr(edgeinv.scores, "thin_flatten", counted)
+        model = builtin_model("K81")
+        psi = joint_distribution(random_presentation(model, caterpillar6(), 3))
+        assert reconstruct_exhaustive(psi, model).tree == caterpillar6()
+        # 25 nontrivial splits scored once for 105 topologies, plus the
+        # genericity audit's one flattening for each of the 31 bipartitions
+        assert len(flattened) <= 25 + 31
 
     def test_genericity_audit_flags_no_mutation(self):
         psi = joint_distribution(no_mutation_presentation(quartet(2)))

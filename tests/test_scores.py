@@ -11,6 +11,7 @@ from edgeinv.scores import (
     generator_catalog,
     genericity_check,
     model_fit_score,
+    score_splits,
     split_report,
     split_score,
 )
@@ -113,6 +114,31 @@ class TestSplitScore:
 # ---------------------------------------------------------------------------
 # Edge-invariant topology tests
 # ---------------------------------------------------------------------------
+
+class TestScoreSplits:
+    @pytest.mark.parametrize("name", MODELS)
+    def test_table_matches_single_split_scores(self, name):
+        model = builtin_model(name)
+        rng = np.random.default_rng(4)
+        psi = PatternTensor(rng.random(4 ** 5), tuple(range(1, 6)))
+        splits = all_bipartitions(5)
+        table = score_splits(psi, model, splits)
+        assert list(table) == splits
+        for split in splits:
+            single = split_score(psi, split, model)
+            assert table[split].score == single.score
+            assert table[split].per_block_residuals == \
+                single.per_block_residuals
+            assert table[split].achieved == single.achieved
+
+    def test_edge_test_reads_the_table(self):
+        model = builtin_model("K80")
+        psi = simulated("K80", 2)
+        table = score_splits(psi, model, all_bipartitions(4, True))
+        report = edge_invariant_test(psi, quartet12(), model)
+        assert report.scores == tuple(table[s] for s in
+                                      quartet12().interior_splits())
+
 
 class TestEdgeInvariantTest:
     @pytest.mark.parametrize("name", MODELS)

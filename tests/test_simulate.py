@@ -275,6 +275,14 @@ class TestFasta:
         assert aln.n_sites == 3
         assert aln.counts == {"AA": 1, "CC": 1, "TT": 1}
 
+    def test_error_names_first_ambiguous_column(self):
+        with pytest.raises(ValueError, match="column 3$"):
+            read_fasta(">a\nAANANN\n>b\nAAGACN\n")
+
+    def test_repeated_columns_counted_and_dropped(self):
+        aln = read_fasta(">a\nANACANA\n>b\nCGCGCGC\n", ambiguous="drop")
+        assert aln.counts == {"AC": 4, "CG": 1}
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             read_fasta("")

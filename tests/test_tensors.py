@@ -258,6 +258,16 @@ class TestThinRank:
         with pytest.raises(ValueError):
             thin_rank(tf, tol=0.0)
 
+    @pytest.mark.parametrize("name", MODELS)
+    def test_spectra_are_block_singular_values(self, name):
+        psi = random_invariant(name, 5, 3)
+        tf = thin_flatten(psi, Bipartition({1, 2}, 5), builtin_model(name))
+        assert tf.spectra is tf.spectra  # computed once
+        for block, spectrum in zip(tf.blocks, tf.spectra):
+            expected = (np.linalg.svd(block, compute_uv=False) if block.size
+                        else np.empty(0))
+            assert np.array_equal(spectrum, expected)
+
 
 # ---------------------------------------------------------------------------
 # The gluing contraction
@@ -357,6 +367,27 @@ class TestSerialization:
         with pytest.raises(ValueError):
             tensor_from_bytes(b"XXXX" + bytes(16))
 
+    def test_truncated_header_rejected(self):
+        with pytest.raises(ValueError, match="header"):
+            tensor_from_bytes(tensor_to_bytes(no_mutation_tensor(2))[:10])
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2}',
+        '{"entries": [["AC", 1.0]]}',
+        '{"n": 2, "entries": 3}',
+        '{"n": 2, "entries": [["AX", 1.0]]}',
+        '{"n": 2, "entries": [["ac", 1.0]]}',
+        '{"n": 2, "entries": [[12, 1.0]]}',
+        '{"n": 2, "entries": [["AC", "x"]]}',
+        '{"n": 2, "entries": [["AC", null]]}',
+        '{"n": 2, "entries": [["AC"]]}',
+        '{"n": "2", "entries": [["AC", 1.0]]}',
+        '{"n": 20, "entries": []}',
+    ])
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ValueError):
+            tensor_from_json(text)
+
     def test_json_roundtrip(self):
         psi = no_mutation_tensor(2)
         back = tensor_from_json(tensor_to_json(psi))
@@ -372,6 +403,10 @@ class TestGroupAveraging:
         avg = averaged(psi, model)
         again = group_average(avg.values, model, 4)
         assert np.abs(avg.values - again).max() < 1e-12
+
+    def test_trivial_group_returns_input(self):
+        psi = random_tensor(range(1, 4), 1)
+        assert averaged(psi, builtin_model("GMM")) is psi
 
     def test_average_preserves_stochastic(self):
         psi = random_tensor(range(1, 4), 1, stochastic=True)
