@@ -6,12 +6,16 @@ representation.  Everything downstream (multiplicity vectors, symmetry-adapted
 bases of tensor powers, invariant projectors) is computed from these, with
 character arithmetic done in exact integers.
 
-Basis vectors of the l-fold tensor power are built orbit by orbit with the
+Basis vectors of the l-fold tensor power are built per G-orbit with the
 matrix-element projectors E[t][r] = (d_t/|G|) sum_g D_t(g)[r,0] rho(g)^(x l):
 the image of E[t][0] on lexicographically ordered pattern seeds gives the
 multiplicity vectors, and E[t][r] maps those to the remaining copies.  Since
 rho(g)^(x l) permutes patterns within a G-orbit, every basis vector has at
-most |G| nonzero entries and the basis is held sparse.
+most |G| nonzero entries and the basis is held sparse.  That arithmetic
+depends on an orbit only through its local action (where each g sends each
+member, as positions in the sorted member list), and few local actions occur
+at any power, so it runs once per orbit shape and the resulting vectors are
+copied onto every orbit of that shape by array operations.
 """
 
 from __future__ import annotations
@@ -195,22 +199,25 @@ class EquivariantModel:
 
     def _verify(self) -> None:
         assert self.elements[0] == _IDENTITY
-        for g in self.elements:
-            assert _inverse(g) in self._index, f"{self.name}: missing inverse"
-        for g in self.elements:
-            for h in self.elements:
-                assert _compose(g, h) in self._index, f"{self.name}: not closed"
+        perms = np.array(self.elements, dtype=np.int64)
+        weights = K ** np.arange(K - 1, -1, -1)
+        # element index of each permutation, by its base-K code; -1 if absent
+        lookup = np.full(K ** K, -1, dtype=np.int64)
+        lookup[perms @ weights] = np.arange(self.order)
+        inverses = lookup[np.argsort(perms, axis=1) @ weights]
+        assert (inverses >= 0).all(), f"{self.name}: missing inverse"
+        # product[i, j] = index of g_i after g_j
+        product = lookup[perms[:, perms] @ weights]
+        assert (product >= 0).all(), f"{self.name}: not closed"
         assert sum(d * d for d in self.dims) == self.order
         for ir in self.irreps:
             mats = ir.matrices
-            assert np.allclose(mats[0], np.eye(ir.dim), atol=1e-12)
-            for i, g in enumerate(self.elements):
-                assert np.allclose(mats[i] @ mats[i].T, np.eye(ir.dim),
-                                   atol=1e-12), f"{self.name}:{ir.name} not orthogonal"
-                for j, h in enumerate(self.elements):
-                    ij = self._index[_compose(g, h)]
-                    assert np.allclose(mats[i] @ mats[j], mats[ij],
-                                       atol=1e-12), f"{self.name}:{ir.name} not a homomorphism"
+            eye = np.eye(ir.dim)
+            assert np.allclose(mats[0], eye, atol=1e-12)
+            assert np.allclose(mats @ mats.transpose(0, 2, 1), eye,
+                               atol=1e-12), f"{self.name}:{ir.name} not orthogonal"
+            assert np.allclose(mats[:, None] @ mats[None, :], mats[product],
+                               atol=1e-12), f"{self.name}:{ir.name} not a homomorphism"
         # exact first orthogonality relation
         gram = self.characters @ self.characters.T
         assert np.array_equal(gram, self.order * np.eye(self.n_irreps,
@@ -487,7 +494,8 @@ def symmetry_adapted_basis(model: EquivariantModel,
     """Construct (or fetch from the process-wide cache) the adapted basis.
 
     Deterministic: seeds are standard pattern vectors in lexicographic order,
-    orthonormalized by twice-through Gram-Schmidt within each G-orbit.
+    orthonormalized by twice-through Gram-Schmidt within each G-orbit (once
+    per orbit shape, see ``_build_basis``).
     Raises if any projector image rank disagrees with the multiplicity
     vector, which would mean a misdefined model.
     """
@@ -503,7 +511,48 @@ def symmetry_adapted_basis(model: EquivariantModel,
     return _BASIS_CACHE[key]
 
 
+def _orbit_vectors(model: EquivariantModel,
+                   local: np.ndarray) -> list[np.ndarray]:
+    """Adapted vectors of one orbit shape, from its local action: ``local[e,
+    a]`` is the position, among the orbit's sorted members, of g_e applied to
+    member a.  Returns per irrep t an array of shape (d_t, accepted, size)
+    whose [r, j] is copy r of the j-th accepted vector.
+    """
+    m_size = local.shape[1]
+    out = []
+    for ir in model.irreps:
+        d = ir.dim
+        scale = d / model.order
+        coeffs = ir.matrices[:, :, 0]  # (|G|, d_t)
+        e_ops = np.zeros((d, m_size, m_size))
+        for e in range(model.order):
+            np.add.at(e_ops, (slice(None), local[e], np.arange(m_size)),
+                      scale * coeffs[e][:, None])
+        accepted: list[np.ndarray] = []
+        for seed in range(m_size):
+            w = e_ops[0, :, seed].copy()
+            for _ in range(2):
+                for v in accepted:
+                    w -= (v @ w) * v
+            norm = np.linalg.norm(w)
+            if norm > 1e-6:
+                accepted.append(w / norm)
+        copies = [accepted]
+        for r in range(1, d):
+            moved = [e_ops[r] @ v1 for v1 in accepted]
+            copies.append([v / np.linalg.norm(v) for v in moved])
+        out.append(np.array(copies).reshape(d, len(accepted), m_size))
+    return out
+
+
 def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
+    """Assemble the adapted basis of the l-th tensor power.
+
+    The projector arithmetic of a G-orbit depends only on its local action,
+    so it runs once per distinct local action (orbit shape) and its vectors
+    are copied onto every orbit of that shape.  Columns are ordered by
+    (t, r), then orbit representative ascending, then accepted vector.
+    """
     size = K ** power
     mult = model.multiplicities(power)
     if model.order == 1:
@@ -511,66 +560,66 @@ def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
         tags = tuple((0, 0, j) for j in range(size))
         return SymmetryAdaptedBasis(model, power, matrix, tags)
 
+    order = model.order
     maps = pattern_maps(model.name, power)
-    canon = maps.min(axis=0)
-    reps = np.unique(canon)
+    reps = np.unique(maps.min(axis=0))
+    n_orbits = len(reps)
+    # column o lists orbit o's members ascending, each |stabilizer| times
+    images = np.sort(maps[:, reps], axis=0)
+    stride = order // (1 + np.count_nonzero(np.diff(images, axis=0), axis=0))
+    pos = np.empty(size, dtype=np.uint8)  # position of a pattern in its orbit
+    pos[images] = np.arange(order)[:, None] // stride
+    # action[o, e, i]: position of g_e . images[i, o]; row e = 0 encodes the
+    # stride, so equal tables mean equal orbit size and equal local action
+    action = np.stack([pos[row[images]].T for row in maps], axis=1)
+    shapes, shape_of = np.unique(action.reshape(n_orbits, -1), axis=0,
+                                 return_inverse=True)
+    shape_of = shape_of.ravel()
 
-    n_irreps = model.n_irreps
-    dims = model.dims
-    # per (t, r): lists of (global row indices, values) per accepted vector
-    collected: list[list[list[tuple[np.ndarray, np.ndarray]]]] = [
-        [[] for _ in range(dims[t])] for t in range(n_irreps)]
+    # per shape: its orbits, their members (orbits x size), its vectors
+    by_shape = []
+    counts = np.zeros((model.n_irreps, n_orbits), dtype=np.int64)
+    for s, shape in enumerate(shapes):
+        orbits = np.flatnonzero(shape_of == s)
+        step = stride[orbits[0]]
+        local = shape.reshape(order, order)[:, ::step]
+        vectors = _orbit_vectors(model, local)
+        for t, vecs in enumerate(vectors):
+            counts[t, orbits] = vecs.shape[1]
+        by_shape.append((orbits, images[::step, orbits].T, vectors))
 
-    coeffs = [ir.matrices[:, :, 0] for ir in model.irreps]  # (|G|, d_t)
-
-    for rep in reps:
-        members = np.unique(maps[:, rep])
-        m_size = len(members)
-        local_maps = np.empty((model.order, m_size), dtype=np.int64)
-        for e in range(model.order):
-            local_maps[e] = np.searchsorted(members, maps[e, members])
-        for t in range(n_irreps):
-            d = dims[t]
-            scale = d / model.order
-            e_ops = np.zeros((d, m_size, m_size))
-            for e in range(model.order):
-                np.add.at(e_ops, (slice(None), local_maps[e], np.arange(m_size)),
-                          scale * coeffs[t][e][:, None])
-            accepted: list[np.ndarray] = []
-            for seed in range(m_size):
-                w = e_ops[0, :, seed].copy()
-                for _ in range(2):
-                    for v in accepted:
-                        w -= (v @ w) * v
-                norm = np.linalg.norm(w)
-                if norm > 1e-6:
-                    accepted.append(w / norm)
-            for v1 in accepted:
-                collected[t][0].append((members, v1))
-                for r in range(1, d):
-                    vr = e_ops[r] @ v1
-                    vr /= np.linalg.norm(vr)
-                    collected[t][r].append((members, vr))
-
-    for t in range(n_irreps):
-        if len(collected[t][0]) != mult[t]:
+    for t in range(model.n_irreps):
+        found = int(counts[t].sum())
+        if found != mult[t]:
             raise AssertionError(
-                f"{model.name}: projector image rank {len(collected[t][0])} "
+                f"{model.name}: projector image rank {found} "
                 f"!= multiplicity {mult[t]} for irrep {model.irreps[t].name}")
 
-    rows, data, indptr, tags = [], [], [0], []
-    for t in range(n_irreps):
-        for r in range(dims[t]):
-            for j, (members, vec) in enumerate(collected[t][r]):
-                keep = np.abs(vec) > 1e-14
-                rows.append(members[keep])
-                data.append(vec[keep])
-                indptr.append(indptr[-1] + int(keep.sum()))
-                tags.append((t, r, j))
-    matrix = sparse.csc_matrix(
-        (np.concatenate(data), np.concatenate(rows), np.array(indptr)),
+    # assemble in shape order, then permute the columns into (t, r), orbit,
+    # vector order: final[c] is the place of assembled column c
+    first_col = np.cumsum([0] + [mult[t] for t in range(model.n_irreps)
+                                 for _ in range(model.dims[t])])
+    orbit_start = np.cumsum(counts, axis=1) - counts
+    final, nnz, rows, data = [], [], [], []
+    for orbits, members, vectors in by_shape:
+        tr = 0
+        for t, vecs in enumerate(vectors):
+            for r in range(model.dims[t]):
+                keep = np.abs(vecs[r]) > 1e-14
+                start = first_col[tr] + orbit_start[t, orbits]
+                final.append((start[:, None] + np.arange(len(keep))).ravel())
+                nnz.append(np.tile(keep.sum(axis=1), len(orbits)))
+                rows.append(members[:, np.nonzero(keep)[1]].ravel())
+                data.append(np.tile(vecs[r][keep], len(orbits)))
+                tr += 1
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(nnz))))
+    assembled = sparse.csc_matrix(
+        (np.concatenate(data), np.concatenate(rows), indptr),
         shape=(size, size))
-    return SymmetryAdaptedBasis(model, power, matrix, tuple(tags))
+    matrix = assembled[:, np.argsort(np.concatenate(final))]
+    tags = tuple((t, r, j) for t in range(model.n_irreps)
+                 for r in range(model.dims[t]) for j in range(mult[t]))
+    return SymmetryAdaptedBasis(model, power, matrix, tags)
 
 
 def expected_rank_vector(model: EquivariantModel, tree: TreeTopology,

@@ -139,7 +139,7 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
     genericity: tuple[str, ...] = ()
     if check_genericity:
         audit = genericity_check(scored_psi, model, topologies[winner],
-                                 average=False)
+                                 average=False, table=table)
         genericity = tuple(audit.warnings())
     return ReconstructionResult(
         method="exhaustive", tree=topologies[winner],
@@ -210,7 +210,7 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
                                 f"tol {tol:g}")
             if check_genericity and n <= 10:
                 audit = genericity_check(scored_psi, model, tree,
-                                         average=False)
+                                         average=False, table=table)
                 genericity = tuple(audit.warnings())
     return ReconstructionResult(
         method="splits", tree=tree, chosen_splits=tuple(chosen),

@@ -163,9 +163,16 @@ def all_bipartitions(n: int, nontrivial_only: bool = False) -> list[Bipartition]
 
 def genericity_check(psi: PatternTensor, model: EquivariantModel,
                      tree: TreeTopology, rank_tol: float = DEFAULT_RANK_TOL,
-                     average: bool = True) -> GenericityReport:
+                     average: bool = True,
+                     table: Optional[dict[Bipartition, SplitScore]] = None
+                     ) -> GenericityReport:
     """Verify the tensor attains the ceiling rank at every bipartition of the
-    candidate tree (the hypothesis under which edge tests are decisive)."""
+    candidate tree (the hypothesis under which edge tests are decisive).
+
+    ``table`` is a split table of the same (averaged) tensor, as built by
+    ``score_splits``; a bipartition whose ranks it holds at ``rank_tol`` is
+    read from it instead of being flattened again.
+    """
     n = psi.n
     if n > 10:
         raise ValueError("genericity audit capped at 10 leaves")
@@ -175,8 +182,12 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
     entries = []
     for split in all_bipartitions(n):
         ceiling = expected_rank_vector(model, tree, split)
-        tf = thin_flatten(scored, split, model)
-        achieved = thin_rank(tf, rank_tol)
+        known = table.get(split) if table is not None else None
+        if (known is not None and known.achieved is not None
+                and known.achieved.tolerance == rank_tol):
+            achieved = known.achieved
+        else:
+            achieved = thin_rank(thin_flatten(scored, split, model), rank_tol)
         entries.append(GenericityEntry(split, tuple(ceiling.entries),
                                        tuple(achieved.entries)))
     return GenericityReport(tree, tuple(entries))

@@ -360,6 +360,8 @@ def tensor_from_bytes(blob: bytes) -> PatternTensor:
     version, n, k, flags = struct.unpack("<HHHH", blob[4:12])
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
+    if k != 4:
+        raise ValueError(f"unsupported alphabet size k={k}, expected 4")
     values = np.frombuffer(blob[12:], dtype="<f8")
     return PatternTensor(values.copy(), tuple(range(1, n + 1)), k,
                          bool(flags & _FLAG_STOCHASTIC))

@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, formats, exit codes."""
 
 import json
+import struct
 
 import pytest
 
@@ -155,6 +156,16 @@ class TestReconstruct:
         path.write_bytes(data)
         code, _, err = run(capsys, "reconstruct", "--model", "K81",
                            "--input", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_three_state_container_exit_one(self, capsys, tmp_path):
+        # a well-formed header with k=3 and its 3^4 entries
+        path = tmp_path / "k3.eqpt"
+        path.write_bytes(b"EQPT" + struct.pack("<HHHH", 1, 4, 3, 0)
+                         + bytes(8 * 81))
+        code, _, err = run(capsys, "score", "--model", "K81",
+                           "--input", str(path), "--all-splits")
         assert code == 1
         assert err.startswith("error:")
 

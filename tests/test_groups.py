@@ -7,9 +7,13 @@ vectors those tables induce on the one-site state space.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import edgeinv.groups as G
 from edgeinv.groups import (
     MODEL_NAMES,
+    EquivariantModel,
+    Irrep,
     builtin_model,
     expected_rank_vector,
     group_average,
@@ -99,6 +103,38 @@ class TestModels:
             assert m.fixed_counts[i] == sum(1 for x in range(4) if g[x] == x)
 
 
+def jc69_irreps_with(name: str, matrices: np.ndarray) -> list[Irrep]:
+    """JC69's irreps with the one called ``name`` given new matrices."""
+    return [Irrep(ir.name, ir.dim, matrices) if ir.name == name else ir
+            for ir in builtin_model("JC69").irreps]
+
+
+class TestVerification:
+    def test_sign_flip_is_not_a_homomorphism(self):
+        model = builtin_model("JC69")
+        mats = model.irreps[3].matrices.copy()
+        mats[5] = -mats[5]
+        with pytest.raises(AssertionError, match="not a homomorphism"):
+            EquivariantModel("JC69", model.elements,
+                             jc69_irreps_with("std", mats))
+
+    def test_non_orthogonal_irrep(self):
+        # conjugating by a shear keeps the homomorphism and the characters
+        model = builtin_model("JC69")
+        shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+        mats = shear @ model.irreps[2].matrices @ np.linalg.inv(shear)
+        with pytest.raises(AssertionError, match="not orthogonal"):
+            EquivariantModel("JC69", model.elements,
+                             jc69_irreps_with("plane", mats))
+
+    def test_elements_not_closed(self):
+        # the Klein group without (AT)(CG): inverses present, products not
+        elements = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)]
+        with pytest.raises(AssertionError, match="not closed"):
+            EquivariantModel("K81", elements,
+                             [Irrep("triv", 1, np.ones((3, 1, 1)))])
+
+
 # ---------------------------------------------------------------------------
 # Multiplicity vectors
 # ---------------------------------------------------------------------------
@@ -159,6 +195,78 @@ class TestMultiplicities:
 # ---------------------------------------------------------------------------
 # Symmetry-adapted bases
 # ---------------------------------------------------------------------------
+
+def orbitwise_basis(model, power):
+    """Reference construction of the adapted basis, one G-orbit at a time:
+    the projector images and the Gram-Schmidt pass are recomputed for every
+    orbit.  Returns the sparse matrix and the (t, r, j) column tags."""
+    size = 4 ** power
+    mult = model.multiplicities(power)
+    if model.order == 1:
+        matrix = sparse.identity(size, format="csc")
+        tags = tuple((0, 0, j) for j in range(size))
+        return matrix, tags
+
+    maps = pattern_maps(model.name, power)
+    canon = maps.min(axis=0)
+    reps = np.unique(canon)
+
+    n_irreps = model.n_irreps
+    dims = model.dims
+    # per (t, r): lists of (global row indices, values) per accepted vector
+    collected = [[[] for _ in range(dims[t])] for t in range(n_irreps)]
+
+    coeffs = [ir.matrices[:, :, 0] for ir in model.irreps]  # (|G|, d_t)
+
+    for rep in reps:
+        members = np.unique(maps[:, rep])
+        m_size = len(members)
+        local_maps = np.empty((model.order, m_size), dtype=np.int64)
+        for e in range(model.order):
+            local_maps[e] = np.searchsorted(members, maps[e, members])
+        for t in range(n_irreps):
+            d = dims[t]
+            scale = d / model.order
+            e_ops = np.zeros((d, m_size, m_size))
+            for e in range(model.order):
+                np.add.at(e_ops, (slice(None), local_maps[e], np.arange(m_size)),
+                          scale * coeffs[t][e][:, None])
+            accepted = []
+            for seed in range(m_size):
+                w = e_ops[0, :, seed].copy()
+                for _ in range(2):
+                    for v in accepted:
+                        w -= (v @ w) * v
+                norm = np.linalg.norm(w)
+                if norm > 1e-6:
+                    accepted.append(w / norm)
+            for v1 in accepted:
+                collected[t][0].append((members, v1))
+                for r in range(1, d):
+                    vr = e_ops[r] @ v1
+                    vr /= np.linalg.norm(vr)
+                    collected[t][r].append((members, vr))
+
+    for t in range(n_irreps):
+        if len(collected[t][0]) != mult[t]:
+            raise AssertionError(
+                f"{model.name}: projector image rank {len(collected[t][0])} "
+                f"!= multiplicity {mult[t]} for irrep {model.irreps[t].name}")
+
+    rows, data, indptr, tags = [], [], [0], []
+    for t in range(n_irreps):
+        for r in range(dims[t]):
+            for j, (members, vec) in enumerate(collected[t][r]):
+                keep = np.abs(vec) > 1e-14
+                rows.append(members[keep])
+                data.append(vec[keep])
+                indptr.append(indptr[-1] + int(keep.sum()))
+                tags.append((t, r, j))
+    matrix = sparse.csc_matrix(
+        (np.concatenate(data), np.concatenate(rows), np.array(indptr)),
+        shape=(size, size))
+    return matrix, tuple(tags)
+
 
 def apply_group_element(model, power, element_index, vec):
     maps = pattern_maps(model.name, power)
@@ -236,6 +344,21 @@ class TestBases:
         G._BASIS_CACHE.clear()
         b = symmetry_adapted_basis(model, 2).dense()
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_matches_orbitwise_construction(self, name):
+        model = builtin_model(name)
+        G._BASIS_CACHE.clear()
+        try:
+            for power in range(1, 7):
+                expected, expected_tags = orbitwise_basis(model, power)
+                basis = G._build_basis(model, power)
+                assert np.array_equal(basis.matrix.indptr, expected.indptr)
+                assert np.array_equal(basis.matrix.indices, expected.indices)
+                assert np.array_equal(basis.matrix.data, expected.data)
+                assert basis.tags == expected_tags
+        finally:
+            G._BASIS_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

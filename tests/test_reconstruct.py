@@ -126,6 +126,22 @@ class TestExhaustive:
         # genericity audit's one flattening for each of the 31 bipartitions
         assert len(flattened) <= 25 + 31
 
+    def test_audit_reads_the_split_table(self, monkeypatch):
+        flattened = []
+        original = edgeinv.scores.thin_flatten
+
+        def counted(psi, split, model):
+            flattened.append(split)
+            return original(psi, split, model)
+
+        monkeypatch.setattr(edgeinv.scores, "thin_flatten", counted)
+        model = builtin_model("JC69")
+        psi = joint_distribution(random_presentation(model, caterpillar6(), 3))
+        assert reconstruct_exhaustive(psi, model).tree == caterpillar6()
+        # 25 nontrivial splits scored once; the genericity audit flattens
+        # only the 6 trivial ones and reads the rest from the split table
+        assert len(flattened) <= 25 + 6
+
     def test_genericity_audit_flags_no_mutation(self):
         psi = joint_distribution(no_mutation_presentation(quartet(2)))
         result = reconstruct_exhaustive(psi, builtin_model("GMM"))
