@@ -16,13 +16,18 @@ depends on an orbit only through its local action (where each g sends each
 member, as positions in the sorted member list), and few local actions occur
 at any power, so it runs once per orbit shape and the resulting vectors are
 copied onto every orbit of that shape by array operations.
+
+Group averaging never holds the |G| x k^l table of pattern images: it builds
+one element's row of images at a time, in place in a reused buffer, and
+gathers through it, so its memory is three k^l arrays whatever the group
+order.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -406,33 +411,52 @@ def multiplicities(model: EquivariantModel, power: int) -> MultiplicityVector:
 # Pattern-index machinery for tensor powers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+def _element_row(g: Perm, power: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (length k^l) with the row of one element at the l-th
+    power: entry p becomes the index of g . p.  Built in place as a Kronecker
+    sum, one digit at a time with each new digit in front (every digit
+    carries the same permutation): out[j k^m + q] = g[j] k^m + out[q]."""
+    out[0] = 0
+    size = 1
+    for _ in range(power):
+        prefix = out[:size]
+        for j in range(K - 1, -1, -1):  # j = 0 last, as it overwrites prefix
+            np.add(prefix, g[j] * size, out=out[j * size:(j + 1) * size])
+        size *= K
+    return out
+
+
 def pattern_maps(model_name: str, power: int) -> np.ndarray:
     """Array of shape (|G|, k^l): row e sends pattern index p to g_e . p,
-    where elements act diagonally on the l digits of p."""
+    where elements act diagonally on the l digits of p.  Built afresh on
+    every call and not cached: at 12 leaves the JC69 table is 3.2 GB."""
     model = builtin_model(model_name)
-    size = K ** power
-    weights = K ** np.arange(power - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(size, dtype=np.int64)
-    digits = (idx[:, None] // weights[None, :]) % K
-    maps = np.empty((model.order, size), dtype=np.int64)
-    for e, g in enumerate(model.elements):
-        perm = np.array(g, dtype=np.int64)
-        maps[e] = perm[digits] @ weights
-    maps.setflags(write=False)
+    maps = np.empty((model.order, K ** power), dtype=np.int64)
+    for row, g in zip(maps, model.elements):
+        _element_row(g, power, row)
     return maps
 
 
 def group_average(values: np.ndarray, model: EquivariantModel,
                   power: int) -> np.ndarray:
-    """Orthogonal projection of a flat k^l tensor onto the G-invariants."""
+    """Orthogonal projection of a flat k^l tensor onto the G-invariants,
+    one group element's row at a time, through two reused k^l buffers."""
     if model.order == 1:
         return np.asarray(values, dtype=float)
-    maps = pattern_maps(model.name, power)
-    acc = np.zeros(len(values))
-    for row in maps:
-        acc += values[row]
-    return acc / model.order
+    size = K ** power
+    if len(values) != size:
+        raise ValueError(f"expected {size} entries for power {power}, "
+                         f"got {len(values)}")
+    acc = np.zeros(size)
+    row = np.empty(size, dtype=np.int64)
+    gathered = np.empty(size)
+    for g in model.elements:
+        # every index is in range, and mode="raise" would buffer the output
+        np.take(values, _element_row(g, power, row), out=gathered,
+                mode="clip")
+        acc += gathered
+    acc /= model.order
+    return acc
 
 
 def invariant_projector(model: EquivariantModel, power: int) -> np.ndarray:
@@ -480,6 +504,13 @@ class SymmetryAdaptedBasis:
     def columns(self, t: int, r: int) -> range:
         """Column range of copy r (0-based) of irrep t."""
         return self._ranges[(t, r)]
+
+    @cached_property
+    def first_copies(self) -> tuple[sparse.csr_matrix, ...]:
+        """Per irrep t, the copy-0 columns transposed (m_t x k^l), so that
+        ``first_copies[t] @ v`` holds the copy-0 coordinates of v."""
+        return tuple(self.matrix[:, self.columns(t, 0)].T.tocsr()
+                     for t in range(self.model.n_irreps))
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()

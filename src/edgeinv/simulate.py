@@ -281,7 +281,10 @@ def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
         if line.startswith(">"):
             if taxa:
                 seqs.append("".join(current))
-            taxa.append(line[1:].split()[0])
+            name = line[1:].split()
+            if not name:
+                raise ValueError("empty taxon name in a FASTA header")
+            taxa.append(name[0])
             current = []
         else:
             if not taxa:

@@ -8,10 +8,12 @@ The thin flattening of a tensor along a bipartition is the family of blocks
 obtained by transforming the plain flattening into the symmetry-adapted bases
 of both sides: for a G-invariant tensor the transformed matrix is block
 diagonal with one block per (irrep, copy) pair and identical blocks across
-copies, so only the first copy is kept; the largest entry outside the
+copies, so only the first copy is kept, and only it is computed, from the
+first-copy basis columns of each side.  The largest entry outside the
 permitted blocks (leakage) and the largest disagreement among copies are
-reported as diagnostics rather than errors, since empirical tensors violate
-invariance by sampling noise.
+diagnostics rather than errors, since empirical tensors violate invariance by
+sampling noise; they need the full transformed matrix, so they are computed
+only on first access.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import operator
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable
 
@@ -166,10 +168,12 @@ class ThinFlattening:
     """Per-irrep multiplicity-space blocks of a flattening along a split.
 
     blocks[t] has shape m(l1)_t x m(l2)_t (possibly empty) and is the copy
-    r=1 block; ``leakage`` is the largest transformed entry outside all
-    (irrep, copy) diagonal blocks and ``copy_disagreement`` the largest
-    entrywise gap between any copy's block and the first, both of which
-    vanish (to 1e-10) on exactly invariant tensors.
+    r=1 block.  Two invariance diagnostics are computed on first access from
+    the full transformed flattening of ``psi``: ``leakage``, the largest
+    transformed entry outside all (irrep, copy) diagonal blocks, and
+    ``copy_disagreement``, the largest entrywise gap between any copy's block
+    and the first.  Both vanish (to 1e-10) on exactly invariant tensors, and
+    no scoring path reads them.
 
     Raw block entries depend on the multiplicity-space bases chosen during
     basis construction; their singular values (``spectra``, hence all ranks
@@ -182,8 +186,8 @@ class ThinFlattening:
     dims: tuple[int, ...]
     row_mult: MultiplicityVector
     col_mult: MultiplicityVector
-    leakage: float
-    copy_disagreement: float
+    psi: PatternTensor = field(repr=False, compare=False)
+    model: EquivariantModel = field(repr=False, compare=False)
 
     @cached_property
     def spectra(self) -> tuple[np.ndarray, ...]:
@@ -191,41 +195,53 @@ class ThinFlattening:
         return tuple(np.linalg.svd(b, compute_uv=False) if b.size
                      else np.empty(0) for b in self.blocks)
 
+    @property
+    def leakage(self) -> float:
+        return self._invariance_gaps[0]
+
+    @property
+    def copy_disagreement(self) -> float:
+        return self._invariance_gaps[1]
+
+    @cached_property
+    def _invariance_gaps(self) -> tuple[float, float]:
+        """(leakage, copy_disagreement) of the full transformed flattening."""
+        basis1 = symmetry_adapted_basis(self.model, self.row_mult.power)
+        basis2 = symmetry_adapted_basis(self.model, self.col_mult.power)
+        half = basis1.matrix.T @ flatten(self.psi, self.split)
+        transformed = np.asarray((basis2.matrix.T @ half.T).T)
+        off_block = np.abs(transformed)
+        disagreement = 0.0
+        for t, d in enumerate(self.dims):
+            for r in range(d):
+                rows = basis1.columns(t, r)
+                cols = basis2.columns(t, r)
+                block = transformed[rows.start:rows.stop, cols.start:cols.stop]
+                off_block[rows.start:rows.stop, cols.start:cols.stop] = 0.0
+                if r and block.size:
+                    disagreement = max(disagreement, float(
+                        np.abs(block - self.blocks[t]).max()))
+        leakage = float(off_block.max()) if off_block.size else 0.0
+        return leakage, disagreement
+
 
 def thin_flatten(psi: PatternTensor, split,
                  model: EquivariantModel) -> ThinFlattening:
     """Transform the flattening into the symmetry-adapted bases of the two
-    sides and return the per-irrep blocks plus invariance diagnostics."""
+    sides and return the per-irrep first-copy blocks; only those blocks are
+    computed."""
     side1, side2 = _sides(psi, split)
-    l1, l2 = len(side1), len(side2)
-    basis1 = symmetry_adapted_basis(model, l1)
-    basis2 = symmetry_adapted_basis(model, l2)
+    basis1 = symmetry_adapted_basis(model, len(side1))
+    basis2 = symmetry_adapted_basis(model, len(side2))
     mat = flatten(psi, split)
-    # transformed[i, j] = (column i of basis1) . M . (column j of basis2)
-    half = basis1.matrix.T @ mat            # sparse @ dense -> dense
-    transformed = (basis2.matrix.T @ half.T).T
-    transformed = np.asarray(transformed)
-
     blocks = []
-    off_block = np.abs(transformed)
-    disagreement = 0.0
-    for t, d in enumerate(model.dims):
-        first = None
-        for r in range(d):
-            rows = basis1.columns(t, r)
-            cols = basis2.columns(t, r)
-            block = transformed[rows.start:rows.stop, cols.start:cols.stop]
-            off_block[rows.start:rows.stop, cols.start:cols.stop] = 0.0
-            if r == 0:
-                first = block
-                blocks.append(block.copy())
-            elif block.size:
-                disagreement = max(disagreement,
-                                   float(np.abs(block - first).max()))
-    leakage = float(off_block.max()) if off_block.size else 0.0
+    for rows, cols in zip(basis1.first_copies, basis2.first_copies):
+        # block[i, j] = (copy-0 column i of basis1) . M . (column j of basis2)
+        half = rows @ mat
+        blocks.append(np.ascontiguousarray((cols @ half.T).T))
     return ThinFlattening(split, model.name, tuple(blocks), model.dims,
                           basis1.multiplicities, basis2.multiplicities,
-                          leakage, disagreement)
+                          psi, model)
 
 
 def reassemble_flattening(tf: ThinFlattening,
@@ -389,12 +405,12 @@ def tensor_to_json(psi: PatternTensor, include_zeros: bool = False) -> str:
 
 
 def tensor_from_json(text: str) -> PatternTensor:
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         counts = {str(pattern): float(value)
                   for pattern, value in doc["entries"]}
         n = operator.index(doc["n"])
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, OverflowError, RecursionError) as err:
         raise ValueError(f"malformed tensor JSON: {err!r}") from None
     return PatternTensor.from_pattern_counts(
         counts, n, stochastic=doc.get("stochastic", False))

@@ -159,6 +159,15 @@ class TestReconstruct:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_empty_fasta_taxon_name_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "noname.fasta"
+        path.write_text(">\nACGT\n>b\nACGT\n>c\nACGA\n>d\nACGC\n")
+        code, _, err = run(capsys, "reconstruct", "--model", "K81",
+                           "--input", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert "empty taxon name" in err
+
     def test_three_state_container_exit_one(self, capsys, tmp_path):
         # a well-formed header with k=3 and its 3^4 entries
         path = tmp_path / "k3.eqpt"
@@ -184,3 +193,16 @@ class TestFit:
         assert scores["K81"] <= 1e-12
         assert scores["GMM"] == 0.0
         assert scores["JC69"] > scores["K80"]
+
+    def test_zero_leaf_container(self, capsys, tmp_path):
+        # a header with n=0 and its single entry
+        path = tmp_path / "zero.eqpt"
+        path.write_bytes(b"EQPT" + struct.pack("<HHHH", 1, 0, 4, 0)
+                         + struct.pack("<d", 1.0))
+        code, out, _ = run(capsys, "fit", "--input", str(path),
+                           "--models", "JC69,K81,K80,SSM,GMM")
+        assert code == 0
+        assert out == json.dumps({
+            "n": 0,
+            "fit_scores": {"JC69": 0.0, "K81": 0.0, "K80": 0.0, "SSM": 0.0,
+                           "GMM": 0.0}}, indent=2) + "\n"

@@ -5,6 +5,8 @@ substitution symmetries; basis fixtures are the explicit Fourier/Hadamard
 vectors those tables induce on the one-site state space.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -402,6 +404,74 @@ class TestInvariantProjector:
         vec = rng.normal(size=16)
         proj = invariant_projector(model, 2)
         assert np.allclose(group_average(vec, model, 2), proj @ vec)
+
+
+# ---------------------------------------------------------------------------
+# Group averaging
+# ---------------------------------------------------------------------------
+
+def digit_pattern_maps(model, power):
+    """Reference image table: every pattern's base-4 digits are permuted and
+    re-weighted, all patterns and all elements at once."""
+    size = 4 ** power
+    weights = 4 ** np.arange(power - 1, -1, -1, dtype=np.int64)
+    idx = np.arange(size, dtype=np.int64)
+    digits = (idx[:, None] // weights[None, :]) % 4
+    maps = np.empty((model.order, size), dtype=np.int64)
+    for e, g in enumerate(model.elements):
+        maps[e] = np.array(g, dtype=np.int64)[digits] @ weights
+    return maps
+
+
+def table_average(values, model, power):
+    """Reference average through the full image table, in element order."""
+    acc = np.zeros(len(values))
+    for row in digit_pattern_maps(model, power):
+        acc += values[row]
+    return acc / model.order
+
+
+class TestGroupAverage:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_pattern_maps_match_digit_table(self, name):
+        model = builtin_model(name)
+        for power in range(0, 7):
+            maps = pattern_maps(name, power)
+            assert maps.dtype == np.int64
+            assert np.array_equal(maps, digit_pattern_maps(model, power))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_bit_identical_to_table_average(self, name):
+        model = builtin_model(name)
+        rng = np.random.default_rng(3)
+        for power in range(0, 7):
+            values = rng.normal(size=4 ** power)
+            got = group_average(values, model, power)
+            if model.order == 1:
+                assert np.array_equal(got, values)
+            else:
+                assert got.tobytes() == table_average(values, model,
+                                                      power).tobytes()
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            group_average(np.zeros(15), builtin_model("K81"), 2)
+
+    def test_pattern_maps_not_cached(self):
+        assert pattern_maps("K81", 3) is not pattern_maps("K81", 3)
+        assert not hasattr(pattern_maps, "cache_info")
+
+    def test_peak_memory_is_a_few_tensors(self):
+        # the full JC69 image table alone would be 24 tensors' worth
+        model = builtin_model("JC69")
+        values = np.random.default_rng(0).normal(size=4 ** 8)
+        tracemalloc.start()
+        try:
+            group_average(values, model, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * 4 ** 8
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ index construction for single-entry flattenings, and dense matrix products
 for the contraction identities.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from edgeinv.groups import builtin_model, group_average
+from edgeinv.groups import builtin_model, group_average, symmetry_adapted_basis
+from edgeinv.scores import all_bipartitions
 from edgeinv.tensors import (
     PatternTensor,
     averaged,
@@ -235,6 +238,58 @@ class TestThinFlatten:
         assert ranks.weighted == flattening_rank(flatten(psi, split), tol=1e-7)
 
 
+def full_transform_blocks(psi, split, model):
+    """Reference blocks: the whole flattening is transformed into the adapted
+    bases of both sides and each irrep's first-copy block is sliced out."""
+    mat = flatten(psi, split)
+    basis1 = symmetry_adapted_basis(model, int(np.log2(mat.shape[0])) // 2)
+    basis2 = symmetry_adapted_basis(model, int(np.log2(mat.shape[1])) // 2)
+    half = basis1.matrix.T @ mat
+    transformed = np.asarray((basis2.matrix.T @ half.T).T)
+    blocks = []
+    for t in range(model.n_irreps):
+        rows, cols = basis1.columns(t, 0), basis2.columns(t, 0)
+        blocks.append(transformed[rows.start:rows.stop,
+                                  cols.start:cols.stop].copy())
+    return blocks
+
+
+class TestThinFlattenOracle:
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_blocks_bit_identical_to_full_transform(self, name, n):
+        model = builtin_model(name)
+        psi = random_tensor(range(1, n + 1), n)
+        for split in all_bipartitions(n):
+            tf = thin_flatten(psi, split, model)
+            expected = full_transform_blocks(psi, split, model)
+            assert len(tf.blocks) == len(expected)
+            for got, want in zip(tf.blocks, expected):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_diagnostics_computed_on_first_access(self):
+        psi = random_tensor(range(1, 5), 11)
+        tf = thin_flatten(psi, Bipartition({1, 2}, 4), builtin_model("K80"))
+        assert "_invariance_gaps" not in tf.__dict__
+        assert tf.leakage > 1e-3
+        assert "_invariance_gaps" in tf.__dict__
+
+    def test_peak_memory_below_full_transform(self):
+        # the full transformed matrix and its abs copy are 2 tensors' worth
+        model = builtin_model("K80")
+        psi = random_tensor(range(1, 9), 5)
+        split = Bipartition({1, 3, 5, 7}, 8)
+        thin_flatten(psi, split, model)  # build and cache the bases first
+        tracemalloc.start()
+        try:
+            thin_flatten(psi, split, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * 4 ** 8
+
+
 class TestThinRank:
     def test_zero_tensor(self):
         psi = PatternTensor(np.zeros(256), (1, 2, 3, 4))
@@ -383,6 +438,9 @@ class TestSerialization:
         '{"n": 2, "entries": [["AC"]]}',
         '{"n": "2", "entries": [["AC", 1.0]]}',
         '{"n": 20, "entries": []}',
+        pytest.param('{"n": 1, "entries": [["A", 1' + '0' * 400 + ']]}',
+                     id="huge-integer"),
+        pytest.param('[' * 100000 + ']' * 100000, id="deep-nesting"),
     ])
     def test_malformed_json_rejected(self, text):
         with pytest.raises(ValueError):
