@@ -3,7 +3,7 @@
 Each model is a subgroup G of the permutations of the four states A,C,G,T
 together with explicit real orthogonal matrices for every irreducible
 representation.  Everything downstream (multiplicity vectors, symmetry-adapted
-bases of tensor powers, invariant projectors) is computed from these, with
+bases of tensor powers, group averages) is computed from these, with
 character arithmetic done in exact integers.
 
 Basis vectors of the l-fold tensor power are built per G-orbit with the
@@ -40,7 +40,6 @@ K = 4
 MODEL_NAMES = ("GMM", "SSM", "K81", "K80", "JC69")
 
 MAX_POWER = 12          # k^l capacity guard for multiplicities and bases
-MAX_DENSE_POWER = 6     # dense k^l x k^l projector guard
 
 Perm = tuple[int, ...]
 
@@ -144,6 +143,7 @@ class EquivariantModel:
         self.order = len(self.elements)
         self.n_irreps = len(self.irreps)
         self.dims = tuple(ir.dim for ir in self.irreps)
+        self.abelian = all(d == 1 for d in self.dims)
         self._index = {g: i for i, g in enumerate(self.elements)}
         self.fixed_counts = np.array(
             [sum(1 for i in range(K) if g[i] == i) for g in self.elements],
@@ -159,6 +159,7 @@ class EquivariantModel:
         self.characters = chars
         self.characters.setflags(write=False)
         self._classes = self._conjugacy_classes()
+        self._multiplicities: dict[int, MultiplicityVector] = {}
         self._verify()
 
     # -- structure ---------------------------------------------------------
@@ -248,10 +249,14 @@ class EquivariantModel:
     def multiplicities(self, power: int) -> MultiplicityVector:
         """m(l): multiplicity of each irrep in the l-th tensor power.
 
-        Exact integer arithmetic; raises on capacity beyond the guard.
+        Exact integer arithmetic, once per power; raises on capacity beyond
+        the guard.
         """
         if not 1 <= power <= MAX_POWER:
             raise ValueError(f"tensor power {power} outside guard 1..{MAX_POWER}")
+        found = self._multiplicities.get(power)
+        if found is not None:
+            return found
         fixed = [int(c) for c in self.fixed_counts]
         entries = []
         for t in range(self.n_irreps):
@@ -263,7 +268,9 @@ class EquivariantModel:
             assert m >= 0
             entries.append(m)
         assert sum(d * m for d, m in zip(self.dims, entries)) == K ** power
-        return MultiplicityVector(tuple(entries), power)
+        found = MultiplicityVector(tuple(entries), power)
+        self._multiplicities[power] = found
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +464,6 @@ def group_average(values: np.ndarray, model: EquivariantModel,
         acc += gathered
     acc /= model.order
     return acc
-
-
-def invariant_projector(model: EquivariantModel, power: int) -> np.ndarray:
-    """Dense orthogonal projector onto the trivial isotypic component of the
-    l-th tensor power; rank equals the trivial-character multiplicity."""
-    if not 1 <= power <= MAX_DENSE_POWER:
-        raise ValueError(f"dense projector guarded to power <= {MAX_DENSE_POWER}")
-    size = K ** power
-    maps = pattern_maps(model.name, power)
-    proj = np.zeros((size, size))
-    cols = np.arange(size)
-    for row in maps:
-        proj[row, cols] += 1.0 / model.order
-    return proj
 
 
 # ---------------------------------------------------------------------------

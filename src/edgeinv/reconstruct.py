@@ -90,6 +90,12 @@ def data_driven_tol(scores: Iterable[float]) -> float:
     return max(float(np.median(values)) * 1e-2, 1e-300)
 
 
+def _check_tol(tol: Optional[float]) -> None:
+    """A tolerance is None (data driven) or a finite number >= 0."""
+    if tol is not None and not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
                            tol: Optional[float] = DEFAULT_SCORE_TOL,
                            average: bool = True,
@@ -102,6 +108,7 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
     enumeration order and warned about.  ``tol=None`` selects the data-driven
     default (median of all edge scores / 100, each topology's splits counted).
     """
+    _check_tol(tol)
     n = psi.n
     if not 3 <= n <= MAX_EXHAUSTIVE_LEAVES:
         raise ValueError(f"exhaustive scan supports 3..{MAX_EXHAUSTIVE_LEAVES}"
@@ -161,6 +168,7 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
     same split table.  When fewer than n-3 mutually compatible splits exist
     the result carries no tree and the skipped splits document the conflict.
     """
+    _check_tol(tol)
     n = psi.n
     if not 4 <= n <= MAX_SPLIT_LEAVES:
         raise ValueError(f"split selection supports 4..{MAX_SPLIT_LEAVES}"

@@ -27,7 +27,9 @@ from .groups import EquivariantModel, MultiplicityVector, expected_rank_vector
 from .tensors import (
     PatternTensor,
     RankVector,
+    ThinFlattening,
     averaged,
+    character_flattening,
     thin_flatten,
     thin_rank,
 )
@@ -54,6 +56,16 @@ class SplitScore:
     achieved: Optional[RankVector]  # None for trivial splits, never computed
 
 
+def _flattening(psi: PatternTensor, split: Bipartition,
+                model: EquivariantModel) -> ThinFlattening:
+    """The block route: GMM, SSM and K81 (every irrep 1-dimensional) gather
+    each split's blocks from one character transform of the tensor; K80 and
+    JC69 transform each flattening by the sparse adapted bases."""
+    if model.abelian:
+        return character_flattening(psi, split, model)
+    return thin_flatten(psi, split, model)
+
+
 def split_score(psi: PatternTensor, split: Bipartition,
                 model: EquivariantModel, average: bool = True,
                 rank_tol: float = DEFAULT_RANK_TOL) -> SplitScore:
@@ -68,7 +80,7 @@ def split_score(psi: PatternTensor, split: Bipartition,
         zeros = tuple(0.0 for _ in target.entries)
         return SplitScore(split, zeros, 0.0, target, None)
     scored = averaged(psi, model) if average else psi
-    tf = thin_flatten(scored, split, model)
+    tf = _flattening(scored, split, model)
     residuals = tuple(float(np.sqrt((spectrum[m:] ** 2).sum()))
                       for spectrum, m in zip(tf.spectra, target))
     norm = scored.norm()
@@ -82,6 +94,12 @@ def score_splits(psi: PatternTensor, model: EquivariantModel,
                  average: bool = True) -> dict[Bipartition, SplitScore]:
     """The split table: one score per bipartition, in the order given, from
     a single group average of the tensor (skipped when ``average`` is False).
+
+    Blocks come by one of two routes, picked by the group.  GMM, SSM and K81
+    (every irrep 1-dimensional) transform the averaged tensor once, by the
+    one-site character basis along each axis, and gather each split's blocks
+    from it; K80 and JC69 multiply each split's flattening by the sparse
+    adapted bases of its two sides (``thin_flatten``).
     """
     scored = averaged(psi, model) if average else psi
     return {s: split_score(scored, s, model, average=False) for s in splits}
@@ -187,7 +205,7 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
                 and known.achieved.tolerance == rank_tol):
             achieved = known.achieved
         else:
-            achieved = thin_rank(thin_flatten(scored, split, model), rank_tol)
+            achieved = thin_rank(_flattening(scored, split, model), rank_tol)
         entries.append(GenericityEntry(split, tuple(ceiling.entries),
                                        tuple(achieved.entries)))
     return GenericityReport(tree, tuple(entries))

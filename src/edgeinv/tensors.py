@@ -8,12 +8,20 @@ The thin flattening of a tensor along a bipartition is the family of blocks
 obtained by transforming the plain flattening into the symmetry-adapted bases
 of both sides: for a G-invariant tensor the transformed matrix is block
 diagonal with one block per (irrep, copy) pair and identical blocks across
-copies, so only the first copy is kept, and only it is computed, from the
-first-copy basis columns of each side.  The largest entry outside the
+copies, so only the first copy is kept.  The largest entry outside the
 permitted blocks (leakage) and the largest disagreement among copies are
 diagnostics rather than errors, since empirical tensors violate invariance by
 sampling noise; they need the full transformed matrix, so they are computed
 only on first access.
+
+Two routes compute the blocks.  ``thin_flatten`` (any model; the scoring
+route of K80 and JC69) multiplies the split's flattening by the first-copy
+columns of the sparse adapted bases of its two sides.
+``character_flattening`` (GMM, SSM and K81, whose irreps are all
+1-dimensional) gathers them from the tensor's one character transform, the
+one-site adapted basis applied along every axis: the block of irrep t is
+the side-1 patterns whose digit characters multiply to t against the side-2
+patterns that do, and no basis above power 1 is built.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from .groups import (
+    K,
     EquivariantModel,
     MultiplicityVector,
     group_average,
@@ -57,6 +66,9 @@ class PatternTensor:
     labels: tuple[int, ...]
     k: int = 4
     stochastic: bool = False
+    # model name -> CharacterTransform of these values, filled on first use
+    _transforms: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -175,9 +187,10 @@ class ThinFlattening:
     and the first.  Both vanish (to 1e-10) on exactly invariant tensors, and
     no scoring path reads them.
 
-    Raw block entries depend on the multiplicity-space bases chosen during
-    basis construction; their singular values (``spectra``, hence all ranks
-    and scores downstream) do not, since the bases are orthonormal.
+    Raw block entries depend on the multiplicity-space bases, which differ
+    between ``thin_flatten`` and ``character_flattening``; their singular
+    values (``spectra``, hence all ranks and scores downstream) do not, since
+    the bases are orthonormal.
     """
 
     split: object
@@ -244,22 +257,84 @@ def thin_flatten(psi: PatternTensor, split,
                           psi, model)
 
 
-def reassemble_flattening(tf: ThinFlattening,
-                          model: EquivariantModel) -> np.ndarray:
-    """Inverse of thin_flatten for invariant input: replicate each block over
-    its copies, transform back to the pattern bases."""
-    l1, l2 = tf.row_mult.power, tf.col_mult.power
-    basis1 = symmetry_adapted_basis(model, l1)
-    basis2 = symmetry_adapted_basis(model, l2)
-    size1, size2 = 4 ** l1, 4 ** l2
-    transformed = np.zeros((size1, size2))
-    for t, d in enumerate(model.dims):
-        for r in range(d):
-            rows = basis1.columns(t, r)
-            cols = basis2.columns(t, r)
-            transformed[rows.start:rows.stop, cols.start:cols.stop] = tf.blocks[t]
-    half = basis2.matrix @ transformed.T
-    return np.asarray((basis1.matrix @ half.T))
+class CharacterTransform:
+    """A tensor's coordinates in the Kronecker power of the one-site adapted
+    basis, for a model whose irreps are all 1-dimensional.
+
+    Such a basis vector lies in the isotypic component of the product of
+    its digits' characters, so the first-copy block of irrep t of every
+    split is a gather of ``coeffs``: row patterns of side 1 labelled t
+    against column patterns of side 2 labelled t.  Holds no reference to
+    the tensor, which keeps it in ``PatternTensor._transforms``.
+    """
+
+    def __init__(self, psi: PatternTensor, model: EquivariantModel):
+        if not model.abelian:
+            raise ValueError(f"{model.name} has irreps of dimension > 1")
+        one_site = symmetry_adapted_basis(model, 1)
+        matrix = one_site.dense()
+        coeffs = psi.values
+        for _ in range(psi.n):
+            # contract the leading axis; the new one goes last, so after n
+            # passes the axes are back in order
+            coeffs = coeffs.reshape(K, -1).T @ matrix
+        self.coeffs = coeffs.reshape(-1)
+        # per position label, the flat-index step of each of its states
+        self._strides = {lab: K ** (psi.n - 1 - i) * np.arange(K)
+                         for i, lab in enumerate(psi.labels)}
+        chars = model.characters
+        # products[a, b] = the irrep whose character is chi_a * chi_b
+        same = (chars[:, None, None, :] * chars[None, :, None, :]
+                == chars[None, None, :, :]).all(axis=-1)
+        products = same.argmax(axis=-1)
+        digit_labels = np.array([t for t, _, _ in one_site.tags])
+        # _members[l][t]: the power-l patterns (most significant digit
+        # first) whose digit characters multiply to t, ascending
+        self._members = [()]
+        labels = np.zeros(1, dtype=np.int64)
+        for _ in range(1, psi.n):
+            labels = products[labels[:, None], digit_labels].ravel()
+            self._members.append(tuple(np.flatnonzero(labels == t)
+                                       for t in range(model.n_irreps)))
+
+    def blocks(self, side1: tuple[int, ...],
+               side2: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """The first-copy block of each irrep along (side1, side2), sides
+        sorted as ``_sides`` returns them."""
+        def offsets(side):
+            # flat index in coeffs of every pattern of the side's positions
+            out = np.zeros(1, dtype=np.int64)
+            for lab in side:
+                out = (out[:, None] + self._strides[lab]).ravel()
+            return out
+
+        rows, cols = offsets(side1), offsets(side2)
+        return tuple(self.coeffs.take(np.add.outer(rows[r], cols[c]))
+                     for r, c in zip(self._members[len(side1)],
+                                     self._members[len(side2)]))
+
+
+def character_transform(psi: PatternTensor,
+                        model: EquivariantModel) -> CharacterTransform:
+    """The character transform of ``psi`` under an abelian model, computed
+    on first use and kept with the tensor."""
+    found = psi._transforms.get(model.name)
+    if found is None:
+        found = psi._transforms[model.name] = CharacterTransform(psi, model)
+    return found
+
+
+def character_flattening(psi: PatternTensor, split,
+                         model: EquivariantModel) -> ThinFlattening:
+    """The thin flattening along ``split`` under an abelian model, gathered
+    from the tensor's one character transform.  Its blocks differ from
+    ``thin_flatten``'s by orthogonal changes of basis within each
+    multiplicity space, so their spectra agree."""
+    side1, side2 = _sides(psi, split)
+    blocks = character_transform(psi, model).blocks(side1, side2)
+    return ThinFlattening(split, model.name, blocks, model.dims,
+                          model.multiplicities(len(side1)),
+                          model.multiplicities(len(side2)), psi, model)
 
 
 @dataclass(frozen=True)
@@ -338,19 +413,6 @@ def star_contract(phi1: PatternTensor, phi2: PatternTensor,
     return PatternTensor(out.reshape(-1), labels, phi1.k)
 
 
-def identity_link(label_a: int, label_b: int, k: int = 4) -> PatternTensor:
-    """The two-position tensor pairing equal states, sum_b b (x) b."""
-    values = np.eye(k).reshape(-1)
-    return PatternTensor(values, (label_a, label_b), k)
-
-
-def permute_labels(psi: PatternTensor, mapping: dict[int, int]) -> PatternTensor:
-    """Rename positions through a bijection and restore canonical label order."""
-    new_labels = tuple(mapping.get(l, l) for l in psi.labels)
-    renamed = PatternTensor(psi.values, new_labels, psi.k, psi.stochastic)
-    return renamed.with_canonical_labels()
-
-
 # ---------------------------------------------------------------------------
 # Serialization: binary container and JSON debug form
 # ---------------------------------------------------------------------------
@@ -412,5 +474,8 @@ def tensor_from_json(text: str) -> PatternTensor:
         n = operator.index(doc["n"])
     except (KeyError, TypeError, OverflowError, RecursionError) as err:
         raise ValueError(f"malformed tensor JSON: {err!r}") from None
-    return PatternTensor.from_pattern_counts(
-        counts, n, stochastic=doc.get("stochastic", False))
+    stochastic = doc.get("stochastic", False)
+    if not isinstance(stochastic, bool):
+        raise ValueError(f"malformed tensor JSON: stochastic is "
+                         f"{stochastic!r}, not true or false")
+    return PatternTensor.from_pattern_counts(counts, n, stochastic=stochastic)

@@ -403,19 +403,24 @@ def from_newick(text: str) -> tuple[TreeTopology, dict[int, str]]:
     leaf_names: list[str] = []
     edges: list[tuple[str, str]] = []
 
+    def peek() -> str:
+        if pos >= len(text):
+            raise ValueError("newick input ends before its tree does")
+        return text[pos]
+
     def parse() -> str:
         nonlocal pos
-        if text[pos] == "(":
+        if peek() == "(":
             pos += 1
             node = f"@{next_internal[0]}"
             next_internal[0] += 1
             while True:
                 child = parse()
                 edges.append((node, child))
-                if text[pos] == ",":
+                if peek() == ",":
                     pos += 1
                     continue
-                if text[pos] == ")":
+                if peek() == ")":
                     pos += 1
                     break
             _skip_decoration()
@@ -436,7 +441,10 @@ def from_newick(text: str) -> tuple[TreeTopology, dict[int, str]]:
         while pos < len(text) and text[pos] not in ",()":
             pos += 1
 
-    root = parse()
+    try:
+        root = parse()
+    except RecursionError:
+        raise ValueError("newick input nested too deeply") from None
     if pos != len(text):
         raise ValueError(f"trailing characters in newick input: {text[pos:]!r}")
     if len(set(leaf_names)) != len(leaf_names):

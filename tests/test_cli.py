@@ -67,6 +67,13 @@ class TestSimulate:
         assert out.count(">") == 4
         assert ">chimp" in out
 
+    @pytest.mark.parametrize("newick", ["((a,b),(c,d);", "(a,b", ";", ""])
+    def test_truncated_newick_exit_one(self, capsys, newick):
+        code, _, err = run(capsys, "simulate", "--model", "K81",
+                           "--tree", newick, "--seed", "1")
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_deterministic(self, capsys):
         a = run(capsys, "simulate", "--model", "K80", "--tree",
                 QUARTET_NEWICK, "--seed", "5")
@@ -117,6 +124,19 @@ class TestReconstruct:
         assert doc["warnings"] == []
         assert doc["method"] == "exhaustive"
 
+    @pytest.mark.parametrize("method", ["exhaustive", "splits"])
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_exit_one(self, capsys, tmp_path, method, tol):
+        path = tmp_path / "t.eqpt"
+        run(capsys, "simulate", "--model", "K81", "--tree", QUARTET_NEWICK,
+            "--seed", "2", "--out", str(path))
+        code, out, err = run(capsys, "reconstruct", "--model", "K81",
+                             "--input", str(path), "--method", method,
+                             "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_fasta_input_via_splits(self, capsys, tmp_path):
         fasta = tmp_path / "a.fasta"
         run(capsys, "simulate", "--model", "K81", "--tree", QUARTET_NEWICK,
@@ -150,6 +170,8 @@ class TestReconstruct:
         ("no_entries.json", b'{"n": 4, "k": 4, "states": "ACGT"}'),
         ("bad_symbol.json", b'{"n": 2, "entries": [["AX", 1.0]]}'),
         ("short.eqpt", b"EQPT\x01\x00\x04"),
+        ("stochastic.json",
+         b'{"n": 4, "entries": [["AAAA", 1.0]], "stochastic": "no"}'),
     ])
     def test_malformed_input_exit_one(self, capsys, tmp_path, name, data):
         path = tmp_path / name

@@ -1,4 +1,4 @@
-"""Seeded fuzz tests for the three input parsers.
+"""Seeded fuzz tests for the four input parsers.
 
 Valid inputs are mutated by truncation, byte flips and field deletion in
 ``random.Random(seed)`` loops.  Every mutated input must either parse or
@@ -20,6 +20,7 @@ from edgeinv.tensors import (
     tensor_to_bytes,
     tensor_to_json,
 )
+from edgeinv.trees import from_newick
 
 CASES = 400
 
@@ -34,6 +35,10 @@ def valid_fasta() -> str:
     return "".join(f">t{i} taxon {i}\n" + "".join(rng.choice("ACGT")
                                                     for _ in range(40)) + "\n"
                    for i in range(1, 6))
+
+
+def valid_newick() -> str:
+    return "((t1:0.1,t2:0.2)0.9:0.05,(t3,t4)x,(t5,(t6,t7)));"
 
 
 def truncate(rng: random.Random, blob: bytes) -> bytes:
@@ -93,6 +98,12 @@ def delete_fasta_line(rng: random.Random, blob: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def delete_newick_mark(rng: random.Random, blob: bytes) -> bytes:
+    marks = [i for i, byte in enumerate(blob) if byte in b"(),:;"]
+    pos = rng.choice(marks)
+    return blob[:pos] + blob[pos + 1:]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_tensor_container(seed):
     for blob in mutations(seed, tensor_to_bytes(valid_tensor()),
@@ -113,9 +124,16 @@ def test_fasta(seed):
         parses_or_value_error(read_fasta, blob.decode("latin-1"))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_newick(seed):
+    for blob in mutations(seed, valid_newick().encode(), delete_newick_mark):
+        parses_or_value_error(from_newick, blob.decode("latin-1"))
+
+
 def test_unmutated_inputs_parse():
     psi = valid_tensor()
     assert np.array_equal(tensor_from_bytes(tensor_to_bytes(psi)).values,
                           psi.values)
     assert tensor_from_json(tensor_to_json(psi)).n == 3
     assert len(read_fasta(valid_fasta()).taxa) == 5
+    assert from_newick(valid_newick())[0].n_leaves == 7

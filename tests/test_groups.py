@@ -19,12 +19,12 @@ from edgeinv.groups import (
     builtin_model,
     expected_rank_vector,
     group_average,
-    invariant_projector,
     multiplicities,
     pattern_maps,
     symmetry_adapted_basis,
 )
 from edgeinv.trees import Bipartition, TreeTopology
+from helpers import invariant_projector
 
 HADAMARD = {
     "Abar": np.array([1.0, 1.0, 1.0, 1.0]),

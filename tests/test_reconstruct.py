@@ -24,13 +24,14 @@ from edgeinv.simulate import (
     sample_alignment,
     write_fasta,
 )
-from edgeinv.tensors import PatternTensor, permute_labels
+from edgeinv.tensors import PatternTensor
 from edgeinv.trees import (
     Bipartition,
     TreeTopology,
     enumerate_trivalent_topologies,
     tree_from_splits,
 )
+from helpers import permute_labels
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -109,6 +110,16 @@ class TestExhaustive:
         for c in result.candidates:
             assert c.passed == all(scores[s] <= result.tol
                                    for s in c.tree.interior_splits())
+
+    @pytest.mark.parametrize("method", [reconstruct_exhaustive,
+                                        reconstruct_by_splits])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"),
+                                     float("inf")])
+    def test_negative_or_nonfinite_tol_rejected(self, method, tol):
+        model = builtin_model("K81")
+        psi = joint_distribution(random_presentation(model, quartet(2), 1))
+        with pytest.raises(ValueError):
+            method(psi, model, tol=tol)
 
     def test_each_split_flattened_once(self, monkeypatch):
         flattened = []

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import edgeinv.groups
+import edgeinv.scores
+import edgeinv.tensors
 from edgeinv.groups import builtin_model
 from edgeinv.scores import (
     all_bipartitions,
@@ -20,8 +23,13 @@ from edgeinv.simulate import (
     no_mutation_presentation,
     random_presentation,
 )
-from edgeinv.tensors import PatternTensor, averaged
-from edgeinv.trees import Bipartition, TreeTopology, enumerate_trivalent_topologies
+from edgeinv.tensors import PatternTensor, averaged, thin_flatten, thin_rank
+from edgeinv.trees import (
+    Bipartition,
+    TreeTopology,
+    enumerate_trivalent_topologies,
+    from_newick,
+)
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -90,7 +98,7 @@ class TestSplitScore:
 
     def test_relabel_invariance_fixing_the_split(self):
         # swapping 1<->2 and 3<->4 fixes the split 12|34
-        from edgeinv.tensors import permute_labels
+        from helpers import permute_labels
         psi = simulated("GMM", 9)
         swapped = permute_labels(psi, {1: 2, 2: 1, 3: 4, 4: 3})
         model = builtin_model("GMM")
@@ -130,6 +138,48 @@ class TestScoreSplits:
             assert table[split].per_block_residuals == \
                 single.per_block_residuals
             assert table[split].achieved == single.achieved
+
+    @pytest.mark.parametrize("name", ["GMM", "SSM", "K81"])
+    @pytest.mark.parametrize("average", [False, True])
+    def test_abelian_table_ranks_match_thin_flatten(self, name, average):
+        model = builtin_model(name)
+        psi = PatternTensor(np.random.default_rng(5).random(4 ** 6),
+                            tuple(range(1, 7)))
+        splits = all_bipartitions(6, nontrivial_only=True)
+        table = score_splits(psi, model, splits, average=average)
+        scored = averaged(psi, model) if average else psi
+        for split in splits:
+            want = thin_rank(thin_flatten(scored, split, model))
+            assert table[split].achieved.entries == want.entries
+
+    def test_abelian_table_flattens_nothing(self, monkeypatch):
+        # K81 blocks come from one character transform of the tensor: no
+        # sparse flattening and no adapted basis above power 1
+        flattened, built = [], []
+        original_flatten = edgeinv.tensors.thin_flatten
+        original_build = edgeinv.groups._build_basis
+
+        def counted_flatten(psi, split, model):
+            flattened.append(split)
+            return original_flatten(psi, split, model)
+
+        def counted_build(model, power):
+            built.append(power)
+            return original_build(model, power)
+
+        monkeypatch.setattr(edgeinv.scores, "thin_flatten", counted_flatten)
+        monkeypatch.setattr(edgeinv.tensors, "thin_flatten", counted_flatten)
+        monkeypatch.setattr(edgeinv.groups, "_build_basis", counted_build)
+        monkeypatch.setattr(edgeinv.groups, "_BASIS_CACHE", {})
+        model = builtin_model("K81")
+        psi = PatternTensor(np.random.default_rng(6).random(4 ** 8),
+                            tuple(range(1, 9)))
+        table = score_splits(psi, model, all_bipartitions(8, True))
+        caterpillar = from_newick("(((((((1,2),3),4),5),6),7),8);")[0]
+        audit = genericity_check(psi, model, caterpillar, table=table)
+        assert len(table) == 119 and len(audit.entries) == 127
+        assert flattened == []
+        assert built and max(built) == 1
 
     def test_edge_test_reads_the_table(self):
         model = builtin_model("K80")

@@ -16,12 +16,11 @@ from edgeinv.scores import all_bipartitions
 from edgeinv.tensors import (
     PatternTensor,
     averaged,
+    character_flattening,
+    character_transform,
     flatten,
     flattening_rank,
-    identity_link,
     load_tensor,
-    permute_labels,
-    reassemble_flattening,
     save_tensor,
     star_contract,
     tensor_from_bytes,
@@ -32,6 +31,7 @@ from edgeinv.tensors import (
     thin_rank,
 )
 from edgeinv.trees import Bipartition
+from helpers import identity_link, permute_labels, reassemble_flattening
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -290,6 +290,52 @@ class TestThinFlattenOracle:
         assert peak <= 2.5 * 8 * 4 ** 8
 
 
+class TestCharacterFlattening:
+    """The abelian models' character route against the sparse-basis route:
+    blocks differ by a change of basis, spectra and ranks must not."""
+
+    @pytest.mark.parametrize("name", ["GMM", "SSM", "K81"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("average", [False, True])
+    def test_spectra_match_thin_flatten(self, name, n, average):
+        model = builtin_model(name)
+        psi = random_tensor(range(1, n + 1), 10 + n)
+        if average:
+            psi = averaged(psi, model)
+        for split in all_bipartitions(n):
+            got = character_flattening(psi, split, model)
+            want = thin_flatten(psi, split, model)
+            sigma_max = max(s[0] for s in want.spectra if s.size)
+            for a, b in zip(got.spectra, want.spectra):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max(initial=0.0) <= 1e-12 * sigma_max
+            assert thin_rank(got).entries == thin_rank(want).entries
+            assert (got.row_mult, got.col_mult) == (want.row_mult,
+                                                    want.col_mult)
+
+    def test_positions_in_any_label_order(self):
+        model = builtin_model("K81")
+        psi = random_tensor((3, 1, 5, 2, 4), 2)
+        for split in all_bipartitions(5):
+            got = character_flattening(psi, split, model)
+            want = thin_flatten(psi, split, model)
+            for a, b in zip(got.spectra, want.spectra):
+                assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_one_transform_per_tensor_and_model(self):
+        psi = random_tensor(range(1, 5), 3)
+        k81, ssm = builtin_model("K81"), builtin_model("SSM")
+        assert character_transform(psi, k81) is character_transform(psi, k81)
+        assert character_transform(psi, ssm) is not \
+            character_transform(psi, k81)
+
+    @pytest.mark.parametrize("name", ["K80", "JC69"])
+    def test_non_abelian_model_rejected(self, name):
+        psi = random_tensor(range(1, 5), 3)
+        with pytest.raises(ValueError):
+            character_transform(psi, builtin_model(name))
+
+
 class TestThinRank:
     def test_zero_tensor(self):
         psi = PatternTensor(np.zeros(256), (1, 2, 3, 4))
@@ -441,6 +487,8 @@ class TestSerialization:
         pytest.param('{"n": 1, "entries": [["A", 1' + '0' * 400 + ']]}',
                      id="huge-integer"),
         pytest.param('[' * 100000 + ']' * 100000, id="deep-nesting"),
+        '{"n": 1, "entries": [["A", 1.0]], "stochastic": [1]}',
+        '{"n": 1, "entries": [["A", 1.0]], "stochastic": "no"}',
     ])
     def test_malformed_json_rejected(self, text):
         with pytest.raises(ValueError):

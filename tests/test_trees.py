@@ -360,3 +360,11 @@ class TestNewick:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             from_newick("((a,a),b,c);")
+
+    @pytest.mark.parametrize("text", [
+        "(a,b", "((a,b),(c,d);", ";", "",
+        pytest.param("(" * 5000 + "a" + ")" * 5000 + ";", id="deep-nesting"),
+    ])
+    def test_truncated_or_empty_rejected(self, text):
+        with pytest.raises(ValueError):
+            from_newick(text)
