@@ -21,6 +21,13 @@ Group averaging never holds the |G| x k^l table of pattern images: it builds
 one element's row of images at a time, in place in a reused buffer, and
 gathers through it, so its memory is three k^l arrays whatever the group
 order.
+
+Scoring builds no basis above power 1.  ``CliffordReduction`` places the
+first copy of every irrep on one label class of the Kronecker powers of an
+abelian label group's one-site basis, where the stabiliser of a state acts
+by permuting digits, and builds that copy orbit by orbit with the same
+machinery as the bases.  The bases are held as numpy arrays; scipy is
+imported only when one is first used as a scipy matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .trees import Bipartition, TreeTopology, bough_counts
 
@@ -410,10 +416,6 @@ def builtin_model(name: str) -> EquivariantModel:
     return builder()
 
 
-def multiplicities(model: EquivariantModel, power: int) -> MultiplicityVector:
-    return model.multiplicities(power)
-
-
 # ---------------------------------------------------------------------------
 # Pattern-index machinery for tensor powers
 # ---------------------------------------------------------------------------
@@ -472,18 +474,21 @@ def group_average(values: np.ndarray, model: EquivariantModel,
 
 class SymmetryAdaptedBasis:
     """Orthonormal basis of the l-th tensor power organized by
-    (irrep t, copy r, multiplicity j), held as a sparse column matrix.
+    (irrep t, copy r, multiplicity j), held as the arrays of a sparse column
+    matrix: ``(data, row indices, column pointers)``.
 
     Columns are grouped by (t, r) with the multiplicity index fastest, so the
     block of a transformed flattening that pairs copy r of irrep t on both
-    sides occupies a contiguous submatrix.
+    sides occupies a contiguous submatrix.  ``dense()`` needs numpy only;
+    ``matrix`` and ``first_copies`` wrap the arrays in scipy on first access.
     """
 
     def __init__(self, model: EquivariantModel, power: int,
-                 matrix: sparse.csc_matrix, tags: tuple[tuple[int, int, int], ...]):
+                 csc_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 tags: tuple[tuple[int, int, int], ...]):
         self.model = model
         self.power = power
-        self.matrix = matrix
+        self.csc_arrays = csc_arrays
         self.tags = tags
         self.multiplicities = model.multiplicities(power)
         self._ranges: dict[tuple[int, int], range] = {}
@@ -499,14 +504,26 @@ class SymmetryAdaptedBasis:
         return self._ranges[(t, r)]
 
     @cached_property
-    def first_copies(self) -> tuple[sparse.csr_matrix, ...]:
-        """Per irrep t, the copy-0 columns transposed (m_t x k^l), so that
-        ``first_copies[t] @ v`` holds the copy-0 coordinates of v."""
+    def matrix(self):
+        """The basis as a scipy CSC matrix."""
+        from scipy import sparse
+
+        size = K ** self.power
+        return sparse.csc_matrix(self.csc_arrays, shape=(size, size))
+
+    @cached_property
+    def first_copies(self) -> tuple:
+        """Per irrep t, the copy-0 columns transposed (m_t x k^l, CSR), so
+        that ``first_copies[t] @ v`` holds the copy-0 coordinates of v."""
         return tuple(self.matrix[:, self.columns(t, 0)].T.tocsr()
                      for t in range(self.model.n_irreps))
 
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        data, rows, indptr = self.csc_arrays
+        size = K ** self.power
+        out = np.zeros((size, size))
+        out[rows, np.repeat(np.arange(size), np.diff(indptr))] = data
+        return out
 
 
 _BASIS_CACHE: dict[tuple[str, int], SymmetryAdaptedBasis] = {}
@@ -535,38 +552,72 @@ def symmetry_adapted_basis(model: EquivariantModel,
     return _BASIS_CACHE[key]
 
 
-def _orbit_vectors(model: EquivariantModel,
-                   local: np.ndarray) -> list[np.ndarray]:
-    """Adapted vectors of one orbit shape, from its local action: ``local[e,
-    a]`` is the position, among the orbit's sorted members, of g_e applied to
-    member a.  Returns per irrep t an array of shape (d_t, accepted, size)
-    whose [r, j] is copy r of the j-th accepted vector.
+def _copy_vectors(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Adapted vectors of one orbit shape for one irrep.  ``local[e, a]`` is
+    the position, among the orbit's sorted members, of element e applied to
+    member a; ``weights[e, r]`` is the coefficient of element e in the
+    matrix-element projector E[r][0], (d/|G|) D(g_e)[r, 0].  Seeds are the
+    members in order, projected by E[0][0] and orthonormalized twice
+    through; E[r][0] carries each accepted vector to copy r.  Returns an
+    array of shape (d, accepted, size) whose [r, j] is copy r of the j-th
+    accepted vector.
     """
+    d = weights.shape[1]
     m_size = local.shape[1]
+    e_ops = np.zeros((d, m_size, m_size))
+    for e in range(len(local)):
+        np.add.at(e_ops, (slice(None), local[e], np.arange(m_size)),
+                  weights[e][:, None])
+    accepted: list[np.ndarray] = []
+    for seed in range(m_size):
+        w = e_ops[0, :, seed].copy()
+        for _ in range(2):
+            for v in accepted:
+                w -= (v @ w) * v
+        norm = np.linalg.norm(w)
+        if norm > 1e-6:
+            accepted.append(w / norm)
+    copies = [accepted]
+    for r in range(1, d):
+        moved = [e_ops[r] @ v1 for v1 in accepted]
+        copies.append([v / np.linalg.norm(v) for v in moved])
+    return np.array(copies).reshape(d, len(accepted), m_size)
+
+
+def _orbit_shapes(maps: np.ndarray):
+    """The orbits of a group acting on ``range(size)``, grouped by shape.
+
+    ``maps[e, p]`` is the image of point p under element e.  Returns the
+    number of orbits and, per distinct local action, ``(orbits, members,
+    local)``: the indices of its orbits (numbered by ascending least
+    member), their members (one row per orbit, ascending) and the local
+    action shared by all of them.
+    """
+    order, size = maps.shape
+    # each orbit's least member, ascending
+    reps = np.flatnonzero(maps.min(axis=0) == np.arange(size))
+    # column o lists orbit o's members ascending, each |stabilizer| times
+    images = np.sort(maps[:, reps], axis=0)
+    stride = order // (1 + np.count_nonzero(np.diff(images, axis=0), axis=0))
+    pos = np.empty(size, dtype=np.uint8)  # position of a point in its orbit
+    pos[images] = np.arange(order)[:, None] // stride
+    # action[o, e, i]: position of g_e . images[i, o]; row e = 0 encodes the
+    # stride, so equal tables mean equal orbit size and equal local action
+    action = np.stack([pos[row[images]].T for row in maps], axis=1)
+    # distinct tables in lexicographic order, each compared as one string
+    # of bytes (as np.unique(axis=0) orders them, without its record dtype)
+    tables = action.reshape(len(reps), -1)
+    _, first, shape_of = np.unique(
+        tables.view(np.dtype((np.void, tables.shape[1]))).ravel(),
+        return_index=True, return_inverse=True)
+    shapes = tables[first]
     out = []
-    for ir in model.irreps:
-        d = ir.dim
-        scale = d / model.order
-        coeffs = ir.matrices[:, :, 0]  # (|G|, d_t)
-        e_ops = np.zeros((d, m_size, m_size))
-        for e in range(model.order):
-            np.add.at(e_ops, (slice(None), local[e], np.arange(m_size)),
-                      scale * coeffs[e][:, None])
-        accepted: list[np.ndarray] = []
-        for seed in range(m_size):
-            w = e_ops[0, :, seed].copy()
-            for _ in range(2):
-                for v in accepted:
-                    w -= (v @ w) * v
-            norm = np.linalg.norm(w)
-            if norm > 1e-6:
-                accepted.append(w / norm)
-        copies = [accepted]
-        for r in range(1, d):
-            moved = [e_ops[r] @ v1 for v1 in accepted]
-            copies.append([v / np.linalg.norm(v) for v in moved])
-        out.append(np.array(copies).reshape(d, len(accepted), m_size))
-    return out
+    for s, shape in enumerate(shapes):
+        orbits = np.flatnonzero(shape_of == s)
+        step = stride[orbits[0]]
+        out.append((orbits, images[::step, orbits].T,
+                    shape.reshape(order, order)[:, ::step]))
+    return len(reps), out
 
 
 def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
@@ -580,37 +631,22 @@ def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
     size = K ** power
     mult = model.multiplicities(power)
     if model.order == 1:
-        matrix = sparse.identity(size, format="csc")
+        steps = np.arange(size + 1)
         tags = tuple((0, 0, j) for j in range(size))
-        return SymmetryAdaptedBasis(model, power, matrix, tags)
+        return SymmetryAdaptedBasis(model, power,
+                                    (np.ones(size), steps[:-1], steps), tags)
 
-    order = model.order
-    maps = pattern_maps(model.name, power)
-    reps = np.unique(maps.min(axis=0))
-    n_orbits = len(reps)
-    # column o lists orbit o's members ascending, each |stabilizer| times
-    images = np.sort(maps[:, reps], axis=0)
-    stride = order // (1 + np.count_nonzero(np.diff(images, axis=0), axis=0))
-    pos = np.empty(size, dtype=np.uint8)  # position of a pattern in its orbit
-    pos[images] = np.arange(order)[:, None] // stride
-    # action[o, e, i]: position of g_e . images[i, o]; row e = 0 encodes the
-    # stride, so equal tables mean equal orbit size and equal local action
-    action = np.stack([pos[row[images]].T for row in maps], axis=1)
-    shapes, shape_of = np.unique(action.reshape(n_orbits, -1), axis=0,
-                                 return_inverse=True)
-    shape_of = shape_of.ravel()
-
+    n_orbits, shapes = _orbit_shapes(pattern_maps(model.name, power))
     # per shape: its orbits, their members (orbits x size), its vectors
     by_shape = []
     counts = np.zeros((model.n_irreps, n_orbits), dtype=np.int64)
-    for s, shape in enumerate(shapes):
-        orbits = np.flatnonzero(shape_of == s)
-        step = stride[orbits[0]]
-        local = shape.reshape(order, order)[:, ::step]
-        vectors = _orbit_vectors(model, local)
+    for orbits, members, local in shapes:
+        vectors = [_copy_vectors(local,
+                                 ir.dim / model.order * ir.matrices[:, :, 0])
+                   for ir in model.irreps]
         for t, vecs in enumerate(vectors):
             counts[t, orbits] = vecs.shape[1]
-        by_shape.append((orbits, images[::step, orbits].T, vectors))
+        by_shape.append((orbits, members, vectors))
 
     for t in range(model.n_irreps):
         found = int(counts[t].sum())
@@ -636,14 +672,182 @@ def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
                 rows.append(members[:, np.nonzero(keep)[1]].ravel())
                 data.append(np.tile(vecs[r][keep], len(orbits)))
                 tr += 1
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(nnz))))
-    assembled = sparse.csc_matrix(
-        (np.concatenate(data), np.concatenate(rows), indptr),
-        shape=(size, size))
-    matrix = assembled[:, np.argsort(np.concatenate(final))]
+    nnz = np.concatenate(nnz)
+    order = np.argsort(np.concatenate(final))
+    indptr = np.concatenate(([0], np.cumsum(nnz[order])))
+    # entry i of the permuted matrix is entry take[i] of the assembled one
+    take = (np.repeat((np.cumsum(nnz) - nnz)[order] - indptr[:-1], nnz[order])
+            + np.arange(indptr[-1]))
+    columns = (np.concatenate(data)[take], np.concatenate(rows)[take], indptr)
     tags = tuple((t, r, j) for t in range(model.n_irreps)
                  for r in range(model.dims[t]) for j in range(mult[t]))
-    return SymmetryAdaptedBasis(model, power, matrix, tags)
+    return SymmetryAdaptedBasis(model, power, columns, tags)
+
+
+# ---------------------------------------------------------------------------
+# Thin-flattening blocks through an abelian label group
+# ---------------------------------------------------------------------------
+
+class CliffordReduction:
+    """Where the first copy of each irrep lives in the coordinates of a
+    one-site character basis, at every tensor power.
+
+    The label group N is the model itself when it is abelian, else K81,
+    which is normal in K80 and JC69 and regular on the states, so every
+    element is v h with v in N and h in H, the stabiliser of state A.  In
+    the Kronecker powers of N's one-site adapted basis, v multiplies each
+    pattern by its label's character (the product of its digits'
+    characters) and h permutes the digits of every pattern alike.
+
+    For irrep t, D_t(v) e_A splits over N's characters; c_t is the first
+    label it touches and u_t the unit vector of its part there (e_A itself
+    when e_A is an N-eigenvector; for K80's E it is not).  Copy u_t of t at
+    power l then lies on the label-c_t patterns, as the image of
+    (d_t/|H|) sum_h <u_t, D_t(h) u_t> h^(x l) over the stabiliser H_c of
+    c_t in H: the first copy of an irrep of H_c, found orbit by orbit as in
+    ``_build_basis``.  When H_c is trivial (every irrep of an abelian model,
+    and K80's E) that copy is the whole label class.  Nothing is
+    hard-coded: labels and weights are read off the irrep matrices.
+    """
+
+    def __init__(self, model: EquivariantModel):
+        self.model = model
+        self.labels = model if model.abelian else builtin_model("K81")
+        one_site = symmetry_adapted_basis(self.labels, 1)
+        basis = one_site.dense()
+        self.digit_labels = np.array([t for t, _, _ in one_site.tags])
+        in_group = [model._index.get(v) for v in self.labels.elements]
+        stab = [i for i, g in enumerate(model.elements) if g[0] == 0]
+        if None in in_group or self.labels.order * len(stab) != model.order:
+            raise AssertionError(f"{model.name} is not {self.labels.name} "
+                                 f"times the stabiliser of a state")
+        # the stabiliser acts on the one-site basis by permuting its vectors
+        perms = []
+        for i in stab:
+            moved = basis.T @ _perm_matrices([model.elements[i]])[0] @ basis
+            perm = moved.argmax(axis=0)
+            if not np.allclose(moved, np.eye(K)[:, perm], atol=1e-12):
+                raise AssertionError(f"{model.name}: a stabiliser element "
+                                     f"does not permute the one-site basis")
+            perms.append(perm)
+        self._perms = np.array(perms)
+        irrep_labels, self._stabilisers = [], []
+        for ir in model.irreps:
+            # part of e_A in each character's eigenspace of D_t over N
+            first = ir.matrices[in_group][:, :, 0]
+            parts = self.labels.characters @ first / self.labels.order
+            lengths = np.linalg.norm(parts, axis=1)
+            c = int(np.flatnonzero(lengths > 1e-6)[0])
+            u = parts[c] / lengths[c]
+            digit = int(np.flatnonzero(self.digit_labels == c)[0])
+            keep = tuple(e for e, perm in enumerate(perms)
+                         if self.digit_labels[perm[digit]] == c)
+            weights = np.array([u @ ir.matrices[stab[e]] @ u for e in keep])
+            weights *= ir.dim / len(stab)
+            if len(keep) == 1 and not np.isclose(weights[0], 1.0):
+                raise AssertionError(f"{model.name}:{ir.name} has no copy on "
+                                     f"one label class")
+            irrep_labels.append(c)
+            self._stabilisers.append((keep, weights))
+        self.irrep_labels = tuple(irrep_labels)
+        self._first_copies: dict[int, tuple] = {}
+
+    def first_copies(self, power: int) -> tuple:
+        """Per irrep t, ``None`` when its first copy at this power is the
+        whole class of label-c_t patterns, else ``(index, weight)``: arrays
+        of shape (m_t, s) such that first-copy vector j is the sum over k of
+        weight[j, k] times label-class pattern index[j, k], zero-padded to
+        the largest orbit size s."""
+        found = self._first_copies.get(power)
+        if found is None:
+            orbits = {}  # (label, stabiliser) -> its orbits on that class
+            pieces = []
+            for t, (c, (keep, weights)) in enumerate(
+                    zip(self.irrep_labels, self._stabilisers)):
+                if len(keep) == 1:
+                    pieces.append(None)
+                    continue
+                if (c, keep) not in orbits:
+                    orbits[c, keep] = self._label_orbits(c, keep, power)
+                pieces.append(self._stabiliser_copies(t, weights,
+                                                      orbits[c, keep], power))
+            found = self._first_copies.setdefault(power, tuple(pieces))
+        return found
+
+    def _label_orbits(self, c: int, keep: tuple[int, ...], power: int):
+        """``_orbit_shapes`` of the stabiliser elements ``keep`` acting on
+        the power-l patterns of label c, numbered by position in that
+        class."""
+        members = label_classes(self.labels, power)[c]
+        where = np.full(K ** power, -1, dtype=np.int64)
+        where[members] = np.arange(len(members))
+        row = np.empty(K ** power, dtype=np.int64)
+        maps = np.stack([where[_element_row(perm, power, row)[members]]
+                         for perm in self._perms[list(keep)]])
+        if (maps < 0).any():
+            raise AssertionError(f"{self.model.name}: the stabiliser of a "
+                                 f"label moves its patterns off it")
+        return _orbit_shapes(maps)[1]
+
+    def _stabiliser_copies(self, t: int, weights: np.ndarray, shapes,
+                           power: int) -> tuple[np.ndarray, np.ndarray]:
+        width = len(weights)  # no orbit is larger than the stabiliser
+        keys, index, weight = [], [], []
+        for orbits, members, local in shapes:
+            vectors = _copy_vectors(local, weights[:, None])[0]
+            accepted, size = vectors.shape
+            shape = (len(orbits), accepted, width)
+            idx, w = np.zeros(shape, dtype=np.int64), np.zeros(shape)
+            idx[:, :, :size] = members[:, None, :]
+            w[:, :, :size] = vectors
+            keys.append((orbits[:, None] * width + np.arange(accepted)).ravel())
+            index.append(idx.reshape(-1, width))
+            weight.append(w.reshape(-1, width))
+        # columns by orbit, then accepted vector, as in ``_build_basis``
+        order = np.argsort(np.concatenate(keys))
+        index, weight = np.concatenate(index)[order], \
+            np.concatenate(weight)[order]
+        expected = self.model.multiplicities(power)[t]
+        if len(index) != expected:
+            raise AssertionError(
+                f"{self.model.name}: stabiliser image rank {len(index)} != "
+                f"multiplicity {expected} for irrep {self.model.irreps[t].name}")
+        index.setflags(write=False)
+        weight.setflags(write=False)
+        return index, weight
+
+
+@lru_cache(maxsize=None)
+def clifford_reduction(model: EquivariantModel) -> CliffordReduction:
+    return CliffordReduction(model)
+
+
+_LABEL_CLASSES: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
+
+
+def label_classes(model: EquivariantModel,
+                  power: int) -> tuple[np.ndarray, ...]:
+    """For an abelian model, per irrep c the power-l patterns of the
+    Kronecker power of its one-site adapted basis (most significant digit
+    first) whose digits' characters multiply to c, ascending."""
+    key = (model.name, power)
+    found = _LABEL_CLASSES.get(key)
+    if found is None:
+        chars = model.characters
+        # products[a, b] = the irrep whose character is chi_a * chi_b
+        same = (chars[:, None, None, :] * chars[None, :, None, :]
+                == chars[None, None, :, :]).all(axis=-1)
+        products = same.argmax(axis=-1)
+        digits = clifford_reduction(model).digit_labels
+        labels = np.zeros(1, dtype=np.int64)
+        for _ in range(power):
+            labels = products[labels[:, None], digits].ravel()
+        found = tuple(np.flatnonzero(labels == c)
+                      for c in range(model.n_irreps))
+        for members in found:
+            members.setflags(write=False)
+        found = _LABEL_CLASSES.setdefault(key, found)
+    return found
 
 
 def expected_rank_vector(model: EquivariantModel, tree: TreeTopology,

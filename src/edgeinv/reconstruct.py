@@ -87,7 +87,11 @@ def data_driven_tol(scores: Iterable[float]) -> float:
     values = sorted(scores)
     if not values:
         return DEFAULT_SCORE_TOL
-    return max(float(np.median(values)) * 1e-2, 1e-300)
+    # np.median's value, without the numpy.ma import its first call costs
+    half = len(values) // 2
+    median = values[half] if len(values) % 2 else \
+        (values[half - 1] + values[half]) / 2
+    return max(float(median) * 1e-2, 1e-300)
 
 
 def _check_tol(tol: Optional[float]) -> None:

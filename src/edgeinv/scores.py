@@ -27,7 +27,6 @@ from .groups import EquivariantModel, MultiplicityVector, expected_rank_vector
 from .tensors import (
     PatternTensor,
     RankVector,
-    ThinFlattening,
     averaged,
     character_flattening,
     thin_flatten,
@@ -56,34 +55,27 @@ class SplitScore:
     achieved: Optional[RankVector]  # None for trivial splits, never computed
 
 
-def _flattening(psi: PatternTensor, split: Bipartition,
-                model: EquivariantModel) -> ThinFlattening:
-    """The block route: GMM, SSM and K81 (every irrep 1-dimensional) gather
-    each split's blocks from one character transform of the tensor; K80 and
-    JC69 transform each flattening by the sparse adapted bases."""
-    if model.abelian:
-        return character_flattening(psi, split, model)
-    return thin_flatten(psi, split, model)
-
-
 def split_score(psi: PatternTensor, split: Bipartition,
                 model: EquivariantModel, average: bool = True,
-                rank_tol: float = DEFAULT_RANK_TOL) -> SplitScore:
+                rank_tol: float = DEFAULT_RANK_TOL,
+                norm: Optional[float] = None) -> SplitScore:
     """Score a bipartition of the tensor's leaves as a candidate edge split.
 
     Empirical tensors are group-averaged first unless ``average`` is False.
     Trivial splits score 0 by construction: a side of one leaf makes every
     block at most m_t rows tall, so there is no spectral tail to measure.
+    ``norm`` is the norm of the scored tensor when the caller has it.
     """
     target = model.multiplicities(1)
     if split.is_trivial:
         zeros = tuple(0.0 for _ in target.entries)
         return SplitScore(split, zeros, 0.0, target, None)
     scored = averaged(psi, model) if average else psi
-    tf = _flattening(scored, split, model)
+    tf = character_flattening(scored, split, model)
     residuals = tuple(float(np.sqrt((spectrum[m:] ** 2).sum()))
                       for spectrum, m in zip(tf.spectra, target))
-    norm = scored.norm()
+    if norm is None:
+        norm = scored.norm()
     weighted = sum(d * r * r for d, r in zip(model.dims, residuals))
     score = float(np.sqrt(weighted) / norm) if norm > 0 else 0.0
     return SplitScore(split, residuals, score, target, thin_rank(tf, rank_tol))
@@ -93,16 +85,24 @@ def score_splits(psi: PatternTensor, model: EquivariantModel,
                  splits: Iterable[Bipartition],
                  average: bool = True) -> dict[Bipartition, SplitScore]:
     """The split table: one score per bipartition, in the order given, from
-    a single group average of the tensor (skipped when ``average`` is False).
+    a single group average of the tensor (skipped when ``average`` is False)
+    and a single norm of it.
 
-    Blocks come by one of two routes, picked by the group.  GMM, SSM and K81
-    (every irrep 1-dimensional) transform the averaged tensor once, by the
-    one-site character basis along each axis, and gather each split's blocks
-    from it; K80 and JC69 multiply each split's flattening by the sparse
-    adapted bases of its two sides (``thin_flatten``).
+    Every model takes one block route.  The averaged tensor is transformed
+    once, by a one-site character basis along each axis: the model's own
+    for GMM, SSM and K81, K81's for K80 and JC69.  Each split's block of
+    irrep t is then a gather, on both sides, of the patterns whose digit
+    characters multiply to t's label c_t, compressed to the first copy of t
+    by a small change of basis for the stabiliser of c_t.  Both are read off
+    the irrep matrices (``groups.CliffordReduction``): c_t is the first label
+    that D_t(v) e_A touches for v in the label group, and the copy is that
+    of the irrep D_t induces on the stabiliser; for the abelian models c_t
+    is t and the change of basis is the identity.
     """
     scored = averaged(psi, model) if average else psi
-    return {s: split_score(scored, s, model, average=False) for s in splits}
+    norm = scored.norm()
+    return {s: split_score(scored, s, model, average=False, norm=norm)
+            for s in splits}
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,8 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
                 and known.achieved.tolerance == rank_tol):
             achieved = known.achieved
         else:
-            achieved = thin_rank(_flattening(scored, split, model), rank_tol)
+            achieved = thin_rank(character_flattening(scored, split, model),
+                                 rank_tol)
         entries.append(GenericityEntry(split, tuple(ceiling.entries),
                                        tuple(achieved.entries)))
     return GenericityReport(tree, tuple(entries))

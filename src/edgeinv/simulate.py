@@ -17,7 +17,6 @@ when an edge is traversed against its stored orientation).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .groups import EquivariantModel, builtin_model
 from .tensors import STATES, PatternTensor, pattern_string
-from .trees import TreeTopology, from_newick, to_newick
+from .trees import TreeTopology
 
 EQUIVARIANCE_TOL = 1e-12
 
@@ -325,33 +324,3 @@ def write_fasta(alignment: Alignment, width: int = 70) -> str:
         for start in range(0, len(seq), width):
             lines.append(seq[start:start + width])
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Presentation serialization
-# ---------------------------------------------------------------------------
-
-def presentation_to_json(pres: EvolutionaryPresentation,
-                         names: Optional[Mapping[int, str]] = None) -> str:
-    return json.dumps({
-        "model": pres.model.name,
-        "tree": to_newick(pres.tree, names),
-        "root": pres.root,
-        "stochastic": pres.stochastic,
-        "root_distribution": pres.root_distribution.tolist(),
-        "edges": [{"parent": u, "child": v, "matrix": m.tolist()}
-                  for (u, v), m in sorted(pres.edge_matrices.items())],
-    })
-
-
-def presentation_from_json(text: str) -> EvolutionaryPresentation:
-    doc = json.loads(text)
-    tree, _ = from_newick(doc["tree"])
-    matrices = {(e["parent"], e["child"]): np.array(e["matrix"], dtype=float)
-                for e in doc["edges"]}
-    pres = EvolutionaryPresentation(
-        tree, doc["root"], matrices,
-        np.array(doc["root_distribution"], dtype=float),
-        builtin_model(doc["model"]), doc.get("stochastic", True))
-    pres.validate()
-    return pres

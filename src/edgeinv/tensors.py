@@ -14,14 +14,22 @@ diagnostics rather than errors, since empirical tensors violate invariance by
 sampling noise; they need the full transformed matrix, so they are computed
 only on first access.
 
-Two routes compute the blocks.  ``thin_flatten`` (any model; the scoring
-route of K80 and JC69) multiplies the split's flattening by the first-copy
-columns of the sparse adapted bases of its two sides.
-``character_flattening`` (GMM, SSM and K81, whose irreps are all
-1-dimensional) gathers them from the tensor's one character transform, the
-one-site adapted basis applied along every axis: the block of irrep t is
-the side-1 patterns whose digit characters multiply to t against the side-2
-patterns that do, and no basis above power 1 is built.
+Two routes compute the blocks.  ``thin_flatten`` multiplies the split's
+flattening by the first-copy columns of the sparse adapted bases of its two
+sides; it is the reference the tests check against, and the route of the
+generator minors, whose entries are adapted-basis coordinates.
+``character_flattening`` is the scoring route of every model.  It reads
+the blocks from the tensor's one character transform: the one-site
+adapted basis of an abelian label group applied along every axis (the
+model's own for GMM, SSM and K81, K81's for K80 and JC69).  A transformed
+pattern lies in the isotypic component of the product of its digits'
+characters, its label, so the block of irrep t is a gather of the side-1
+patterns of label c_t against the side-2 patterns of label c_t, compressed
+on both sides to the first copy of t by a small change of basis for the
+stabiliser of c_t (``groups.CliffordReduction``).  c_t is the first label
+that D_t(v) e_A touches, read off the irrep matrices; for the abelian
+models it is t itself and the change of basis is the identity.  No basis
+above power 1 is built.
 """
 
 from __future__ import annotations
@@ -39,7 +47,9 @@ from .groups import (
     K,
     EquivariantModel,
     MultiplicityVector,
+    clifford_reduction,
     group_average,
+    label_classes,
     symmetry_adapted_basis,
 )
 from .trees import Bipartition
@@ -181,7 +191,8 @@ class ThinFlattening:
 
     blocks[t] has shape m(l1)_t x m(l2)_t (possibly empty) and is the copy
     r=1 block.  Two invariance diagnostics are computed on first access from
-    the full transformed flattening of ``psi``: ``leakage``, the largest
+    the full transformed flattening of ``psi`` in the sparse adapted bases,
+    whichever route built the blocks: ``leakage``, the largest
     transformed entry outside all (irrep, copy) diagonal blocks, and
     ``copy_disagreement``, the largest entrywise gap between any copy's block
     and the first.  Both vanish (to 1e-10) on exactly invariant tensors, and
@@ -190,7 +201,9 @@ class ThinFlattening:
     Raw block entries depend on the multiplicity-space bases, which differ
     between ``thin_flatten`` and ``character_flattening``; their singular
     values (``spectra``, hence all ranks and scores downstream) do not, since
-    the bases are orthonormal.
+    the bases are orthonormal.  The one exception is K80's E on a tensor
+    that is not invariant, where ``character_flattening`` holds another
+    copy of E than the first.
     """
 
     split: object
@@ -231,9 +244,11 @@ class ThinFlattening:
                 cols = basis2.columns(t, r)
                 block = transformed[rows.start:rows.stop, cols.start:cols.stop]
                 off_block[rows.start:rows.stop, cols.start:cols.stop] = 0.0
-                if r and block.size:
+                if not r:
+                    first = block
+                elif block.size:
                     disagreement = max(disagreement, float(
-                        np.abs(block - self.blocks[t]).max()))
+                        np.abs(block - first).max()))
         leakage = float(off_block.max()) if off_block.size else 0.0
         return leakage, disagreement
 
@@ -259,20 +274,20 @@ def thin_flatten(psi: PatternTensor, split,
 
 class CharacterTransform:
     """A tensor's coordinates in the Kronecker power of the one-site adapted
-    basis, for a model whose irreps are all 1-dimensional.
+    basis of an abelian model.
 
     Such a basis vector lies in the isotypic component of the product of
-    its digits' characters, so the first-copy block of irrep t of every
-    split is a gather of ``coeffs``: row patterns of side 1 labelled t
-    against column patterns of side 2 labelled t.  Holds no reference to
-    the tensor, which keeps it in ``PatternTensor._transforms``.
+    its digits' characters (its label), so the label-c block of every split
+    is a gather of ``coeffs``: row patterns of side 1 labelled c against
+    column patterns of side 2 labelled c.  Holds no reference to the
+    tensor, which keeps it in ``PatternTensor._transforms``.
     """
 
     def __init__(self, psi: PatternTensor, model: EquivariantModel):
         if not model.abelian:
             raise ValueError(f"{model.name} has irreps of dimension > 1")
-        one_site = symmetry_adapted_basis(model, 1)
-        matrix = one_site.dense()
+        self.model = model
+        matrix = symmetry_adapted_basis(model, 1).dense()
         coeffs = psi.values
         for _ in range(psi.n):
             # contract the leading axis; the new one goes last, so after n
@@ -282,25 +297,11 @@ class CharacterTransform:
         # per position label, the flat-index step of each of its states
         self._strides = {lab: K ** (psi.n - 1 - i) * np.arange(K)
                          for i, lab in enumerate(psi.labels)}
-        chars = model.characters
-        # products[a, b] = the irrep whose character is chi_a * chi_b
-        same = (chars[:, None, None, :] * chars[None, :, None, :]
-                == chars[None, None, :, :]).all(axis=-1)
-        products = same.argmax(axis=-1)
-        digit_labels = np.array([t for t, _, _ in one_site.tags])
-        # _members[l][t]: the power-l patterns (most significant digit
-        # first) whose digit characters multiply to t, ascending
-        self._members = [()]
-        labels = np.zeros(1, dtype=np.int64)
-        for _ in range(1, psi.n):
-            labels = products[labels[:, None], digit_labels].ravel()
-            self._members.append(tuple(np.flatnonzero(labels == t)
-                                       for t in range(model.n_irreps)))
 
-    def blocks(self, side1: tuple[int, ...],
-               side2: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """The first-copy block of each irrep along (side1, side2), sides
-        sorted as ``_sides`` returns them."""
+    def blocks(self, side1: tuple[int, ...], side2: tuple[int, ...],
+               labels: Iterable[int]) -> tuple[np.ndarray, ...]:
+        """The label-c block along (side1, side2) for each c of ``labels``,
+        sides sorted as ``_sides`` returns them."""
         def offsets(side):
             # flat index in coeffs of every pattern of the side's positions
             out = np.zeros(1, dtype=np.int64)
@@ -309,9 +310,11 @@ class CharacterTransform:
             return out
 
         rows, cols = offsets(side1), offsets(side2)
-        return tuple(self.coeffs.take(np.add.outer(rows[r], cols[c]))
-                     for r, c in zip(self._members[len(side1)],
-                                     self._members[len(side2)]))
+        members1 = label_classes(self.model, len(side1))
+        members2 = label_classes(self.model, len(side2))
+        return tuple(self.coeffs.take(np.add.outer(rows[members1[c]],
+                                                   cols[members2[c]]))
+                     for c in labels)
 
 
 def character_transform(psi: PatternTensor,
@@ -324,14 +327,36 @@ def character_transform(psi: PatternTensor,
     return found
 
 
+def _first_copy_block(block: np.ndarray, rows, cols) -> np.ndarray:
+    """P1^T block P2 for first-copy pieces ``(index, weight)`` of
+    ``CliffordReduction.first_copies``; ``None`` pieces are identities."""
+    if rows is None:
+        return block
+    for index, weight in (rows, cols):
+        # compress the leading axis, then turn the other one to the front
+        block = np.matmul(weight[:, None, :], block[index])[:, 0].T
+    return block
+
+
 def character_flattening(psi: PatternTensor, split,
                          model: EquivariantModel) -> ThinFlattening:
-    """The thin flattening along ``split`` under an abelian model, gathered
-    from the tensor's one character transform.  Its blocks differ from
-    ``thin_flatten``'s by orthogonal changes of basis within each
-    multiplicity space, so their spectra agree."""
+    """The thin flattening along ``split``, from the character transform of
+    ``psi`` under the model's label group (see ``CliffordReduction``): the
+    label-c_t block of every irrep t, compressed on both sides to the first
+    copy of t.  Its blocks differ from ``thin_flatten``'s by orthogonal
+    changes of basis within each multiplicity space, so their spectra
+    agree; on a tensor that is not group-invariant they agree too, except
+    for K80's E, whose copy here is not the first copy of its irrep."""
     side1, side2 = _sides(psi, split)
-    blocks = character_transform(psi, model).blocks(side1, side2)
+    reduction = clifford_reduction(model)
+    wanted = sorted(set(reduction.irrep_labels))
+    gathered = dict(zip(wanted, character_transform(
+        psi, reduction.labels).blocks(side1, side2, wanted)))
+    blocks = tuple(_first_copy_block(gathered[c], rows, cols)
+                   for c, rows, cols in zip(
+                       reduction.irrep_labels,
+                       reduction.first_copies(len(side1)),
+                       reduction.first_copies(len(side2))))
     return ThinFlattening(split, model.name, blocks, model.dims,
                           model.multiplicities(len(side1)),
                           model.multiplicities(len(side2)), psi, model)
@@ -374,14 +399,6 @@ def thin_rank(tf: ThinFlattening, tol: float = 1e-7) -> RankVector:
     total = sum(entries)
     weighted = sum(d * r for d, r in zip(tf.dims, entries))
     return RankVector(entries, tol, total, weighted)
-
-
-def flattening_rank(mat: np.ndarray, tol: float = 1e-7) -> int:
-    """Numerical rank of a plain flattening under the same relative rule."""
-    spectrum = np.linalg.svd(mat, compute_uv=False)
-    if spectrum.size == 0 or spectrum[0] == 0.0:
-        return 0
-    return int((spectrum > tol * spectrum[0]).sum())
 
 
 # ---------------------------------------------------------------------------

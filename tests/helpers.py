@@ -1,11 +1,17 @@
-"""Test-only helpers: tensors, relabellings and dense operators that the
-tests build their fixtures and oracles from, and the package does not use."""
+"""Test-only helpers: tensors, relabellings, dense operators, the plain
+flattening rank and presentation JSON round-trips that the tests build their
+fixtures and oracles from, and the package does not use."""
+
+import json
+from typing import Mapping, Optional
 
 import numpy as np
 
-from edgeinv.groups import EquivariantModel, pattern_maps, \
+from edgeinv.groups import EquivariantModel, builtin_model, pattern_maps, \
     symmetry_adapted_basis
+from edgeinv.simulate import EvolutionaryPresentation
 from edgeinv.tensors import PatternTensor, ThinFlattening
+from edgeinv.trees import from_newick, to_newick
 
 MAX_DENSE_POWER = 6     # dense k^l x k^l projector guard
 
@@ -53,3 +59,38 @@ def invariant_projector(model: EquivariantModel, power: int) -> np.ndarray:
     for row in maps:
         proj[row, cols] += 1.0 / model.order
     return proj
+
+
+def flattening_rank(mat: np.ndarray, tol: float = 1e-7) -> int:
+    """Numerical rank of a plain flattening under the thin-rank rule:
+    singular values above tol times the largest count."""
+    spectrum = np.linalg.svd(mat, compute_uv=False)
+    if spectrum.size == 0 or spectrum[0] == 0.0:
+        return 0
+    return int((spectrum > tol * spectrum[0]).sum())
+
+
+def presentation_to_json(pres: EvolutionaryPresentation,
+                         names: Optional[Mapping[int, str]] = None) -> str:
+    return json.dumps({
+        "model": pres.model.name,
+        "tree": to_newick(pres.tree, names),
+        "root": pres.root,
+        "stochastic": pres.stochastic,
+        "root_distribution": pres.root_distribution.tolist(),
+        "edges": [{"parent": u, "child": v, "matrix": m.tolist()}
+                  for (u, v), m in sorted(pres.edge_matrices.items())],
+    })
+
+
+def presentation_from_json(text: str) -> EvolutionaryPresentation:
+    doc = json.loads(text)
+    tree, _ = from_newick(doc["tree"])
+    matrices = {(e["parent"], e["child"]): np.array(e["matrix"], dtype=float)
+                for e in doc["edges"]}
+    pres = EvolutionaryPresentation(
+        tree, doc["root"], matrices,
+        np.array(doc["root_distribution"], dtype=float),
+        builtin_model(doc["model"]), doc.get("stochastic", True))
+    pres.validate()
+    return pres

@@ -10,7 +10,7 @@ from math import comb
 
 import numpy as np
 
-from edgeinv.groups import builtin_model, multiplicities, symmetry_adapted_basis
+from edgeinv.groups import builtin_model, symmetry_adapted_basis
 from edgeinv.reconstruct import (
     WARN_NO_UNIQUE_PASS,
     empirical_tensor,
@@ -28,7 +28,6 @@ from edgeinv.tensors import (
     PatternTensor,
     averaged,
     flatten,
-    flattening_rank,
     star_contract,
     thin_flatten,
     thin_rank,
@@ -39,6 +38,7 @@ from edgeinv.trees import (
     splits_compatible,
     tree_from_splits,
 )
+from helpers import flattening_rank
 
 MODELS = ("GMM", "SSM", "K81", "K80", "JC69")
 
@@ -76,8 +76,8 @@ def test_criterion_1_character_and_multiplicity_fixtures():
         mismatches = []
         for name, (m1, m2) in fixtures.items():
             model = builtin_model(name)
-            got1 = multiplicities(model, 1).entries
-            got2 = multiplicities(model, 2).entries
+            got1 = model.multiplicities(1).entries
+            got2 = model.multiplicities(2).entries
             if got1 != m1 or got2 != m2:
                 mismatches.append((name, got1, got2))
     ok = not mismatches and clock.elapsed < 1.0
@@ -116,8 +116,8 @@ def test_criterion_3_rank_dichotomy_statistics():
         violations = 0
         for name in MODELS:
             model = builtin_model(name)
-            m1 = multiplicities(model, 1).entries
-            m2 = multiplicities(model, 2).entries
+            m1 = model.multiplicities(1).entries
+            m2 = model.multiplicities(2).entries
             for tree in QUARTETS:
                 own = tree.interior_splits()[0]
                 hits = 0
@@ -244,8 +244,8 @@ def test_criterion_5_structural_lemmas():
         for name in MODELS:
             model = builtin_model(name)
             for power in range(1, 6):
-                low = multiplicities(model, power).entries
-                high = multiplicities(model, power + 1).entries
+                low = model.multiplicities(power).entries
+                high = model.multiplicities(power + 1).entries
                 mono_ok &= all(a <= b for a, b in zip(low, high))
     ok = (glue_ok and rank_ok and leak_ok and basis_ok and mono_ok
           and clock.elapsed < 30.0)

@@ -17,9 +17,9 @@ from edgeinv.groups import (
     EquivariantModel,
     Irrep,
     builtin_model,
+    clifford_reduction,
     expected_rank_vector,
     group_average,
-    multiplicities,
     pattern_maps,
     symmetry_adapted_basis,
 )
@@ -151,8 +151,8 @@ class TestMultiplicities:
     ])
     def test_published_values(self, name, m1, m2):
         model = builtin_model(name)
-        assert multiplicities(model, 1).entries == m1
-        assert multiplicities(model, 2).entries == m2
+        assert model.multiplicities(1).entries == m1
+        assert model.multiplicities(2).entries == m2
 
     @pytest.mark.parametrize("name,m3", [
         ("GMM", (64,)),
@@ -163,21 +163,21 @@ class TestMultiplicities:
     ])
     def test_third_power_hand_computed(self, name, m3):
         # worked by hand from the character tables and cubed fixed counts
-        assert multiplicities(builtin_model(name), 3).entries == m3
+        assert builtin_model(name).multiplicities(3).entries == m3
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     @pytest.mark.parametrize("power", [1, 2, 3, 4, 5, 6])
     def test_dimension_accounting(self, name, power):
         model = builtin_model(name)
-        m = multiplicities(model, power)
+        m = model.multiplicities(power)
         assert sum(d * e for d, e in zip(model.dims, m.entries)) == 4 ** power
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_monotone_in_power(self, name):
         model = builtin_model(name)
-        prev = multiplicities(model, 1)
+        prev = model.multiplicities(1)
         for power in range(2, 7):
-            cur = multiplicities(model, power)
+            cur = model.multiplicities(power)
             assert all(a <= b for a, b in zip(prev.entries, cur.entries))
             prev = cur
 
@@ -185,13 +185,13 @@ class TestMultiplicities:
     def test_trivial_entry_positive(self, name):
         model = builtin_model(name)
         for power in (1, 2, 3):
-            assert multiplicities(model, power).entries[0] >= 1
+            assert model.multiplicities(power).entries[0] >= 1
 
     def test_capacity_guard(self):
         with pytest.raises(ValueError):
-            multiplicities(builtin_model("K81"), 13)
+            builtin_model("K81").multiplicities(13)
         with pytest.raises(ValueError):
-            multiplicities(builtin_model("K81"), 0)
+            builtin_model("K81").multiplicities(0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +363,47 @@ class TestBases:
             G._BASIS_CACHE.clear()
 
 
+class TestCliffordReduction:
+    @pytest.mark.parametrize("name", ["GMM", "SSM", "K81"])
+    def test_abelian_irreps_are_their_own_labels(self, name):
+        model = builtin_model(name)
+        reduction = clifford_reduction(model)
+        assert reduction.labels is model
+        assert reduction.irrep_labels == tuple(range(model.n_irreps))
+        assert reduction.first_copies(3) == (None,) * model.n_irreps
+
+    def test_k80_labels_are_read_off_the_matrices(self):
+        # B2 restricts to the stabiliser as A2 does, yet sits on the label
+        # of A1; E's first state vector is no Klein eigenvector
+        model = builtin_model("K80")
+        reduction = clifford_reduction(model)
+        assert reduction.labels.name == "K81"
+        label = dict(zip((ir.name for ir in model.irreps),
+                         reduction.irrep_labels))
+        assert label["A1"] == label["B2"] == 0
+        assert label["A2"] == label["B1"] != 0
+        assert label["E"] not in (0, label["A2"])
+        e_copy = reduction.first_copies(3)[4]
+        assert e_copy is None
+
+    @pytest.mark.parametrize("name", ["K80", "JC69"])
+    @pytest.mark.parametrize("power", [1, 2, 3, 4, 5])
+    def test_first_copies_orthonormal_of_multiplicity_size(self, name,
+                                                           power):
+        model = builtin_model(name)
+        reduction = clifford_reduction(model)
+        size = 4 ** (power - 1)  # patterns per Klein label
+        for t, piece in enumerate(reduction.first_copies(power)):
+            m = model.multiplicities(power)[t]
+            if piece is None:
+                assert m == size
+                continue
+            index, weight = piece
+            dense = np.zeros((size, m))
+            np.add.at(dense, (index, np.arange(m)[:, None]), weight)
+            assert np.abs(dense.T @ dense - np.eye(m)).max(initial=0.0) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Invariant projectors
 # ---------------------------------------------------------------------------
@@ -394,7 +435,7 @@ class TestInvariantProjector:
         model = builtin_model(name)
         for power in (1, 2):
             proj = invariant_projector(model, power)
-            expected = multiplicities(model, power).entries[0]
+            expected = model.multiplicities(power).entries[0]
             assert np.linalg.matrix_rank(proj, tol=1e-9) == expected
 
     @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -7,6 +7,7 @@ import edgeinv.groups
 import edgeinv.scores
 import edgeinv.tensors
 from edgeinv.groups import builtin_model
+from edgeinv.reconstruct import reconstruct_exhaustive
 from edgeinv.scores import (
     all_bipartitions,
     edge_invariant_test,
@@ -180,6 +181,53 @@ class TestScoreSplits:
         assert len(table) == 119 and len(audit.entries) == 127
         assert flattened == []
         assert built and max(built) == 1
+
+    def test_klein_route_flattens_nothing(self, monkeypatch):
+        # K80 and JC69 blocks come from K81's character transform of the
+        # tensor: no sparse flattening and no adapted basis above power 1
+        flattened, built = [], []
+        original_flatten = edgeinv.tensors.thin_flatten
+        original_build = edgeinv.groups._build_basis
+
+        def counted_flatten(psi, split, model):
+            flattened.append(split)
+            return original_flatten(psi, split, model)
+
+        def counted_build(model, power):
+            built.append(power)
+            return original_build(model, power)
+
+        monkeypatch.setattr(edgeinv.scores, "thin_flatten", counted_flatten)
+        monkeypatch.setattr(edgeinv.tensors, "thin_flatten", counted_flatten)
+        monkeypatch.setattr(edgeinv.groups, "_build_basis", counted_build)
+        monkeypatch.setattr(edgeinv.groups, "_BASIS_CACHE", {})
+        k80 = builtin_model("K80")
+        psi = PatternTensor(np.random.default_rng(7).random(4 ** 8),
+                            tuple(range(1, 9)))
+        assert len(score_splits(psi, k80, all_bipartitions(8, True))) == 119
+        jc69 = builtin_model("JC69")
+        tree = from_newick("(((((1,2),3),4),5),6);")[0]
+        exact = joint_distribution(random_presentation(jc69, tree, 1))
+        result = reconstruct_exhaustive(exact, jc69)
+        assert result.tree.interior_splits() == tree.interior_splits()
+        assert result.genericity_warnings == ()
+        assert flattened == []
+        assert max(built, default=1) == 1
+
+    def test_table_takes_one_norm(self, monkeypatch):
+        norms = []
+        original = PatternTensor.norm
+
+        def counted(psi):
+            norms.append(psi)
+            return original(psi)
+
+        monkeypatch.setattr(PatternTensor, "norm", counted)
+        psi = PatternTensor(np.random.default_rng(8).random(4 ** 6),
+                            tuple(range(1, 7)))
+        table = score_splits(psi, builtin_model("JC69"),
+                             all_bipartitions(6, True))
+        assert len(table) == 25 and len(norms) == 1
 
     def test_edge_test_reads_the_table(self):
         model = builtin_model("K80")

@@ -16,8 +16,6 @@ from edgeinv.simulate import (
     joint_distribution,
     no_mutation_presentation,
     position_orbits,
-    presentation_from_json,
-    presentation_to_json,
     random_presentation,
     read_fasta,
     sample_alignment,
@@ -25,6 +23,7 @@ from edgeinv.simulate import (
 )
 from edgeinv.tensors import PatternTensor
 from edgeinv.trees import TreeTopology
+from helpers import presentation_from_json, presentation_to_json
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 

@@ -19,7 +19,6 @@ from edgeinv.tensors import (
     character_flattening,
     character_transform,
     flatten,
-    flattening_rank,
     load_tensor,
     save_tensor,
     star_contract,
@@ -31,7 +30,12 @@ from edgeinv.tensors import (
     thin_rank,
 )
 from edgeinv.trees import Bipartition
-from helpers import identity_link, permute_labels, reassemble_flattening
+from helpers import (
+    flattening_rank,
+    identity_link,
+    permute_labels,
+    reassemble_flattening,
+)
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -291,8 +295,8 @@ class TestThinFlattenOracle:
 
 
 class TestCharacterFlattening:
-    """The abelian models' character route against the sparse-basis route:
-    blocks differ by a change of basis, spectra and ranks must not."""
+    """The character route against the sparse-basis route: blocks differ
+    by a change of basis, spectra and ranks must not."""
 
     @pytest.mark.parametrize("name", ["GMM", "SSM", "K81"])
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -310,6 +314,32 @@ class TestCharacterFlattening:
                 assert a.shape == b.shape
                 assert np.abs(a - b).max(initial=0.0) <= 1e-12 * sigma_max
             assert thin_rank(got).entries == thin_rank(want).entries
+            assert (got.row_mult, got.col_mult) == (want.row_mult,
+                                                    want.col_mult)
+
+    @pytest.mark.parametrize("name", ["K80", "JC69"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("average", [False, True])
+    def test_klein_route_spectra_match_thin_flatten(self, name, n, average):
+        # from K81's transform, gathers and a stabiliser change of basis; on
+        # a tensor that is not invariant, K80's E block is another copy of E
+        # than the first, so only invariant tensors must agree there
+        model = builtin_model(name)
+        psi = random_tensor(range(1, n + 1), 20 + n)
+        if average:
+            psi = averaged(psi, model)
+        other_copy = [not average and ir.name == "E" for ir in model.irreps]
+        for split in all_bipartitions(n):
+            got = character_flattening(psi, split, model)
+            want = thin_flatten(psi, split, model)
+            sigma_max = max(s[0] for s in want.spectra if s.size)
+            for a, b, skip in zip(got.spectra, want.spectra, other_copy):
+                assert a.shape == b.shape
+                if not skip:
+                    assert np.abs(a - b).max(initial=0.0) <= 1e-12 * sigma_max
+            ranks = zip(thin_rank(got).entries, thin_rank(want).entries,
+                        other_copy)
+            assert all(a == b for a, b, skip in ranks if not skip)
             assert (got.row_mult, got.col_mult) == (want.row_mult,
                                                     want.col_mult)
 
