@@ -34,7 +34,7 @@ from .simulate import (
 )
 from .tensors import (
     PatternTensor,
-    pattern_string,
+    pattern_strings,
     save_tensor,
     tensor_from_json,
     tensor_to_json,
@@ -46,7 +46,7 @@ def _model(name: str) -> EquivariantModel:
     return builtin_model(name)
 
 
-def _render_basis_vector(vec: np.ndarray, power: int) -> str:
+def _render_basis_vector(vec: np.ndarray, names: list[str]) -> str:
     """Exact form when entries are a +-integer pattern over sqrt(norm)."""
     nonzero = vec[np.abs(vec) > 1e-12]
     if nonzero.size == 0:
@@ -59,7 +59,7 @@ def _render_basis_vector(vec: np.ndarray, power: int) -> str:
         terms = []
         for idx in np.flatnonzero(rounded):
             coeff = int(rounded[idx])
-            label = pattern_string(int(idx), power)
+            label = names[idx]
             sign = "+" if coeff > 0 else "-"
             mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
             terms.append(f"{sign} {mag}{label}")
@@ -89,10 +89,11 @@ def cmd_model_info(args) -> int:
     if args.basis:
         basis = symmetry_adapted_basis(model, power)
         dense = basis.matrix.toarray()
+        names = pattern_strings(np.arange(dense.shape[0]), power)
         print(f"\nadapted basis of the {power}-fold state space:")
         for col, (t, r, j) in enumerate(basis.tags):
             name = model.irreps[t].name
-            rendered = _render_basis_vector(dense[:, col], power)
+            rendered = _render_basis_vector(dense[:, col], names)
             print(f"  [{name} copy {r + 1} vec {j + 1}] {rendered}")
     return 0
 

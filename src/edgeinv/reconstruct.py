@@ -32,7 +32,7 @@ from .scores import (
     split_report,
 )
 from .simulate import Alignment
-from .tensors import PatternTensor, averaged
+from .tensors import AMBIGUOUS, PatternTensor, averaged, pattern_codes
 from .trees import (
     SplitSystemError,
     TreeTopology,
@@ -239,16 +239,16 @@ def empirical_tensor(alignment: Alignment, ambiguous: str = "error"
     """
     if alignment.n_sites == 0:
         raise ValueError("empty alignment")
-    n = alignment.n_taxa
-    usable: dict[str, int] = {}
-    for pattern, count in alignment.counts.items():
-        if any(ch not in "ACGT" for ch in pattern):
-            if ambiguous == "drop":
-                continue
-            raise ValueError(f"non-ACGT pattern {pattern!r}")
-        usable[pattern] = count
-    total = sum(usable.values())
+    patterns = list(alignment.counts)
+    codes = pattern_codes(patterns, alignment.n_taxa)
+    bad = (codes == AMBIGUOUS).any(axis=0)
+    if bad.any():
+        if ambiguous != "drop":
+            raise ValueError(f"non-ACGT pattern {patterns[bad.argmax()]!r}")
+        codes = codes[:, ~bad]
+    counts = np.fromiter(alignment.counts.values(), float, len(patterns))
+    counts = counts[~bad]
+    total = counts.sum()
     if total == 0:
         raise ValueError("no usable patterns remain")
-    weights = {p: c / total for p, c in usable.items()}
-    return PatternTensor.from_pattern_counts(weights, n, stochastic=True)
+    return PatternTensor.from_codes(codes, counts / total, stochastic=True)

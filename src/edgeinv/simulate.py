@@ -23,7 +23,8 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .groups import EquivariantModel, builtin_model
-from .tensors import STATES, PatternTensor, pattern_string
+from .tensors import AMBIGUOUS, PatternTensor, pattern_indices, \
+    pattern_strings, state_codes
 from .trees import TreeTopology
 
 EQUIVARIANCE_TOL = 1e-12
@@ -252,10 +253,9 @@ def sample_alignment(psi: PatternTensor, sites: int, seed: int,
     probs = np.clip(psi.values, 0.0, None)
     probs = probs / probs.sum()
     draws = rng.multinomial(sites, probs)
-    counts = {}
-    for idx in np.flatnonzero(draws):
-        counts[pattern_string(int(idx), psi.n)] = int(draws[idx])
-    return Alignment(taxa, counts)
+    drawn = np.flatnonzero(draws)
+    return Alignment(taxa, dict(zip(pattern_strings(drawn, psi.n),
+                                    draws[drawn].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +265,9 @@ def sample_alignment(psi: PatternTensor, sites: int, seed: int,
 def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
     """Parse FASTA records into pattern counts.
 
-    Sequences must have equal lengths.  Columns holding symbols outside
-    ACGT are dropped when ``ambiguous="drop"`` and rejected otherwise.
+    Sequences must have equal lengths, and there may be at most 12 of them
+    (``tensors.MAX_LEAVES``).  Columns holding symbols outside ACGT are
+    dropped when ``ambiguous="drop"`` and rejected otherwise.
     """
     if ambiguous not in ("error", "drop"):
         raise ValueError("ambiguous must be 'error' or 'drop'")
@@ -279,7 +280,7 @@ def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
             continue
         if line.startswith(">"):
             if taxa:
-                seqs.append("".join(current))
+                seqs.append("".join(current).upper())
             name = line[1:].split()
             if not name:
                 raise ValueError("empty taxon name in a FASTA header")
@@ -288,9 +289,9 @@ def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
         else:
             if not taxa:
                 raise ValueError("sequence data before any FASTA header")
-            current.append(line.upper())
+            current.append(line)
     if taxa:
-        seqs.append("".join(current))
+        seqs.append("".join(current).upper())
     if not taxa:
         raise ValueError("empty FASTA input")
     if len(set(len(s) for s in seqs)) != 1:
@@ -299,28 +300,35 @@ def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
         raise ValueError("duplicate taxon names")
     if not seqs[0]:
         raise ValueError("alignment has no sites")
-    counts: dict[str, int] = {}
-    for col, pattern in enumerate(map("".join, zip(*seqs)), start=1):
-        if pattern in counts:
-            counts[pattern] += 1
-        elif not pattern.strip(STATES):  # every symbol is one of ACGT
-            counts[pattern] = 1
-        elif ambiguous == "error":
-            raise ValueError(f"non-ACGT symbol in column {col}")
-    if not counts:
+    codes = np.empty((len(seqs), len(seqs[0])), dtype=np.uint8)
+    for i, seq in enumerate(seqs):
+        codes[i] = state_codes(seq)
+    del seqs, seq, current  # from here on the codes stand for the text
+    bad = (codes == AMBIGUOUS).any(axis=0)
+    if bad.any():
+        if ambiguous == "error":
+            raise ValueError(f"non-ACGT symbol in column {bad.argmax() + 1}")
+        codes = codes[:, ~bad]
+    if not codes.shape[1]:
         raise ValueError("no usable columns remain")
-    return Alignment(tuple(taxa), counts)
+    indices = pattern_indices(codes)
+    del codes   # before np.unique copies the indices
+    patterns, counts = np.unique(indices, return_counts=True)
+    return Alignment(tuple(taxa), dict(zip(pattern_strings(patterns, len(taxa)),
+                                           counts.tolist())))
 
 
 def write_fasta(alignment: Alignment, width: int = 70) -> str:
     """Render an alignment; sites are emitted in sorted pattern order."""
-    columns = []
-    for pattern in sorted(alignment.counts):
-        columns.extend([pattern] * alignment.counts[pattern])
+    patterns = sorted(alignment.counts)
+    # one row of code points per site: each pattern's, repeated by its count
+    chars = np.frombuffer("".join(patterns).encode("utf-32-le"), np.uint32)
+    sites = np.repeat(chars.reshape(len(patterns), alignment.n_taxa),
+                      [alignment.counts[p] for p in patterns], axis=0)
     lines = []
     for row, name in enumerate(alignment.taxa):
         lines.append(f">{name}")
-        seq = "".join(col[row] for col in columns)
+        seq = sites[:, row].tobytes().decode("utf-32-le")
         for start in range(0, len(seq), width):
             lines.append(seq[start:start + width])
     return "\n".join(lines) + "\n"

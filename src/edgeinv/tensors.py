@@ -1,8 +1,12 @@
-"""Dense pattern tensors, flattenings, and multiplicity-space block ranks.
+"""Dense pattern tensors, the state alphabet, flattenings, and
+multiplicity-space block ranks.
 
 A PatternTensor stores the joint state distribution (or any real tensor) over
 a set of labelled positions, flat in the canonical index order: the first
-label is the most significant base-4 digit, states ordered A < C < G < T.
+label is the most significant base-4 digit, states ordered A < C < G < T, so
+index order is string order.  Text becomes state codes (``state_codes``),
+codes become indices (``pattern_indices``) and indices become strings
+(``pattern_strings``) in array passes; strings exist only at the edges.
 
 The thin flattening of a tensor along a bipartition is the family of blocks
 obtained by transforming the plain flattening into the symmetry-adapted bases
@@ -55,8 +59,12 @@ from .groups import (
 from .trees import Bipartition
 
 MAX_LEAVES = 12
-STATE_INDEX = {"A": 0, "C": 1, "G": 2, "T": 3}
 STATES = "ACGT"
+AMBIGUOUS = K    # the state code of every symbol outside ACGT
+# the state code of each latin-1 character, as a bytes.translate table
+_CODES = bytes(STATES.index(ch) if ch in STATES else AMBIGUOUS
+               for ch in map(chr, range(256)))
+_LETTERS = np.frombuffer(STATES.encode(), dtype=np.uint8)
 
 STOCHASTIC_NEG_TOL = 1e-12
 STOCHASTIC_SUM_TOL = 1e-9
@@ -64,9 +72,9 @@ STOCHASTIC_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PatternTensor:
-    """A real tensor over labelled positions, k states each.
+    """A real tensor over labelled positions, 4 states each.
 
-    values : flat array of length k**n in canonical index order.
+    values : flat array of length 4**n in canonical index order.
     labels : position labels, most significant first; leaf tensors use 1..n.
     stochastic : set when the entries form a probability distribution
         (non-negative up to 1e-12, total 1 up to 1e-9; checked on creation).
@@ -74,7 +82,6 @@ class PatternTensor:
 
     values: np.ndarray
     labels: tuple[int, ...]
-    k: int = 4
     stochastic: bool = False
     # model name -> CharacterTransform of these values, filled on first use
     _transforms: dict = field(default_factory=dict, init=False, repr=False,
@@ -85,8 +92,8 @@ class PatternTensor:
         n = len(self.labels)
         if n > MAX_LEAVES:
             raise ValueError(f"{n} positions exceed the dense cap {MAX_LEAVES}")
-        if values.shape != (self.k ** n,):
-            raise ValueError(f"expected {self.k ** n} entries for {n} positions,"
+        if values.shape != (K ** n,):
+            raise ValueError(f"expected {K ** n} entries for {n} positions,"
                              f" got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("tensor entries must be finite")
@@ -106,7 +113,7 @@ class PatternTensor:
         return len(self.labels)
 
     def nd(self) -> np.ndarray:
-        return self.values.reshape((self.k,) * self.n)
+        return self.values.reshape((K,) * self.n)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -117,7 +124,7 @@ class PatternTensor:
         if np.array_equal(order, np.arange(self.n)):
             return self
         values = self.nd().transpose(order).reshape(-1)
-        return PatternTensor(values, tuple(sorted(self.labels)), self.k,
+        return PatternTensor(values, tuple(sorted(self.labels)),
                              self.stochastic)
 
     @classmethod
@@ -126,25 +133,62 @@ class PatternTensor:
         if not 0 <= n <= MAX_LEAVES:  # before allocating 4**n entries
             raise ValueError(f"{n} positions outside the dense range "
                              f"0..{MAX_LEAVES}")
-        values = np.zeros(4 ** n)
-        for pattern, weight in counts.items():
-            if len(pattern) != n:
-                raise ValueError(f"pattern {pattern!r} is not length {n}")
-            if not set(pattern) <= STATE_INDEX.keys():
-                raise ValueError(f"non-ACGT symbol in pattern {pattern!r}")
-            idx = 0
-            for ch in pattern:
-                idx = idx * 4 + STATE_INDEX[ch]
-            values[idx] += weight
-        return cls(values, tuple(range(1, n + 1)), stochastic=stochastic)
+        patterns = list(counts)
+        wrong = np.fromiter(map(len, patterns), np.int64, len(patterns)) != n
+        stop = int(wrong.argmax()) if wrong.any() else len(patterns)
+        codes = pattern_codes(patterns[:stop], n)  # the first bad one raises
+        bad = (codes == AMBIGUOUS).any(axis=0)
+        if bad.any():
+            raise ValueError(f"non-ACGT symbol in pattern "
+                             f"{patterns[bad.argmax()]!r}")
+        if stop < len(patterns):
+            raise ValueError(f"pattern {patterns[stop]!r} is not length {n}")
+        return cls.from_codes(codes, np.fromiter(counts.values(), float, stop),
+                              stochastic)
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, weights: np.ndarray,
+                   stochastic: bool = False) -> "PatternTensor":
+        """``weights`` at the distinct ACGT patterns of ``pattern_codes``."""
+        indices = pattern_indices(codes)  # before allocating 4**n entries
+        values = np.zeros(K ** len(codes))
+        values[indices] += weights
+        return cls(values, tuple(range(1, len(codes) + 1)),
+                   stochastic=stochastic)
 
 
-def pattern_string(index: int, n: int) -> str:
-    out = []
-    for _ in range(n):
-        out.append(STATES[index % 4])
-        index //= 4
-    return "".join(reversed(out))
+def state_codes(text: str) -> np.ndarray:
+    """One read-only uint8 per character: 0..3 for A, C, G, T (upper case
+    only) and ``AMBIGUOUS`` for anything else."""
+    return np.frombuffer(text.encode("latin-1", "replace").translate(_CODES),
+                         dtype=np.uint8)
+
+
+def pattern_codes(patterns: list[str], n: int) -> np.ndarray:
+    """The (n, m) state codes of m patterns of length n."""
+    return state_codes("".join(patterns)).reshape(len(patterns), n).T
+
+
+def pattern_indices(digits: np.ndarray) -> np.ndarray:
+    """Base-4 indices of the columns of (n, m) state codes, by Horner's rule
+    over the rows, the first most significant.  More than ``MAX_LEAVES``
+    positions index no dense tensor (and past 31 they overflow)."""
+    if len(digits) > MAX_LEAVES:
+        raise ValueError(f"{len(digits)} positions outside the dense range "
+                         f"0..{MAX_LEAVES}")
+    out = np.zeros(digits.shape[1], dtype=np.int64)
+    for row in digits:
+        out *= K
+        out += row
+    return out
+
+
+def pattern_strings(indices: np.ndarray, n: int) -> list[str]:
+    """The length-n ACGT strings of int64 pattern indices."""
+    if not n:
+        return [""] * len(indices)
+    letters = _LETTERS[indices[:, None] >> np.arange(2 * n - 2, -1, -2) & 3]
+    return letters.view(f"S{n}").ravel().astype(f"U{n}").tolist()
 
 
 def averaged(psi: PatternTensor, model: EquivariantModel) -> PatternTensor:
@@ -181,8 +225,8 @@ def flatten(psi: PatternTensor, split) -> np.ndarray:
     side1, side2 = _sides(psi, split)
     pos = {lab: i for i, lab in enumerate(psi.labels)}
     axes = [pos[x] for x in side1] + [pos[x] for x in side2]
-    return psi.nd().transpose(axes).reshape(psi.k ** len(side1),
-                                            psi.k ** len(side2))
+    return psi.nd().transpose(axes).reshape(K ** len(side1),
+                                            K ** len(side2))
 
 
 @dataclass(frozen=True)
@@ -289,10 +333,12 @@ class CharacterTransform:
         self.model = model
         matrix = symmetry_adapted_basis(model, 1).dense()
         coeffs = psi.values
-        for _ in range(psi.n):
+        buffers = (np.empty(coeffs.size), np.empty(coeffs.size))
+        for i in range(psi.n):
             # contract the leading axis; the new one goes last, so after n
-            # passes the axes are back in order
-            coeffs = coeffs.reshape(K, -1).T @ matrix
+            # passes the axes are back in order.  Passes alternate buffers.
+            coeffs = np.matmul(coeffs.reshape(K, -1).T, matrix,
+                               out=buffers[i % 2].reshape(-1, K))
         self.coeffs = coeffs.reshape(-1)
         # per position label, the flat-index step of each of its states
         self._strides = {lab: K ** (psi.n - 1 - i) * np.arange(K)
@@ -427,7 +473,7 @@ def star_contract(phi1: PatternTensor, phi2: PatternTensor,
     out = np.tensordot(phi1.nd(), phi2.nd(), axes=(axes1, axes2))
     labels = tuple(l for l in phi1.labels if l not in shared) + \
         tuple(l for l in phi2.labels if l not in shared)
-    return PatternTensor(out.reshape(-1), labels, phi1.k)
+    return PatternTensor(out.reshape(-1), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +488,7 @@ _FLAG_STOCHASTIC = 1
 def tensor_to_bytes(psi: PatternTensor) -> bytes:
     canonical = psi.with_canonical_labels()
     flags = _FLAG_STOCHASTIC if canonical.stochastic else 0
-    header = _MAGIC + struct.pack("<HHHH", _VERSION, canonical.n,
-                                  canonical.k, flags)
+    header = _MAGIC + struct.pack("<HHHH", _VERSION, canonical.n, K, flags)
     return header + canonical.values.astype("<f8").tobytes()
 
 
@@ -458,7 +503,7 @@ def tensor_from_bytes(blob: bytes) -> PatternTensor:
     if k != 4:
         raise ValueError(f"unsupported alphabet size k={k}, expected 4")
     values = np.frombuffer(blob[12:], dtype="<f8")
-    return PatternTensor(values.copy(), tuple(range(1, n + 1)), k,
+    return PatternTensor(values.copy(), tuple(range(1, n + 1)),
                          bool(flags & _FLAG_STOCHASTIC))
 
 
@@ -474,11 +519,12 @@ def load_tensor(path) -> PatternTensor:
 
 def tensor_to_json(psi: PatternTensor, include_zeros: bool = False) -> str:
     canonical = psi.with_canonical_labels()
-    entries = [[pattern_string(i, canonical.n), v]
-               for i, v in enumerate(canonical.values.tolist())
-               if include_zeros or v != 0.0]
+    kept = (np.arange(canonical.values.size) if include_zeros
+            else np.flatnonzero(canonical.values))
+    entries = list(zip(pattern_strings(kept, canonical.n),
+                       canonical.values[kept].tolist()))
     return json.dumps({
-        "n": canonical.n, "k": canonical.k, "states": STATES,
+        "n": canonical.n, "k": K, "states": STATES,
         "stochastic": canonical.stochastic, "entries": entries,
     })
 

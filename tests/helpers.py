@@ -1,5 +1,6 @@
 """Test-only helpers: tensors, relabellings, dense operators, the plain
-flattening rank and presentation JSON round-trips that the tests build their
+flattening rank, presentation JSON round-trips, and the loop forms of the
+FASTA column count and the character transform, that the tests build their
 fixtures and oracles from, and the package does not use."""
 
 import json
@@ -7,8 +8,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from edgeinv.groups import EquivariantModel, builtin_model, pattern_maps, \
-    symmetry_adapted_basis
+from edgeinv.groups import K, EquivariantModel, builtin_model, \
+    pattern_maps, symmetry_adapted_basis
 from edgeinv.simulate import EvolutionaryPresentation
 from edgeinv.tensors import PatternTensor, ThinFlattening
 from edgeinv.trees import from_newick, to_newick
@@ -34,16 +35,15 @@ def reassemble_flattening(tf: ThinFlattening,
     return np.asarray((basis1.matrix @ half.T))
 
 
-def identity_link(label_a: int, label_b: int, k: int = 4) -> PatternTensor:
+def identity_link(label_a: int, label_b: int) -> PatternTensor:
     """The two-position tensor pairing equal states, sum_b b (x) b."""
-    values = np.eye(k).reshape(-1)
-    return PatternTensor(values, (label_a, label_b), k)
+    return PatternTensor(np.eye(K).reshape(-1), (label_a, label_b))
 
 
 def permute_labels(psi: PatternTensor, mapping: dict[int, int]) -> PatternTensor:
     """Rename positions through a bijection and restore canonical label order."""
     new_labels = tuple(mapping.get(l, l) for l in psi.labels)
-    renamed = PatternTensor(psi.values, new_labels, psi.k, psi.stochastic)
+    renamed = PatternTensor(psi.values, new_labels, psi.stochastic)
     return renamed.with_canonical_labels()
 
 
@@ -94,3 +94,31 @@ def presentation_from_json(text: str) -> EvolutionaryPresentation:
         builtin_model(doc["model"]), doc.get("stochastic", True))
     pres.validate()
     return pres
+
+
+def fasta_column_counts(seqs: list[str], ambiguous: str) -> dict[str, int]:
+    """Pattern counts of equal-length upper-case sequences, one column at a
+    time: the oracle of ``read_fasta``'s array count.  Raises ValueError with
+    ``read_fasta``'s messages."""
+    counts: dict[str, int] = {}
+    for col, pattern in enumerate(map("".join, zip(*seqs)), start=1):
+        if pattern in counts:
+            counts[pattern] += 1
+        elif not pattern.strip("ACGT"):  # every symbol is one of ACGT
+            counts[pattern] = 1
+        elif ambiguous == "error":
+            raise ValueError(f"non-ACGT symbol in column {col}")
+    if not counts:
+        raise ValueError("no usable columns remain")
+    return counts
+
+
+def character_transform_loop(psi: PatternTensor,
+                             model: EquivariantModel) -> np.ndarray:
+    """``CharacterTransform.coeffs`` by n matrix products, each into a fresh
+    array: the oracle of the two-buffer transform."""
+    matrix = symmetry_adapted_basis(model, 1).dense()
+    coeffs = psi.values
+    for _ in range(psi.n):
+        coeffs = coeffs.reshape(K, -1).T @ matrix
+    return coeffs.reshape(-1)

@@ -190,6 +190,16 @@ class TestReconstruct:
         assert err.startswith("error:")
         assert "empty taxon name" in err
 
+    def test_more_fasta_taxa_than_the_dense_cap_exit_one(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "t13.fasta"
+        path.write_text("".join(f">t{i}\nACGTACGT\n" for i in range(13)))
+        code, out, err = run(capsys, "reconstruct", "--model", "K81",
+                             "--input", str(path), "--method", "splits")
+        assert code == 1
+        assert out == ""
+        assert err == "error: 13 positions outside the dense range 0..12\n"
+
     def test_three_state_container_exit_one(self, capsys, tmp_path):
         # a well-formed header with k=3 and its 3^4 entries
         path = tmp_path / "k3.eqpt"

@@ -1,9 +1,10 @@
-"""The solve path imports no scipy.
+"""The solve path imports no scipy and no numpy.ma.
 
 Only the sparse adapted bases (``model-info --basis``, the generator minors,
-``thin_flatten`` and the test oracles) need it, and they import it when
-first used.  Each command runs in a fresh interpreter, since this one has
-scipy loaded already.
+``thin_flatten`` and the test oracles) need scipy, and they import it when
+first used.  Some forms of ``np.unique`` and ``np.median`` import numpy.ma
+lazily, which costs 15-25 ms inside a solve.  Each command runs in a fresh
+interpreter, since this one has both loaded already.
 """
 
 import json
@@ -22,6 +23,7 @@ assert "scipy" not in sys.modules, "import edgeinv"
 for argv in json.loads(sys.argv[1]):
     main(argv)
     assert "scipy" not in sys.modules, argv
+    assert "numpy.ma" not in sys.modules, argv
 """
 
 

@@ -5,10 +5,14 @@ interior-state assignments, written out independently of the message-passing
 implementation.
 """
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from edgeinv.groups import builtin_model, group_average
+from edgeinv.reconstruct import empirical_tensor
 from edgeinv.simulate import (
     Alignment,
     EvolutionaryPresentation,
@@ -22,8 +26,9 @@ from edgeinv.simulate import (
     write_fasta,
 )
 from edgeinv.tensors import PatternTensor
-from edgeinv.trees import TreeTopology
-from helpers import presentation_from_json, presentation_to_json
+from edgeinv.trees import TreeTopology, from_newick
+from helpers import fasta_column_counts, presentation_from_json, \
+    presentation_to_json
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -289,6 +294,90 @@ class TestFasta:
     def test_multiline_sequences(self):
         aln = read_fasta(">x\nAC\nGT\n>y\nAC\nGT\n")
         assert aln.n_sites == 4
+
+    def test_more_taxa_than_the_dense_cap_rejected(self):
+        text = "".join(f">t{i}\nACGT\n" for i in range(13))
+        with pytest.raises(ValueError,
+                           match=r"^13 positions outside the dense range "
+                                 r"0\.\.12$"):
+            read_fasta(text)
+
+    def test_write_keeps_non_acgt_patterns(self):
+        aln = Alignment(("a", "b"), {"CC": 1, "AN": 2, "G\xe9": 1})
+        assert write_fasta(aln, width=3) == \
+            ">a\nAAC\nG\n>b\nNNC\n\xe9\n"
+
+
+# symbols of a random FASTA: upper and lower case bases, ambiguity codes and
+# latin-1 letters whose upper case is another latin-1 letter (\xe9, \xf1)
+# or lies outside latin-1 (\xb5, \xff)
+BASES = "ACGTacgt"
+NOISE = "N-?\xe9\xf1\xb5\xff"
+
+
+def random_fasta(rng: random.Random) -> tuple[str, list[str]]:
+    """A random FASTA text and its upper-cased sequences, split into lines
+    of random width and joined by LF or CRLF."""
+    taxa = rng.randint(1, 6)
+    sites = rng.randint(1, 30)
+    noise = rng.choice([0.0, 0.0, 0.02, 0.3])
+    seqs = ["".join(rng.choice(NOISE) if rng.random() < noise
+                    else rng.choice(BASES) for _ in range(sites))
+            for _ in range(taxa)]
+    lines = []
+    for i, seq in enumerate(seqs):
+        lines.append(f">t{i} taxon {i}")
+        width = rng.randint(1, sites)
+        lines.extend(seq[start:start + width]
+                     for start in range(0, sites, width))
+        if rng.random() < 0.2:
+            lines.append("")
+    newline = rng.choice(["\n", "\r\n"])
+    return newline.join(lines) + newline, [seq.upper() for seq in seqs]
+
+
+def outcome(parse, *args):
+    """What ``parse(*args)`` returns, or the message of its ValueError."""
+    try:
+        return parse(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+class TestFastaColumnCount:
+    """``read_fasta``'s array count against the column walk it replaced."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ambiguous", ["error", "drop"])
+    def test_counts_and_errors_match_the_column_walk(self, seed, ambiguous):
+        rng = random.Random(seed)
+        for _ in range(200):
+            text, seqs = random_fasta(rng)
+            got = outcome(read_fasta, text, ambiguous)
+            want = outcome(fasta_column_counts, seqs, ambiguous)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.counts == want
+                assert got.taxa == tuple(f"t{i}" for i in range(len(seqs)))
+
+    def test_peak_memory_bounded_by_the_text(self):
+        # read_fasta + empirical_tensor of 10^5 sites x 8 taxa peaks at
+        # 2.9x the FASTA text size, as the column walk did
+        tree, names = from_newick(
+            "(((((((t1,t2),t3),t4),t5),t6),t7),t8);")
+        psi = joint_distribution(
+            random_presentation(builtin_model("K81"), tree, 1))
+        text = write_fasta(sample_alignment(
+            psi, 10 ** 5, 1, taxa=[names[i] for i in range(1, 9)]))
+        empirical_tensor(read_fasta(text))
+        tracemalloc.start()
+        try:
+            empirical_tensor(read_fasta(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text)
 
 
 class TestPresentationJson:

@@ -14,14 +14,20 @@ import pytest
 from edgeinv.groups import builtin_model, group_average, symmetry_adapted_basis
 from edgeinv.scores import all_bipartitions
 from edgeinv.tensors import (
+    AMBIGUOUS,
+    CharacterTransform,
     PatternTensor,
     averaged,
     character_flattening,
     character_transform,
     flatten,
     load_tensor,
+    pattern_codes,
+    pattern_indices,
+    pattern_strings,
     save_tensor,
     star_contract,
+    state_codes,
     tensor_from_bytes,
     tensor_from_json,
     tensor_to_bytes,
@@ -31,6 +37,7 @@ from edgeinv.tensors import (
 )
 from edgeinv.trees import Bipartition
 from helpers import (
+    character_transform_loop,
     flattening_rank,
     identity_link,
     permute_labels,
@@ -106,6 +113,35 @@ class TestPatternTensor:
 # ---------------------------------------------------------------------------
 # Plain flattenings
 # ---------------------------------------------------------------------------
+
+class TestAlphabet:
+    def test_state_codes_mark_all_but_upper_case_acgt(self):
+        codes = state_codes("ACGTacgtN-?\xe9\u20ac")
+        assert codes.tolist() == [0, 1, 2, 3] + [AMBIGUOUS] * 9
+
+    def test_index_is_base_four_first_position_most_significant(self):
+        codes = pattern_codes(["TA", "CG", "AA"], 2)
+        assert codes.shape == (2, 3)
+        assert pattern_indices(codes).tolist() == [12, 6, 0]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_strings_invert_indices_in_string_order(self, n):
+        indices = np.unique(np.random.default_rng(n).integers(0, 4 ** n, 50))
+        patterns = pattern_strings(indices, n)
+        assert patterns == sorted(patterns)
+        assert all(len(p) == n and set(p) <= set("ACGT") for p in patterns)
+        assert np.array_equal(pattern_indices(pattern_codes(patterns, n)),
+                              indices)
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"AANA": 1.0, "AN": 1.0}, "non-ACGT symbol in pattern 'AANA'"),
+        ({"AN": 1.0, "AANA": 1.0}, "pattern 'AN' is not length 4"),
+        ({"ACGT": 1.0, "acgt": 1.0}, "non-ACGT symbol in pattern 'acgt'"),
+    ])
+    def test_first_bad_pattern_named(self, counts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PatternTensor.from_pattern_counts(counts, 4)
+
 
 class TestFlatten:
     def test_identity_link_flattens_to_identity(self):
@@ -297,6 +333,14 @@ class TestThinFlattenOracle:
 class TestCharacterFlattening:
     """The character route against the sparse-basis route: blocks differ
     by a change of basis, spectra and ranks must not."""
+
+    @pytest.mark.parametrize("name", ["GMM", "SSM", "K81"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_transform_bit_identical_to_fresh_array_loop(self, name, n):
+        model = builtin_model(name)
+        psi = random_tensor(range(1, n + 1), 30 + n)
+        got = CharacterTransform(psi, model).coeffs
+        assert got.tobytes() == character_transform_loop(psi, model).tobytes()
 
     @pytest.mark.parametrize("name", ["GMM", "SSM", "K81"])
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
