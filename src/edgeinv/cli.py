@@ -88,7 +88,7 @@ def cmd_model_info(args) -> int:
         print(f"\nmultiplicities m({l}) = {m.entries}")
     if args.basis:
         basis = symmetry_adapted_basis(model, power)
-        dense = basis.matrix.toarray()
+        dense = basis.dense()
         names = pattern_strings(np.arange(dense.shape[0]), power)
         print(f"\nadapted basis of the {power}-fold state space:")
         for col, (t, r, j) in enumerate(basis.tags):
@@ -145,12 +145,14 @@ def _load_input(path: str, fmt: str, ambiguous: str) -> PatternTensor:
     if fmt == "tensor":
         from .tensors import tensor_from_bytes
         return tensor_from_bytes(data)
+    if fmt not in ("json", "fasta"):
+        raise ValueError(f"unknown input format {fmt!r}")
+    text = data.decode()
+    del data  # free the bytes before the text is parsed
     if fmt == "json":
-        return tensor_from_json(data.decode())
-    if fmt == "fasta":
-        alignment = read_fasta(data.decode(), ambiguous=ambiguous)
-        return empirical_tensor(alignment, ambiguous=ambiguous)
-    raise ValueError(f"unknown input format {fmt!r}")
+        return tensor_from_json(text)
+    # read_fasta has dropped or rejected every non-ACGT column
+    return empirical_tensor(read_fasta(text, ambiguous=ambiguous))
 
 
 def cmd_score(args) -> int:

@@ -11,11 +11,12 @@ matrix-element projectors E[t][r] = (d_t/|G|) sum_g D_t(g)[r,0] rho(g)^(x l):
 the image of E[t][0] on lexicographically ordered pattern seeds gives the
 multiplicity vectors, and E[t][r] maps those to the remaining copies.  Since
 rho(g)^(x l) permutes patterns within a G-orbit, every basis vector has at
-most |G| nonzero entries and the basis is held sparse.  That arithmetic
-depends on an orbit only through its local action (where each g sends each
-member, as positions in the sorted member list), and few local actions occur
-at any power, so it runs once per orbit shape and the resulting vectors are
-copied onto every orbit of that shape by array operations.
+most |G| nonzero entries and the basis is held sparse, in numpy arrays.
+That arithmetic depends on an orbit only through its local action (where
+each g sends each member, as positions in the sorted member list), and few
+local actions occur at any power, so it runs once per orbit shape and the
+resulting vectors are copied onto every orbit of that shape by array
+operations.
 
 Group averaging never holds the |G| x k^l table of pattern images: it builds
 one element's row of images at a time, in place in a reused buffer, and
@@ -26,15 +27,14 @@ Scoring builds no basis above power 1.  ``CliffordReduction`` places the
 first copy of every irrep on one label class of the Kronecker powers of an
 abelian label group's one-site basis, where the stabiliser of a state acts
 by permuting digits, and builds that copy orbit by orbit with the same
-machinery as the bases.  The bases are held as numpy arrays; scipy is
-imported only when one is first used as a scipy matrix.
+machinery as the bases.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -479,8 +479,7 @@ class SymmetryAdaptedBasis:
 
     Columns are grouped by (t, r) with the multiplicity index fastest, so the
     block of a transformed flattening that pairs copy r of irrep t on both
-    sides occupies a contiguous submatrix.  ``dense()`` needs numpy only;
-    ``matrix`` and ``first_copies`` wrap the arrays in scipy on first access.
+    sides occupies a contiguous submatrix.  ``dense()`` unpacks it.
     """
 
     def __init__(self, model: EquivariantModel, power: int,
@@ -502,21 +501,6 @@ class SymmetryAdaptedBasis:
     def columns(self, t: int, r: int) -> range:
         """Column range of copy r (0-based) of irrep t."""
         return self._ranges[(t, r)]
-
-    @cached_property
-    def matrix(self):
-        """The basis as a scipy CSC matrix."""
-        from scipy import sparse
-
-        size = K ** self.power
-        return sparse.csc_matrix(self.csc_arrays, shape=(size, size))
-
-    @cached_property
-    def first_copies(self) -> tuple:
-        """Per irrep t, the copy-0 columns transposed (m_t x k^l, CSR), so
-        that ``first_copies[t] @ v`` holds the copy-0 coordinates of v."""
-        return tuple(self.matrix[:, self.columns(t, 0)].T.tocsr()
-                     for t in range(self.model.n_irreps))
 
     def dense(self) -> np.ndarray:
         data, rows, indptr = self.csc_arrays

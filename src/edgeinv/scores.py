@@ -29,7 +29,6 @@ from .tensors import (
     RankVector,
     averaged,
     character_flattening,
-    thin_flatten,
     thin_rank,
 )
 from .trees import Bipartition, TreeTopology
@@ -57,7 +56,6 @@ class SplitScore:
 
 def split_score(psi: PatternTensor, split: Bipartition,
                 model: EquivariantModel, average: bool = True,
-                rank_tol: float = DEFAULT_RANK_TOL,
                 norm: Optional[float] = None) -> SplitScore:
     """Score a bipartition of the tensor's leaves as a candidate edge split.
 
@@ -78,7 +76,8 @@ def split_score(psi: PatternTensor, split: Bipartition,
         norm = scored.norm()
     weighted = sum(d * r * r for d, r in zip(model.dims, residuals))
     score = float(np.sqrt(weighted) / norm) if norm > 0 else 0.0
-    return SplitScore(split, residuals, score, target, thin_rank(tf, rank_tol))
+    return SplitScore(split, residuals, score, target,
+                      thin_rank(tf, DEFAULT_RANK_TOL))
 
 
 def score_splits(psi: PatternTensor, model: EquivariantModel,
@@ -180,16 +179,15 @@ def all_bipartitions(n: int, nontrivial_only: bool = False) -> list[Bipartition]
 
 
 def genericity_check(psi: PatternTensor, model: EquivariantModel,
-                     tree: TreeTopology, rank_tol: float = DEFAULT_RANK_TOL,
-                     average: bool = True,
+                     tree: TreeTopology, average: bool = True,
                      table: Optional[dict[Bipartition, SplitScore]] = None
                      ) -> GenericityReport:
     """Verify the tensor attains the ceiling rank at every bipartition of the
     candidate tree (the hypothesis under which edge tests are decisive).
 
     ``table`` is a split table of the same (averaged) tensor, as built by
-    ``score_splits``; a bipartition whose ranks it holds at ``rank_tol`` is
-    read from it instead of being flattened again.
+    ``score_splits``; a bipartition whose ranks it holds is read from it
+    instead of being flattened again.
     """
     n = psi.n
     if n > 10:
@@ -201,12 +199,11 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
     for split in all_bipartitions(n):
         ceiling = expected_rank_vector(model, tree, split)
         known = table.get(split) if table is not None else None
-        if (known is not None and known.achieved is not None
-                and known.achieved.tolerance == rank_tol):
+        if known is not None and known.achieved is not None:
             achieved = known.achieved
         else:
             achieved = thin_rank(character_flattening(scored, split, model),
-                                 rank_tol)
+                                 DEFAULT_RANK_TOL)
         entries.append(GenericityEntry(split, tuple(ceiling.entries),
                                        tuple(achieved.entries)))
     return GenericityReport(tree, tuple(entries))
@@ -285,14 +282,16 @@ def evaluate_generators(psi: PatternTensor, split: Bipartition,
 
     Enumeration order is frozen for reproducibility of budgeted runs:
     blocks in irrep order, row subsets lexicographically major, column
-    subsets lexicographically within each row subset.  The maximum absolute
-    minor is an exact membership witness: all minors vanish iff every block
-    rank bound holds.
+    subsets lexicographically within each row subset.  The minors are
+    those of the ``character_flattening`` blocks, whose multiplicity-space
+    bases are orthonormal: another such basis changes the minors but not
+    the ideal they generate.  The maximum absolute minor is an exact
+    membership witness: all minors vanish iff every block rank bound holds.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     scored = averaged(psi, model) if average else psi
-    tf = thin_flatten(scored, split, model)
+    tf = character_flattening(scored, split, model)
     target = model.multiplicities(1)
     best = 0.0
     evaluated = 0

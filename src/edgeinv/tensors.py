@@ -12,26 +12,18 @@ The thin flattening of a tensor along a bipartition is the family of blocks
 obtained by transforming the plain flattening into the symmetry-adapted bases
 of both sides: for a G-invariant tensor the transformed matrix is block
 diagonal with one block per (irrep, copy) pair and identical blocks across
-copies, so only the first copy is kept.  The largest entry outside the
-permitted blocks (leakage) and the largest disagreement among copies are
-diagnostics rather than errors, since empirical tensors violate invariance by
-sampling noise; they need the full transformed matrix, so they are computed
-only on first access.
+copies, so only the first copy is kept.
 
-Two routes compute the blocks.  ``thin_flatten`` multiplies the split's
-flattening by the first-copy columns of the sparse adapted bases of its two
-sides; it is the reference the tests check against, and the route of the
-generator minors, whose entries are adapted-basis coordinates.
-``character_flattening`` is the scoring route of every model.  It reads
-the blocks from the tensor's one character transform: the one-site
-adapted basis of an abelian label group applied along every axis (the
-model's own for GMM, SSM and K81, K81's for K80 and JC69).  A transformed
-pattern lies in the isotypic component of the product of its digits'
-characters, its label, so the block of irrep t is a gather of the side-1
-patterns of label c_t against the side-2 patterns of label c_t, compressed
-on both sides to the first copy of t by a small change of basis for the
-stabiliser of c_t (``groups.CliffordReduction``).  c_t is the first label
-that D_t(v) e_A touches, read off the irrep matrices; for the abelian
+One route computes the blocks, ``character_flattening``, for every model
+and every caller.  It reads them from the tensor's one character transform:
+the one-site adapted basis of an abelian label group applied along every
+axis (the model's own for GMM, SSM and K81, K81's for K80 and JC69).  A
+transformed pattern lies in the isotypic component of the product of its
+digits' characters, its label, so the block of irrep t is a gather of the
+side-1 patterns of label c_t against the side-2 patterns of label c_t,
+compressed on both sides to the first copy of t by a small change of basis
+for the stabiliser of c_t (``groups.CliffordReduction``).  c_t is the first
+label that D_t(v) e_A touches, read off the irrep matrices; for the abelian
 models it is t itself and the change of basis is the identity.  No basis
 above power 1 is built.
 """
@@ -234,20 +226,9 @@ class ThinFlattening:
     """Per-irrep multiplicity-space blocks of a flattening along a split.
 
     blocks[t] has shape m(l1)_t x m(l2)_t (possibly empty) and is the copy
-    r=1 block.  Two invariance diagnostics are computed on first access from
-    the full transformed flattening of ``psi`` in the sparse adapted bases,
-    whichever route built the blocks: ``leakage``, the largest
-    transformed entry outside all (irrep, copy) diagonal blocks, and
-    ``copy_disagreement``, the largest entrywise gap between any copy's block
-    and the first.  Both vanish (to 1e-10) on exactly invariant tensors, and
-    no scoring path reads them.
-
-    Raw block entries depend on the multiplicity-space bases, which differ
-    between ``thin_flatten`` and ``character_flattening``; their singular
-    values (``spectra``, hence all ranks and scores downstream) do not, since
-    the bases are orthonormal.  The one exception is K80's E on a tensor
-    that is not invariant, where ``character_flattening`` holds another
-    copy of E than the first.
+    r=1 block, in the multiplicity-space bases of ``character_flattening``.
+    Other orthonormal bases of those spaces give other entries but the same
+    singular values (``spectra``, hence all ranks and scores downstream).
     """
 
     split: object
@@ -256,64 +237,12 @@ class ThinFlattening:
     dims: tuple[int, ...]
     row_mult: MultiplicityVector
     col_mult: MultiplicityVector
-    psi: PatternTensor = field(repr=False, compare=False)
-    model: EquivariantModel = field(repr=False, compare=False)
 
     @cached_property
     def spectra(self) -> tuple[np.ndarray, ...]:
         """Each block's singular values, descending; empty for empty blocks."""
         return tuple(np.linalg.svd(b, compute_uv=False) if b.size
                      else np.empty(0) for b in self.blocks)
-
-    @property
-    def leakage(self) -> float:
-        return self._invariance_gaps[0]
-
-    @property
-    def copy_disagreement(self) -> float:
-        return self._invariance_gaps[1]
-
-    @cached_property
-    def _invariance_gaps(self) -> tuple[float, float]:
-        """(leakage, copy_disagreement) of the full transformed flattening."""
-        basis1 = symmetry_adapted_basis(self.model, self.row_mult.power)
-        basis2 = symmetry_adapted_basis(self.model, self.col_mult.power)
-        half = basis1.matrix.T @ flatten(self.psi, self.split)
-        transformed = np.asarray((basis2.matrix.T @ half.T).T)
-        off_block = np.abs(transformed)
-        disagreement = 0.0
-        for t, d in enumerate(self.dims):
-            for r in range(d):
-                rows = basis1.columns(t, r)
-                cols = basis2.columns(t, r)
-                block = transformed[rows.start:rows.stop, cols.start:cols.stop]
-                off_block[rows.start:rows.stop, cols.start:cols.stop] = 0.0
-                if not r:
-                    first = block
-                elif block.size:
-                    disagreement = max(disagreement, float(
-                        np.abs(block - first).max()))
-        leakage = float(off_block.max()) if off_block.size else 0.0
-        return leakage, disagreement
-
-
-def thin_flatten(psi: PatternTensor, split,
-                 model: EquivariantModel) -> ThinFlattening:
-    """Transform the flattening into the symmetry-adapted bases of the two
-    sides and return the per-irrep first-copy blocks; only those blocks are
-    computed."""
-    side1, side2 = _sides(psi, split)
-    basis1 = symmetry_adapted_basis(model, len(side1))
-    basis2 = symmetry_adapted_basis(model, len(side2))
-    mat = flatten(psi, split)
-    blocks = []
-    for rows, cols in zip(basis1.first_copies, basis2.first_copies):
-        # block[i, j] = (copy-0 column i of basis1) . M . (column j of basis2)
-        half = rows @ mat
-        blocks.append(np.ascontiguousarray((cols @ half.T).T))
-    return ThinFlattening(split, model.name, tuple(blocks), model.dims,
-                          basis1.multiplicities, basis2.multiplicities,
-                          psi, model)
 
 
 class CharacterTransform:
@@ -389,10 +318,8 @@ def character_flattening(psi: PatternTensor, split,
     """The thin flattening along ``split``, from the character transform of
     ``psi`` under the model's label group (see ``CliffordReduction``): the
     label-c_t block of every irrep t, compressed on both sides to the first
-    copy of t.  Its blocks differ from ``thin_flatten``'s by orthogonal
-    changes of basis within each multiplicity space, so their spectra
-    agree; on a tensor that is not group-invariant they agree too, except
-    for K80's E, whose copy here is not the first copy of its irrep."""
+    copy of t.  On a tensor that is not group-invariant, K80's E block is
+    another copy of E than the first."""
     side1, side2 = _sides(psi, split)
     reduction = clifford_reduction(model)
     wanted = sorted(set(reduction.irrep_labels))
@@ -405,7 +332,7 @@ def character_flattening(psi: PatternTensor, split,
                        reduction.first_copies(len(side2))))
     return ThinFlattening(split, model.name, blocks, model.dims,
                           model.multiplicities(len(side1)),
-                          model.multiplicities(len(side2)), psi, model)
+                          model.multiplicities(len(side2)))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,110 @@
-"""Test-only helpers: tensors, relabellings, dense operators, the plain
-flattening rank, presentation JSON round-trips, and the loop forms of the
-FASTA column count and the character transform, that the tests build their
-fixtures and oracles from, and the package does not use."""
+"""Test-only helpers: the sparse-basis thin flattening with its invariance
+diagnostics, tensors, relabellings, dense operators, the plain flattening
+rank, presentation JSON round-trips, and the loop forms of the FASTA column
+count and the character transform, that the tests build their fixtures and
+oracles from, and the package does not use.  Only the sparse route needs
+scipy."""
 
 import json
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
+from scipy import sparse
 
-from edgeinv.groups import K, EquivariantModel, builtin_model, \
-    pattern_maps, symmetry_adapted_basis
+from edgeinv.groups import K, EquivariantModel, SymmetryAdaptedBasis, \
+    builtin_model, pattern_maps, symmetry_adapted_basis
 from edgeinv.simulate import EvolutionaryPresentation
-from edgeinv.tensors import PatternTensor, ThinFlattening
+from edgeinv.tensors import PatternTensor, ThinFlattening, _sides, flatten
 from edgeinv.trees import from_newick, to_newick
 
 MAX_DENSE_POWER = 6     # dense k^l x k^l projector guard
+
+
+# ---------------------------------------------------------------------------
+# The sparse-basis route: the reference for character_flattening
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def basis_matrix(basis: SymmetryAdaptedBasis) -> sparse.csc_matrix:
+    """The basis as a scipy CSC matrix."""
+    size = K ** basis.power
+    return sparse.csc_matrix(basis.csc_arrays, shape=(size, size))
+
+
+@lru_cache(maxsize=32)
+def first_copies(basis: SymmetryAdaptedBasis) -> tuple:
+    """Per irrep t, the copy-0 columns transposed (m_t x k^l, CSR), so that
+    ``first_copies(basis)[t] @ v`` holds the copy-0 coordinates of v."""
+    return tuple(basis_matrix(basis)[:, basis.columns(t, 0)].T.tocsr()
+                 for t in range(basis.model.n_irreps))
+
+
+@dataclass(frozen=True)
+class SparseThinFlattening(ThinFlattening):
+    """A ``ThinFlattening`` in the sparse adapted bases, with two invariance
+    diagnostics computed on first access from the full transformed
+    flattening: ``leakage``, the largest transformed entry outside all
+    (irrep, copy) diagonal blocks, and ``copy_disagreement``, the largest
+    entrywise gap between any copy's block and the first.  Both vanish (to
+    1e-10) on exactly invariant tensors."""
+
+    psi: PatternTensor = field(repr=False, compare=False)
+    model: EquivariantModel = field(repr=False, compare=False)
+
+    @property
+    def leakage(self) -> float:
+        return self._invariance_gaps[0]
+
+    @property
+    def copy_disagreement(self) -> float:
+        return self._invariance_gaps[1]
+
+    @cached_property
+    def _invariance_gaps(self) -> tuple[float, float]:
+        """(leakage, copy_disagreement) of the full transformed flattening."""
+        basis1 = symmetry_adapted_basis(self.model, self.row_mult.power)
+        basis2 = symmetry_adapted_basis(self.model, self.col_mult.power)
+        half = basis_matrix(basis1).T @ flatten(self.psi, self.split)
+        transformed = np.asarray((basis_matrix(basis2).T @ half.T).T)
+        off_block = np.abs(transformed)
+        disagreement = 0.0
+        for t, d in enumerate(self.dims):
+            for r in range(d):
+                rows = basis1.columns(t, r)
+                cols = basis2.columns(t, r)
+                block = transformed[rows.start:rows.stop, cols.start:cols.stop]
+                off_block[rows.start:rows.stop, cols.start:cols.stop] = 0.0
+                if not r:
+                    first = block
+                elif block.size:
+                    disagreement = max(disagreement, float(
+                        np.abs(block - first).max()))
+        leakage = float(off_block.max()) if off_block.size else 0.0
+        return leakage, disagreement
+
+
+def thin_flatten(psi: PatternTensor, split,
+                 model: EquivariantModel) -> SparseThinFlattening:
+    """Transform the flattening into the symmetry-adapted bases of the two
+    sides and return the per-irrep first-copy blocks; only those blocks are
+    computed.  They differ from ``character_flattening``'s by orthogonal
+    changes of basis within each multiplicity space, so their spectra
+    agree; on a tensor that is not group-invariant they agree too, except
+    for K80's E, where ``character_flattening`` holds another copy of E."""
+    side1, side2 = _sides(psi, split)
+    basis1 = symmetry_adapted_basis(model, len(side1))
+    basis2 = symmetry_adapted_basis(model, len(side2))
+    mat = flatten(psi, split)
+    blocks = []
+    for rows, cols in zip(first_copies(basis1), first_copies(basis2)):
+        # block[i, j] = (copy-0 column i of basis1) . M . (column j of basis2)
+        half = rows @ mat
+        blocks.append(np.ascontiguousarray((cols @ half.T).T))
+    return SparseThinFlattening(split, model.name, tuple(blocks), model.dims,
+                                basis1.multiplicities, basis2.multiplicities,
+                                psi, model)
 
 
 def reassemble_flattening(tf: ThinFlattening,
@@ -31,8 +121,8 @@ def reassemble_flattening(tf: ThinFlattening,
             rows = basis1.columns(t, r)
             cols = basis2.columns(t, r)
             transformed[rows.start:rows.stop, cols.start:cols.stop] = tf.blocks[t]
-    half = basis2.matrix @ transformed.T
-    return np.asarray((basis1.matrix @ half.T))
+    half = basis_matrix(basis2) @ transformed.T
+    return np.asarray((basis_matrix(basis1) @ half.T))
 
 
 def identity_link(label_a: int, label_b: int) -> PatternTensor:

@@ -29,7 +29,6 @@ from edgeinv.tensors import (
     averaged,
     flatten,
     star_contract,
-    thin_flatten,
     thin_rank,
 )
 from edgeinv.trees import (
@@ -38,7 +37,7 @@ from edgeinv.trees import (
     splits_compatible,
     tree_from_splits,
 )
-from helpers import flattening_rank
+from helpers import flattening_rank, thin_flatten
 
 MODELS = ("GMM", "SSM", "K81", "K80", "JC69")
 

@@ -355,9 +355,10 @@ class TestBases:
             for power in range(1, 7):
                 expected, expected_tags = orbitwise_basis(model, power)
                 basis = G._build_basis(model, power)
-                assert np.array_equal(basis.matrix.indptr, expected.indptr)
-                assert np.array_equal(basis.matrix.indices, expected.indices)
-                assert np.array_equal(basis.matrix.data, expected.data)
+                data, indices, indptr = basis.csc_arrays
+                assert np.array_equal(indptr, expected.indptr)
+                assert np.array_equal(indices, expected.indices)
+                assert np.array_equal(data, expected.data)
                 assert basis.tags == expected_tags
         finally:
             G._BASIS_CACHE.clear()

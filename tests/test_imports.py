@@ -1,10 +1,10 @@
-"""The solve path imports no scipy and no numpy.ma.
+"""No subcommand imports scipy or numpy.ma.
 
-Only the sparse adapted bases (``model-info --basis``, the generator minors,
-``thin_flatten`` and the test oracles) need scipy, and they import it when
-first used.  Some forms of ``np.unique`` and ``np.median`` import numpy.ma
-lazily, which costs 15-25 ms inside a solve.  Each command runs in a fresh
-interpreter, since this one has both loaded already.
+The package depends on numpy alone; only the tests' sparse-basis oracle
+(``helpers.thin_flatten``) uses scipy.  Some forms of ``np.unique`` and
+``np.median`` import numpy.ma lazily, which costs 15-25 ms inside a solve.
+The commands run in a fresh interpreter, since this one has both loaded
+already.
 """
 
 import json
@@ -53,6 +53,9 @@ def test_benchmark_commands_import_no_scipy(tmp_path):
         ["score", "--model", "K80", "--input", str(paths["K80"]),
          "--all-splits"],
         ["fit", "--models", "JC69,K81", "--input", str(paths["K81"])],
+        ["model-info", "--model", "JC69", "--power", "3", "--basis"],
+        ["simulate", "--model", "K80", "--tree", "((a,b),(c,d));",
+         "--seed", "3", "--sites", "500", "--out", str(tmp_path / "sim.fa")],
     ]
     src = str(Path(ei.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -123,13 +123,13 @@ class TestExhaustive:
 
     def test_each_split_flattened_once(self, monkeypatch):
         flattened = []
-        original = edgeinv.scores.thin_flatten
+        original = edgeinv.scores.character_flattening
 
         def counted(psi, split, model):
             flattened.append(split)
             return original(psi, split, model)
 
-        monkeypatch.setattr(edgeinv.scores, "thin_flatten", counted)
+        monkeypatch.setattr(edgeinv.scores, "character_flattening", counted)
         model = builtin_model("K81")
         psi = joint_distribution(random_presentation(model, caterpillar6(), 3))
         assert reconstruct_exhaustive(psi, model).tree == caterpillar6()
@@ -139,13 +139,13 @@ class TestExhaustive:
 
     def test_audit_reads_the_split_table(self, monkeypatch):
         flattened = []
-        original = edgeinv.scores.thin_flatten
+        original = edgeinv.scores.character_flattening
 
         def counted(psi, split, model):
             flattened.append(split)
             return original(psi, split, model)
 
-        monkeypatch.setattr(edgeinv.scores, "thin_flatten", counted)
+        monkeypatch.setattr(edgeinv.scores, "character_flattening", counted)
         model = builtin_model("JC69")
         psi = joint_distribution(random_presentation(model, caterpillar6(), 3))
         assert reconstruct_exhaustive(psi, model).tree == caterpillar6()

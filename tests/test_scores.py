@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 import edgeinv.groups
-import edgeinv.scores
-import edgeinv.tensors
 from edgeinv.groups import builtin_model
 from edgeinv.reconstruct import reconstruct_exhaustive
 from edgeinv.scores import (
@@ -24,13 +22,14 @@ from edgeinv.simulate import (
     no_mutation_presentation,
     random_presentation,
 )
-from edgeinv.tensors import PatternTensor, averaged, thin_flatten, thin_rank
+from edgeinv.tensors import PatternTensor, averaged, thin_rank
 from edgeinv.trees import (
     Bipartition,
     TreeTopology,
     enumerate_trivalent_topologies,
     from_newick,
 )
+from helpers import thin_flatten
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -155,21 +154,14 @@ class TestScoreSplits:
 
     def test_abelian_table_flattens_nothing(self, monkeypatch):
         # K81 blocks come from one character transform of the tensor: no
-        # sparse flattening and no adapted basis above power 1
-        flattened, built = [], []
-        original_flatten = edgeinv.tensors.thin_flatten
+        # adapted basis above power 1
+        built = []
         original_build = edgeinv.groups._build_basis
-
-        def counted_flatten(psi, split, model):
-            flattened.append(split)
-            return original_flatten(psi, split, model)
 
         def counted_build(model, power):
             built.append(power)
             return original_build(model, power)
 
-        monkeypatch.setattr(edgeinv.scores, "thin_flatten", counted_flatten)
-        monkeypatch.setattr(edgeinv.tensors, "thin_flatten", counted_flatten)
         monkeypatch.setattr(edgeinv.groups, "_build_basis", counted_build)
         monkeypatch.setattr(edgeinv.groups, "_BASIS_CACHE", {})
         model = builtin_model("K81")
@@ -179,26 +171,18 @@ class TestScoreSplits:
         caterpillar = from_newick("(((((((1,2),3),4),5),6),7),8);")[0]
         audit = genericity_check(psi, model, caterpillar, table=table)
         assert len(table) == 119 and len(audit.entries) == 127
-        assert flattened == []
         assert built and max(built) == 1
 
     def test_klein_route_flattens_nothing(self, monkeypatch):
         # K80 and JC69 blocks come from K81's character transform of the
-        # tensor: no sparse flattening and no adapted basis above power 1
-        flattened, built = [], []
-        original_flatten = edgeinv.tensors.thin_flatten
+        # tensor: no adapted basis above power 1
+        built = []
         original_build = edgeinv.groups._build_basis
-
-        def counted_flatten(psi, split, model):
-            flattened.append(split)
-            return original_flatten(psi, split, model)
 
         def counted_build(model, power):
             built.append(power)
             return original_build(model, power)
 
-        monkeypatch.setattr(edgeinv.scores, "thin_flatten", counted_flatten)
-        monkeypatch.setattr(edgeinv.tensors, "thin_flatten", counted_flatten)
         monkeypatch.setattr(edgeinv.groups, "_build_basis", counted_build)
         monkeypatch.setattr(edgeinv.groups, "_BASIS_CACHE", {})
         k80 = builtin_model("K80")
@@ -211,7 +195,6 @@ class TestScoreSplits:
         result = reconstruct_exhaustive(exact, jc69)
         assert result.tree.interior_splits() == tree.interior_splits()
         assert result.genericity_warnings == ()
-        assert flattened == []
         assert max(built, default=1) == 1
 
     def test_table_takes_one_norm(self, monkeypatch):
@@ -387,7 +370,8 @@ class TestEvaluateGenerators:
                                 builtin_model("GMM"), budget=500)
         assert a == b
 
-    @pytest.mark.parametrize("name,budget", [("K81", 144), ("JC69", 12)])
+    @pytest.mark.parametrize("name,budget", [("SSM", 6272), ("K81", 144),
+                                             ("K80", 56), ("JC69", 12)])
     @pytest.mark.parametrize("seed", range(5))
     def test_spectral_and_minor_tests_agree(self, name, budget, seed):
         model = builtin_model(name)

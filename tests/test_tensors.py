@@ -32,16 +32,17 @@ from edgeinv.tensors import (
     tensor_from_json,
     tensor_to_bytes,
     tensor_to_json,
-    thin_flatten,
     thin_rank,
 )
 from edgeinv.trees import Bipartition
 from helpers import (
+    basis_matrix,
     character_transform_loop,
     flattening_rank,
     identity_link,
     permute_labels,
     reassemble_flattening,
+    thin_flatten,
 )
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
@@ -284,8 +285,8 @@ def full_transform_blocks(psi, split, model):
     mat = flatten(psi, split)
     basis1 = symmetry_adapted_basis(model, int(np.log2(mat.shape[0])) // 2)
     basis2 = symmetry_adapted_basis(model, int(np.log2(mat.shape[1])) // 2)
-    half = basis1.matrix.T @ mat
-    transformed = np.asarray((basis2.matrix.T @ half.T).T)
+    half = basis_matrix(basis1).T @ mat
+    transformed = np.asarray((basis_matrix(basis2).T @ half.T).T)
     blocks = []
     for t in range(model.n_irreps):
         rows, cols = basis1.columns(t, 0), basis2.columns(t, 0)
