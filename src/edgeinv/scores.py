@@ -35,6 +35,7 @@ from .trees import Bipartition, TreeTopology
 
 DEFAULT_RANK_TOL = 1e-7
 DEFAULT_SCORE_TOL = 1e-8
+MAX_AUDIT_LEAVES = 10
 
 
 @dataclass(frozen=True)
@@ -190,8 +191,9 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
     instead of being flattened again.
     """
     n = psi.n
-    if n > 10:
-        raise ValueError("genericity audit capped at 10 leaves")
+    if n > MAX_AUDIT_LEAVES:
+        raise ValueError(f"genericity audit capped at {MAX_AUDIT_LEAVES} "
+                         "leaves")
     if tree.n_leaves != n:
         raise ValueError("tensor and tree disagree on the leaf count")
     scored = averaged(psi, model) if average else psi

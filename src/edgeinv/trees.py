@@ -363,18 +363,41 @@ def bough_counts(tree: TreeTopology, split: Bipartition) -> BoughProfile:
 
 # ---------------------------------------------------------------------------
 # Newick serialization.  Branch lengths are accepted on input and ignored;
-# the unrooted tree is printed from an arbitrary internal root.
+# the unrooted tree is printed from the vertex where leaves 1, 2 and 3 meet.
 # ---------------------------------------------------------------------------
 
+def _median_of_first_three(tree: TreeTopology) -> int:
+    """The interior vertex on the paths between leaves 1, 2 and 3."""
+    parent = {1: 1}
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for w in tree.adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                stack.append(w)
+    on_path_to_2 = {1}
+    v = 2
+    while v != 1:
+        on_path_to_2.add(v)
+        v = parent[v]
+    v = 3
+    while v not in on_path_to_2:
+        v = parent[v]
+    return v
+
+
 def to_newick(tree: TreeTopology, names: Optional[Mapping[int, str]] = None) -> str:
-    """Render the unrooted tree, rooted for printing at an interior vertex."""
+    """Render the unrooted tree, rooted for printing at the vertex where the
+    paths between leaves 1, 2 and 3 meet, children ordered by their least
+    leaf; the string depends on the topology only, not on vertex ids."""
     if names is None:
         names = {i: str(i) for i in range(1, tree.n_leaves + 1)}
     if tree.n_leaves == 1:
         return f"{names[1]};"
     if tree.n_leaves == 2:
         return f"({names[1]},{names[2]});"
-    root = min(tree.interior_vertices)
+    root = _median_of_first_three(tree)
 
     def render(v: int, parent: int) -> tuple[str, int]:
         if v <= tree.n_leaves:

@@ -1,5 +1,5 @@
 """Test-only helpers: the sparse-basis thin flattening with its invariance
-diagnostics, tensors, relabellings, dense operators, the plain flattening
+diagnostics, the exhaustive decision by scanning every topology, tensors, relabellings, dense operators, the plain flattening
 rank, presentation JSON round-trips, and the loop forms of the FASTA column
 count and the character transform, that the tests build their fixtures and
 oracles from, and the package does not use.  Only the sparse route needs
@@ -15,9 +15,15 @@ from scipy import sparse
 
 from edgeinv.groups import K, EquivariantModel, SymmetryAdaptedBasis, \
     builtin_model, pattern_maps, symmetry_adapted_basis
+from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_TIE, \
+    ReconstructionResult, _check_tol, data_driven_tol
+from edgeinv.scores import DEFAULT_SCORE_TOL, all_bipartitions, \
+    genericity_check, score_splits
 from edgeinv.simulate import EvolutionaryPresentation
-from edgeinv.tensors import PatternTensor, ThinFlattening, _sides, flatten
-from edgeinv.trees import from_newick, to_newick
+from edgeinv.tensors import PatternTensor, ThinFlattening, _sides, averaged, \
+    flatten
+from edgeinv.trees import TreeTopology, enumerate_trivalent_topologies, \
+    from_newick, to_newick
 
 MAX_DENSE_POWER = 6     # dense k^l x k^l projector guard
 
@@ -105,6 +111,70 @@ def thin_flatten(psi: PatternTensor, split,
     return SparseThinFlattening(split, model.name, tuple(blocks), model.dims,
                                 basis1.multiplicities, basis2.multiplicities,
                                 psi, model)
+
+
+# ---------------------------------------------------------------------------
+# The topology scan: the reference for reconstruct_exhaustive
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def enumerated(n: int) -> tuple[TreeTopology, ...]:
+    """``enumerate_trivalent_topologies(n)``, built once, so that each tree
+    computes its splits once."""
+    return tuple(enumerate_trivalent_topologies(n))
+
+
+def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
+                    tol: Optional[float] = DEFAULT_SCORE_TOL,
+                    average: bool = True, check_genericity: bool = True
+                    ) -> tuple[ReconstructionResult, tuple[TreeTopology, ...]]:
+    """``reconstruct_exhaustive`` by scoring every enumerated topology.
+
+    Returns the result and the topologies whose totals lie within 1e-15 of
+    the least one.  Without a unique passer the result's tree is the first
+    of those in enumeration order.  ``tol=None`` takes the median over every
+    topology's interior split scores, each split counted once per topology.
+    """
+    _check_tol(tol)
+    n = psi.n
+    scored_psi = averaged(psi, model) if average else psi
+    table = score_splits(scored_psi, model,
+                         all_bipartitions(n, nontrivial_only=True),
+                         average=False)
+    topologies = enumerated(n)
+    tree_scores = [tuple(table[s] for s in tree.interior_splits())
+                   for tree in topologies]
+    if tol is None:
+        tol = data_driven_tol(s.score for scores in tree_scores
+                              for s in scores)
+    totals = [sum(s.score for s in scores) for scores in tree_scores]
+    passers = [i for i, scores in enumerate(tree_scores)
+               if all(s.score <= tol for s in scores)]
+    best = min(totals)
+    tied = [i for i, total in enumerate(totals) if total <= best + 1e-15]
+
+    warnings: list[str] = []
+    if len(passers) == 1:
+        winner = passers[0]
+    else:
+        warnings.append(WARN_NO_UNIQUE_PASS)
+        if passers:
+            warnings.append(f"{len(passers)} topologies pass at tol {tol:g}")
+        if len(tied) > 1:
+            warnings.append(WARN_TIE)
+        winner = tied[0]
+
+    genericity: tuple[str, ...] = ()
+    if check_genericity:
+        audit = genericity_check(scored_psi, model, topologies[winner],
+                                 average=False, table=table)
+        genericity = tuple(audit.warnings())
+    result = ReconstructionResult(
+        method="exhaustive", tree=topologies[winner],
+        chosen_splits=tree_scores[winner], rejected_splits=(),
+        warnings=tuple(warnings), genericity_warnings=genericity,
+        passers=len(passers), tol=tol)
+    return result, tuple(topologies[i] for i in tied)
 
 
 def reassemble_flattening(tf: ThinFlattening,

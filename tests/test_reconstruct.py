@@ -1,10 +1,15 @@
-"""Reconstruction pipeline tests: exhaustive scan, split selection,
+"""Reconstruction pipeline tests: exhaustive decision, split selection,
 empirical tensors, and diagnostic behavior on degenerate inputs."""
+
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import edgeinv.reconstruct
 import edgeinv.scores
+import helpers
 from edgeinv.groups import builtin_model
 from edgeinv.reconstruct import (
     WARN_NO_UNIQUE_PASS,
@@ -14,7 +19,7 @@ from edgeinv.reconstruct import (
     reconstruct_by_splits,
     reconstruct_exhaustive,
 )
-from edgeinv.scores import all_bipartitions, split_score
+from edgeinv.scores import all_bipartitions, score_splits, split_score
 from edgeinv.simulate import (
     Alignment,
     joint_distribution,
@@ -29,9 +34,10 @@ from edgeinv.trees import (
     Bipartition,
     TreeTopology,
     enumerate_trivalent_topologies,
+    from_newick,
     tree_from_splits,
 )
-from helpers import permute_labels
+from helpers import permute_labels, scan_exhaustive
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -67,7 +73,7 @@ class TestExhaustive:
         result = reconstruct_exhaustive(psi, model)
         assert result.tree == quartet(2)
         assert result.confident
-        assert sum(c.passed for c in result.candidates) == 1
+        assert result.passers == 1
 
     @pytest.mark.parametrize("partner", [2, 3, 4])
     def test_every_quartet_topology_recoverable(self, partner):
@@ -79,7 +85,7 @@ class TestExhaustive:
     def test_no_mutation_passes_everything(self):
         psi = joint_distribution(no_mutation_presentation(quartet(2)))
         result = reconstruct_exhaustive(psi, builtin_model("K81"))
-        assert all(c.passed for c in result.candidates)
+        assert result.passers == 3
         assert WARN_NO_UNIQUE_PASS in result.warnings
         assert WARN_TIE in result.warnings
         assert not result.confident
@@ -107,9 +113,9 @@ class TestExhaustive:
         scores = {s: split_score(psi, s, model).score
                   for s in all_bipartitions(5, nontrivial_only=True)}
         result = reconstruct_exhaustive(psi, model, tol=tol)
-        for c in result.candidates:
-            assert c.passed == all(scores[s] <= result.tol
-                                   for s in c.tree.interior_splits())
+        assert result.passers == sum(
+            all(scores[s] <= result.tol for s in t.interior_splits())
+            for t in enumerate_trivalent_topologies(5))
 
     @pytest.mark.parametrize("method", [reconstruct_exhaustive,
                                         reconstruct_by_splits])
@@ -158,10 +164,45 @@ class TestExhaustive:
         result = reconstruct_exhaustive(psi, builtin_model("GMM"))
         assert result.genericity_warnings
 
+    def test_unique_passer_beats_a_lower_failing_total(self, monkeypatch):
+        model = builtin_model("K81")
+        passer, _ = from_newick("((1,4),(2,5),3);")
+        psi = joint_distribution(random_presentation(model, passer, 5))
+        real = score_splits(psi, model, all_bipartitions(5, True))
+        # the passer's two splits score 0.9 (total 1.8, both <= tol 1); the
+        # tree ((1,5),(2,4),3) totals 1.5 but fails on its 1,5|2,3,4 split
+        scores = dict.fromkeys(real, 2.0)
+        scores.update(dict.fromkeys(passer.interior_splits(), 0.9))
+        scores[Bipartition({2, 4}, 5)] = 0.0
+        scores[Bipartition({2, 3, 4}, 5)] = 1.5
+        table = {split: replace(s, score=scores[split])
+                 for split, s in real.items()}
+        monkeypatch.setattr(edgeinv.reconstruct, "score_splits",
+                            lambda *args, **kwargs: table)
+        result = reconstruct_exhaustive(psi, model, tol=1.0,
+                                        check_genericity=False)
+        assert result.passers == 1
+        assert result.tree == passer
+        assert result.confident
+
     def test_leaf_guard(self):
-        psi = PatternTensor(np.zeros(4 ** 9), tuple(range(1, 10)))
+        psi = PatternTensor(np.zeros(4 ** 2), (1, 2))
         with pytest.raises(ValueError):
             reconstruct_exhaustive(psi, builtin_model("GMM"))
+        # no PatternTensor holds 13 positions (the dense cap is 12), so a
+        # stand-in that carries only the leaf count reaches the guard
+        with pytest.raises(ValueError, match=r"3\.\.12 leaves"):
+            reconstruct_exhaustive(SimpleNamespace(n=13), builtin_model("GMM"))
+
+    def test_nine_leaf_caterpillar(self):
+        model = builtin_model("K81")
+        tree = from_newick("((((((((1,2),3),4),5),6),7),8),9);")[0]
+        psi = joint_distribution(random_presentation(model, tree, 9))
+        result = reconstruct_exhaustive(psi, model)
+        assert result.tree == tree
+        assert result.confident
+        assert result.passers == 1
+        assert reconstruct_by_splits(psi, model).tree == result.tree
 
     @pytest.mark.parametrize("seed", range(2))
     def test_relabel_equivariance(self, seed):
@@ -173,6 +214,70 @@ class TestExhaustive:
         relabeled = relabeled_tree(reconstruct_exhaustive(psi, model).tree,
                                    mapping)
         assert direct == relabeled
+
+
+class TestAgainstTheScan:
+    """The dynamic program decides as the scan over every enumerated
+    topology does."""
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_same_decision_and_report(self, n, name):
+        model = builtin_model(name)
+        topologies = enumerate_trivalent_topologies(n)
+        tree = topologies[(7 * n) % len(topologies)]
+        psi = joint_distribution(random_presentation(model, tree, n))
+        sampled = empirical_tensor(sample_alignment(psi, 3000, seed=n))
+        for tensor in (psi, sampled):
+            for tol in (None, 0.0, 1e-8):
+                result = reconstruct_exhaustive(tensor, model, tol=tol)
+                reference, _ = scan_exhaustive(tensor, model, tol=tol)
+                assert result.tree == reference.tree
+                assert result.passers == reference.passers
+                assert result.tol == reference.tol
+                assert result.warnings == reference.warnings
+                assert (result.to_report(model, n)
+                        == reference.to_report(model, n))
+
+    @pytest.mark.parametrize("n", range(4, 7))
+    def test_integer_scores_tie_often(self, n, monkeypatch):
+        # sums of scores in {0, 1, 2} are exact, so exact ties are common,
+        # also between trees that share their top split
+        model = builtin_model("K81")
+        psi = joint_distribution(random_presentation(
+            model, enumerate_trivalent_topologies(n)[0], n))
+        real = score_splits(psi, model, all_bipartitions(n, True))
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            table = {split: replace(s, score=float(rng.integers(3)))
+                     for split, s in real.items()}
+            for module in (edgeinv.reconstruct, helpers):
+                monkeypatch.setattr(module, "score_splits",
+                                    lambda *args, **kwargs: table)
+            for tol in (None, 0.0, 1.0):
+                result = reconstruct_exhaustive(psi, model, tol=tol,
+                                                check_genericity=False)
+                reference, tied = scan_exhaustive(psi, model, tol=tol,
+                                                  check_genericity=False)
+                assert result.passers == reference.passers
+                assert result.tol == reference.tol
+                assert result.warnings == reference.warnings
+                if result.passers == 1:
+                    assert result.tree == reference.tree
+                else:
+                    assert result.tree in tied
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_exact_tie_goes_to_a_tied_tree(self, n):
+        model = builtin_model("K81")
+        tree = enumerate_trivalent_topologies(n)[-1]
+        psi = joint_distribution(no_mutation_presentation(tree))
+        result = reconstruct_exhaustive(psi, model)
+        reference, tied = scan_exhaustive(psi, model)
+        assert WARN_TIE in result.warnings
+        assert result.warnings == reference.warnings
+        assert result.tree in tied
+        assert reconstruct_exhaustive(psi, model).tree == result.tree
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +391,12 @@ class TestDataDrivenTol:
 
     def test_empty_falls_back(self):
         assert data_driven_tol([]) > 0
+
+    def test_weights_repeat_scores(self):
+        # the medians of [1, 2, 2, 2, 3] and of [1, 3, 3, 3]
+        assert data_driven_tol([3.0, 1.0, 2.0], [1, 1, 3]) == pytest.approx(0.02)
+        assert data_driven_tol([1.0, 3.0], [1, 3]) == pytest.approx(0.03)
+        assert data_driven_tol([1.0, 2.0], [0, 0]) > 0
 
 
 class TestConsistencyTrend:

@@ -343,6 +343,17 @@ class TestNewick:
             assert parsed == t
             assert names == {i: str(i) for i in range(1, 6)}
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_string_depends_on_the_topology_only(self, n):
+        for t in enumerate_trivalent_topologies(n):
+            text = to_newick(t)
+            assert to_newick(tree_from_splits(t.interior_splits(), n)) == text
+            assert to_newick(from_newick(text)[0]) == text
+
+    def test_printed_from_where_leaves_1_2_3_meet(self):
+        tree, _ = from_newick("((((1,2),3),4),5,6);")
+        assert to_newick(tree) == "(1,2,(3,(4,(5,6))));"
+
     def test_named_taxa_sorted_assignment(self):
         tree, names = from_newick("((human,chimp),gorilla,orang);")
         assert tree.n_leaves == 4
