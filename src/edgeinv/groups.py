@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trees import Bipartition, TreeTopology, bough_counts
+from .trees import Bipartition, TreeTopology, min_edge_cut
 
 STATES = ("A", "C", "G", "T")
 K = 4
@@ -836,7 +836,7 @@ def label_classes(model: EquivariantModel,
 
 def expected_rank_vector(model: EquivariantModel, tree: TreeTopology,
                          split: Bipartition) -> MultiplicityVector:
-    """The rank ceiling m(min(n1, n2)) a tensor from ``tree`` can attain on
-    the thin flattening along ``split``."""
-    profile = bough_counts(tree, split)
-    return model.multiplicities(min(profile.n1, profile.n2))
+    """The rank ceiling m(c) a tensor from ``tree`` can attain on the thin
+    flattening along ``split``, where c = ``min_edge_cut(tree, split)`` is
+    the fewest edges whose removal separates its two sides."""
+    return model.multiplicities(min_edge_cut(tree, split))

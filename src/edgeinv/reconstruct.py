@@ -309,12 +309,11 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
         genericity_warnings=genericity, tol=tol)
 
 
-def empirical_tensor(alignment: Alignment, ambiguous: str = "error"
-                     ) -> PatternTensor:
+def empirical_tensor(alignment: Alignment) -> PatternTensor:
     """Relative pattern frequencies of an alignment, flagged stochastic.
 
-    Patterns with symbols outside ACGT are dropped or rejected according to
-    ``ambiguous``; FASTA loading normally handles this earlier.
+    A pattern with a symbol outside ACGT raises; ``read_fasta`` drops or
+    rejects such columns before they get here.
     """
     if alignment.n_sites == 0:
         raise ValueError("empty alignment")
@@ -322,12 +321,7 @@ def empirical_tensor(alignment: Alignment, ambiguous: str = "error"
     codes = pattern_codes(patterns, alignment.n_taxa)
     bad = (codes == AMBIGUOUS).any(axis=0)
     if bad.any():
-        if ambiguous != "drop":
-            raise ValueError(f"non-ACGT pattern {patterns[bad.argmax()]!r}")
-        codes = codes[:, ~bad]
+        raise ValueError(f"non-ACGT pattern {patterns[bad.argmax()]!r}")
     counts = np.fromiter(alignment.counts.values(), float, len(patterns))
-    counts = counts[~bad]
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("no usable patterns remain")
-    return PatternTensor.from_codes(codes, counts / total, stochastic=True)
+    return PatternTensor.from_codes(codes, counts / counts.sum(),
+                                    stochastic=True)

@@ -186,6 +186,9 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
     """Verify the tensor attains the ceiling rank at every bipartition of the
     candidate tree (the hypothesis under which edge tests are decisive).
 
+    The ceiling is m(c), c the fewest edges of ``tree`` whose removal
+    separates the bipartition's two sides (``expected_rank_vector``).
+
     ``table`` is a split table of the same (averaged) tensor, as built by
     ``score_splits``; a bipartition whose ranks it holds is read from it
     instead of being flattened again.

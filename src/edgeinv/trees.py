@@ -5,14 +5,23 @@ Topology identity is decided by the set of nontrivial edge splits, which is
 sound for trivalent trees: a pairwise-compatible system of n-3 distinct
 nontrivial splits determines a unique trivalent tree and vice versa.
 
+Every tree is hung from leaf 1 once, when it is built: a parent map plus the
+order in which the walk visits the vertices.  Rooted so, an edge's split is
+the set of leaves below its child, and a compatible split system is a family
+of nested clusters of {2..n}, from which ``tree_from_splits`` builds the tree.
+Edge splits, the Newick root and the fewest edges separating the two sides of
+a bipartition (the rank ceiling of its flattening is m of that count) all
+read that one pass.
+
 All functions here are pure and operate on immutable values.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, Optional
 
 
 class SplitSystemError(ValueError):
@@ -93,13 +102,6 @@ class Bipartition:
         return cls(a, n_leaves)
 
 
-class BoughProfile(NamedTuple):
-    """Counts of chain-equivalence classes on the two sides of a bipartition."""
-
-    n1: int
-    n2: int
-
-
 class TreeTopology:
     """An unrooted tree with labelled leaves 1..n.
 
@@ -139,16 +141,18 @@ class TreeTopology:
             raise ValueError("every leaf label 1..n must appear as a vertex")
         if len(self.edges) != len(verts) - 1:
             raise ValueError("edge count does not match a tree")
-        # connectivity
-        seen = {next(iter(verts))}
-        stack = list(seen)
-        while stack:
-            for w in self.adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != verts:
+        # hang the tree from leaf 1: each vertex's neighbour towards it, and
+        # the visiting order, in which every vertex follows its parent
+        parent = {1: 1}
+        order = [1]
+        for v in order:
+            for w in self.adjacency[v]:
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+        if len(order) != len(verts):
             raise ValueError("graph is not connected")
+        self._parent, self._order = parent, tuple(order)
         for leaf in leaves:
             if n > 1 and len(self.adjacency[leaf]) != 1:
                 raise ValueError(f"leaf {leaf} must have degree 1")
@@ -161,20 +165,6 @@ class TreeTopology:
     @property
     def interior_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in self.adjacency if v > self.n_leaves)
-
-    def leaves_behind(self, u: int, v: int) -> frozenset[int]:
-        """Leaves in the component of u once edge (u, v) is removed."""
-        seen = {u}
-        stack = [u]
-        while stack:
-            for w in self.adjacency[stack.pop()]:
-                if w != v and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(x for x in seen if x <= self.n_leaves)
-
-    def split_of_edge(self, u: int, v: int) -> Bipartition:
-        return Bipartition(self.leaves_behind(u, v), self.n_leaves)
 
     def interior_splits(self) -> tuple[Bipartition, ...]:
         return tuple(s for s in edge_splits(self) if not s.is_trivial)
@@ -197,12 +187,15 @@ def edge_splits(tree: TreeTopology) -> tuple[Bipartition, ...]:
     """One bipartition per edge, trivial ones (terminal edges) included.
 
     Trivial splits are recognizable via ``Bipartition.is_trivial``; the
-    interior ones number n-3 for a trivalent tree.
+    interior ones number n-3 for a trivalent tree.  An edge's split is read
+    as the leaves below its child when the tree hangs from leaf 1.
     """
     if tree._splits is None:
-        found = []
-        for u, v in tree.edges:
-            found.append(tree.split_of_edge(u, v))
+        n = tree.n_leaves
+        below = {v: {v} if v <= n else set() for v in tree._order}
+        for v in reversed(tree._order[1:]):
+            below[tree._parent[v]] |= below[v]
+        found = [Bipartition(below[v], n) for v in tree._order[1:]]
         tree._splits = tuple(sorted(found, key=Bipartition.sort_key))
     return tree._splits
 
@@ -245,11 +238,11 @@ def tree_from_splits(splits: Iterable[Bipartition], n: int) -> TreeTopology:
     raises SplitSystemError otherwise (carrying the offending pair when the
     failure is an incompatibility).
 
-    The assembly is iterative tree popping: starting from the star, splits
-    are inserted smallest-side-first, each one splitting an interior vertex.
+    Rooted at leaf 1, the splits' sides are nested clusters of {2..n}: each
+    side and each leaf hangs under the smallest side (or {2..n}) that strictly
+    contains it, and {2..n} hangs from leaf 1.
     """
     splits = list(splits)
-    universe = set(range(1, n + 1))
     for s in splits:
         if s.n_leaves != n:
             raise SplitSystemError(f"split {s} not over 1..{n}", "invalid")
@@ -266,99 +259,38 @@ def tree_from_splits(splits: Iterable[Bipartition], n: int) -> TreeTopology:
             raise SplitSystemError(f"incompatible pair: {a} vs {b}",
                                    "incompatible", pair=(a, b))
 
-    center = n + 1
-    adjacency: dict[int, set[int]] = {center: set(universe)}
-    for leaf in universe:
-        adjacency[leaf] = {center}
-    next_id = n + 2
-
-    def component_leaves(start: int, banned: int) -> set[int]:
-        seen, stack = {start}, [start]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w != banned and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return {x for x in seen if x <= n}
-
-    for split in sorted(splits, key=Bipartition.sort_key):
-        moved = split.side  # deterministic: peel off the side without leaf 1
-        placed = False
-        for v in sorted(v for v in adjacency if v > n):
-            groups = {u: component_leaves(u, v) for u in adjacency[v]}
-            if all(g <= moved or g.isdisjoint(moved) for g in groups.values()):
-                to_move = [u for u, g in groups.items() if g <= moved]
-                if not to_move or len(to_move) == len(groups):
-                    continue
-                w = next_id
-                next_id += 1
-                adjacency[v] -= set(to_move)
-                adjacency[v].add(w)
-                adjacency[w] = set(to_move) | {v}
-                for u in to_move:
-                    adjacency[u].discard(v)
-                    adjacency[u].add(w)
-                placed = True
-                break
-        if not placed:  # cannot happen for a pairwise-compatible system
-            raise SplitSystemError(f"split {split} cannot be inserted",
-                                   "incompatible", pair=(split,))
-
-    edges = {tuple(sorted((u, v))) for u, vs in adjacency.items() for v in vs}
+    nested = sorted((s.side for s in splits), key=len)
+    nested.append(frozenset(range(2, n + 1)))
+    vertex = {c: n + 1 + i for i, c in enumerate(nested)}
+    edges = [(1, vertex[nested[-1]])]
+    for leaf in range(2, n + 1):
+        edges.append((leaf, vertex[next(c for c in nested if leaf in c)]))
+    for c in nested[:-1]:
+        edges.append((vertex[c], vertex[next(d for d in nested if c < d)]))
     tree = TreeTopology(n, edges)
     assert frozenset(tree.interior_splits()) == frozenset(splits)
     return tree
 
 
-def _spanning_vertices(tree: TreeTopology, leaves: frozenset[int]) -> set[int]:
-    """Vertices of the minimal subtree of ``tree`` containing ``leaves``."""
-    if len(leaves) == 1:
-        return set(leaves)
-    keep = dict(tree.adjacency)
-    degree = {v: len(ns) for v, ns in keep.items()}
-    alive = set(keep)
-    removable = [v for v in alive if degree[v] == 1 and v not in leaves]
-    while removable:
-        v = removable.pop()
-        alive.discard(v)
-        for w in tree.adjacency[v]:
-            if w in alive:
-                degree[w] -= 1
-                if degree[w] == 1 and w not in leaves:
-                    removable.append(w)
-    return alive
+def min_edge_cut(tree: TreeTopology, split: Bipartition) -> int:
+    """The fewest edges of ``tree`` whose removal leaves no path between the
+    two sides of ``split``.
 
-
-def bough_counts(tree: TreeTopology, split: Bipartition) -> BoughProfile:
-    """Class counts (n1, n2) of the chain relation on each side of ``split``.
-
-    Two leaves on the same side are related when the path between them avoids
-    the minimal subtree spanning the opposite side; n_i is the number of
-    classes, computed as connected components of the tree minus that subtree.
+    One pass up the tree from its leaves: a vertex's two counts are the
+    fewest edges cut below it when it stays with leaf 1's side or with the
+    other one; a leaf cannot leave its own side.
     """
     if split.n_leaves != tree.n_leaves:
         raise ValueError("split does not match the tree's leaf set")
-    side1, side2 = split.sides
-    counts = []
-    for own, other in ((side1, side2), (side2, side1)):
-        blocked = _spanning_vertices(tree, other)
-        remaining = set(tree.adjacency) - blocked
-        seen: set[int] = set()
-        n_classes = 0
-        for v in sorted(remaining):
-            if v in seen:
-                continue
-            comp, stack = {v}, [v]
-            while stack:
-                for w in tree.adjacency[stack.pop()]:
-                    if w in remaining and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            if comp & own:
-                n_classes += 1
-        counts.append(n_classes)
-    return BoughProfile(counts[0], counts[1])
+    cost = {v: [0, 0] for v in tree._order}
+    for v in reversed(tree._order[1:]):
+        stay = cost[v]
+        if v <= tree.n_leaves:
+            stay[v not in split.side] = math.inf
+        up = cost[tree._parent[v]]
+        up[0] += min(stay[0], stay[1] + 1)
+        up[1] += min(stay[1], stay[0] + 1)
+    return cost[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,22 +300,14 @@ def bough_counts(tree: TreeTopology, split: Bipartition) -> BoughProfile:
 
 def _median_of_first_three(tree: TreeTopology) -> int:
     """The interior vertex on the paths between leaves 1, 2 and 3."""
-    parent = {1: 1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in tree.adjacency[v]:
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
     on_path_to_2 = {1}
     v = 2
     while v != 1:
         on_path_to_2.add(v)
-        v = parent[v]
+        v = tree._parent[v]
     v = 3
     while v not in on_path_to_2:
-        v = parent[v]
+        v = tree._parent[v]
     return v
 
 

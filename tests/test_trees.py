@@ -1,8 +1,8 @@
 """Tree topology, split, and reconstruction tests.
 
 Expected values marked as derived were computed with the independent oracles
-at the top of this file (path enumeration, explicit chain relation, double
-factorial) and then frozen into the assertions.
+at the top of this file (path enumeration, explicit chain relation, edge-subset
+search, double factorial) and then frozen into the assertions.
 """
 
 import itertools
@@ -13,10 +13,10 @@ from edgeinv.trees import (
     Bipartition,
     SplitSystemError,
     TreeTopology,
-    bough_counts,
     edge_splits,
     enumerate_trivalent_topologies,
     from_newick,
+    min_edge_cut,
     splits_compatible,
     to_newick,
     tree_from_splits,
@@ -89,6 +89,28 @@ def bough_counts_by_chains(tree: TreeTopology, split: Bipartition):
                 parent[find(a)] = find(b)
         counts.append(len({find(x) for x in own}))
     return tuple(counts)
+
+
+def edge_cut_by_search(tree: TreeTopology, split: Bipartition) -> int:
+    """Fewest edges whose removal disconnects the two sides, by trying every
+    edge subset in order of size."""
+    side1, side2 = split.sides
+    for size in range(len(tree.edges) + 1):
+        for cut in itertools.combinations(tree.edges, size):
+            kept = set(tree.edges) - set(cut)
+            reached, stack = set(side1), list(side1)
+            while stack:
+                v = stack.pop()
+                for w in tree.adjacency[v]:
+                    if tuple(sorted((v, w))) in kept and w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            if reached.isdisjoint(side2):
+                return size
+
+
+# every STRIDE[n]-th topology is checked against the edge-subset search
+STRIDE = {4: 1, 5: 3, 6: 17, 7: 151, 8: 2079}
 
 
 def quartet(split_with_1: int) -> TreeTopology:
@@ -275,24 +297,25 @@ class TestTreeFromSplits:
 
 
 # ---------------------------------------------------------------------------
-# Bough profiles
+# Fewest separating edges (the cut behind the rank ceiling).  Up to 7 leaves
+# it equals the smaller bough count of the chain relation.
 # ---------------------------------------------------------------------------
 
 class TestBoughCounts:
     def test_quartet_edge_split(self):
-        assert bough_counts(quartet(2), Bipartition({1, 2}, 4)) == (1, 1)
+        assert min_edge_cut(quartet(2), Bipartition({1, 2}, 4)) == 1
 
     def test_quartet_crossing_split(self):
         t = quartet(2)
         beta = Bipartition({1, 3}, 4)
         assert bough_counts_by_chains(t, beta) == (2, 2)
-        assert bough_counts(t, beta) == (2, 2)
+        assert min_edge_cut(t, beta) == 2
 
     def test_six_leaf_asymmetric_profile(self):
         t = caterpillar6()
         beta = Bipartition({1, 3, 4}, 6)
         assert bough_counts_by_chains(t, beta) == (3, 2)
-        assert tuple(bough_counts(t, beta)) == (3, 2)
+        assert min_edge_cut(t, beta) == 2
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_matches_chain_oracle_everywhere(self, n):
@@ -300,14 +323,14 @@ class TestBoughCounts:
             for r in range(1, n // 2 + 1):
                 for side in itertools.combinations(range(2, n + 1), r):
                     beta = Bipartition(side, n)
-                    assert tuple(bough_counts(t, beta)) == \
-                        bough_counts_by_chains(t, beta)
+                    assert min_edge_cut(t, beta) == \
+                        min(bough_counts_by_chains(t, beta))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_edge_splits_have_profile_one_one(self, n):
         for t in enumerate_trivalent_topologies(n)[::17]:
             for s in t.interior_splits():
-                assert bough_counts(t, s) == (1, 1)
+                assert min_edge_cut(t, s) == 1
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_non_splits_have_profile_at_least_two(self, n):
@@ -318,18 +341,32 @@ class TestBoughCounts:
                     beta = Bipartition(side, n)
                     if beta in own or beta.is_trivial:
                         continue
-                    n1, n2 = bough_counts(t, beta)
-                    assert n1 >= 2 and n2 >= 2
+                    assert min_edge_cut(t, beta) >= 2
 
     def test_profile_bounds(self):
         t = caterpillar6()
         for r in range(1, 4):
             for side in itertools.combinations(range(2, 7), r):
                 beta = Bipartition(side, 6)
-                n1, n2 = bough_counts(t, beta)
                 s1, s2 = beta.sides
-                assert 1 <= n1 <= len(s1)
-                assert 1 <= n2 <= len(s2)
+                assert 1 <= min_edge_cut(t, beta) <= min(len(s1), len(s2))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_matches_edge_subset_search(self, n):
+        for t in enumerate_trivalent_topologies(n)[::STRIDE[n]]:
+            for r in range(1, n // 2 + 1):
+                for side in itertools.combinations(range(2, n + 1), r):
+                    beta = Bipartition(side, n)
+                    assert min_edge_cut(t, beta) == edge_cut_by_search(t, beta)
+
+    def test_eight_leaf_caterpillar_below_bough_counts(self):
+        # derived: three edges (the pendant edges of 1 and 7 and the spine
+        # edge between 4 and 5) separate the sides, while each side has
+        # four chain classes
+        t, _ = from_newick("(((((((1,2),3),4),5),6),7),8);")
+        beta = Bipartition({1, 5, 6, 8}, 8)
+        assert bough_counts_by_chains(t, beta) == (4, 4)
+        assert min_edge_cut(t, beta) == edge_cut_by_search(t, beta) == 3
 
 
 # ---------------------------------------------------------------------------
