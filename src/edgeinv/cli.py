@@ -246,8 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exhaustive", "splits"],
                    default="exhaustive")
     p.add_argument("--tol", type=float, default=None,
-                   help="edge-score tolerance; default is data driven "
-                        "(median split score / 100)")
+                   help="edge-score tolerance; default is data driven: "
+                        "the median of the scored splits / 100 (for "
+                        "exhaustive, every split, weighted by the "
+                        "topologies holding it; for splits, the splits "
+                        "that joining scored)")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("fit", help="linear-invariant model fit scores")

@@ -81,12 +81,19 @@ def split_score(psi: PatternTensor, split: Bipartition,
                       thin_rank(tf, DEFAULT_RANK_TOL))
 
 
-def score_splits(psi: PatternTensor, model: EquivariantModel,
-                 splits: Iterable[Bipartition],
-                 average: bool = True) -> dict[Bipartition, SplitScore]:
-    """The split table: one score per bipartition, in the order given, from
-    a single group average of the tensor (skipped when ``average`` is False)
-    and a single norm of it.
+def side_mask(split: Bipartition) -> int:
+    """The bitmask of the split's side without leaf 1: bit i-2 for leaf i."""
+    return sum(1 << (leaf - 2) for leaf in split.side)
+
+
+class SplitTable:
+    """The split table of one tensor, filled on demand.
+
+    ``table[mask]`` is the ``SplitScore`` of the bipartition whose side
+    without leaf 1 is ``mask`` (``side_mask``), computed by ``split_score``
+    on first access and kept in ``scored`` (in the order of first access).
+    Every score comes from one group average of the tensor (skipped when
+    ``average`` is False), its one norm and its one character transform.
 
     Every model takes one block route.  The averaged tensor is transformed
     once, by a one-site character basis along each axis: the model's own
@@ -99,10 +106,38 @@ def score_splits(psi: PatternTensor, model: EquivariantModel,
     of the irrep D_t induces on the stabiliser; for the abelian models c_t
     is t and the change of basis is the identity.
     """
-    scored = averaged(psi, model) if average else psi
-    norm = scored.norm()
-    return {s: split_score(scored, s, model, average=False, norm=norm)
-            for s in splits}
+
+    def __init__(self, psi: PatternTensor, model: EquivariantModel,
+                 average: bool = True):
+        self.psi = averaged(psi, model) if average else psi
+        self.model = model
+        self.norm = self.psi.norm()
+        self.scored: dict[int, SplitScore] = {}
+
+    def __getitem__(self, mask: int) -> SplitScore:
+        found = self.scored.get(mask)
+        if found is None:
+            n = self.psi.n
+            side = frozenset(leaf for leaf in range(2, n + 1)
+                             if mask >> (leaf - 2) & 1)
+            found = self.scored[mask] = split_score(
+                self.psi, Bipartition.from_side(side, n), self.model,
+                average=False, norm=self.norm)
+        return found
+
+
+def score_splits(psi: PatternTensor, model: EquivariantModel,
+                 splits: Iterable[Bipartition],
+                 average: bool = True) -> dict[Bipartition, SplitScore]:
+    """One score per bipartition, in the order given, read from one
+    ``SplitTable`` of the tensor."""
+    table = SplitTable(psi, model, average)
+    found = {}
+    for split in splits:
+        if split.n_leaves != psi.n:
+            raise ValueError("split does not partition the tensor labels")
+        found[split] = table[side_mask(split)]
+    return found
 
 
 @dataclass(frozen=True)
@@ -181,7 +216,7 @@ def all_bipartitions(n: int, nontrivial_only: bool = False) -> list[Bipartition]
 
 def genericity_check(psi: PatternTensor, model: EquivariantModel,
                      tree: TreeTopology, average: bool = True,
-                     table: Optional[dict[Bipartition, SplitScore]] = None
+                     table: Optional[SplitTable] = None
                      ) -> GenericityReport:
     """Verify the tensor attains the ceiling rank at every bipartition of the
     candidate tree (the hypothesis under which edge tests are decisive).
@@ -189,9 +224,9 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
     The ceiling is m(c), c the fewest edges of ``tree`` whose removal
     separates the bipartition's two sides (``expected_rank_vector``).
 
-    ``table`` is a split table of the same (averaged) tensor, as built by
-    ``score_splits``; a bipartition whose ranks it holds is read from it
-    instead of being flattened again.
+    The ranks of nontrivial bipartitions are read from ``table``, a split
+    table of the tensor that stands in for ``psi`` and ``average`` when
+    given; the trivial ones, which a table does not rank, are flattened.
     """
     n = psi.n
     if n > MAX_AUDIT_LEAVES:
@@ -199,16 +234,16 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
                          "leaves")
     if tree.n_leaves != n:
         raise ValueError("tensor and tree disagree on the leaf count")
-    scored = averaged(psi, model) if average else psi
+    if table is None:
+        table = SplitTable(psi, model, average)
     entries = []
     for split in all_bipartitions(n):
         ceiling = expected_rank_vector(model, tree, split)
-        known = table.get(split) if table is not None else None
-        if known is not None and known.achieved is not None:
-            achieved = known.achieved
-        else:
-            achieved = thin_rank(character_flattening(scored, split, model),
+        if split.is_trivial:
+            achieved = thin_rank(character_flattening(table.psi, split, model),
                                  DEFAULT_RANK_TOL)
+        else:
+            achieved = table[side_mask(split)].achieved
         entries.append(GenericityEntry(split, tuple(ceiling.entries),
                                        tuple(achieved.entries)))
     return GenericityReport(tree, tuple(entries))

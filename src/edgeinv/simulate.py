@@ -271,39 +271,32 @@ def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
     """
     if ambiguous not in ("error", "drop"):
         raise ValueError("ambiguous must be 'error' or 'drop'")
+    lines = list(map(str.strip, text.splitlines()))
+    heads = [i for i, line in enumerate(lines) if line.startswith(">")]
+    if any(lines[:heads[0] if heads else len(lines)]):
+        raise ValueError("sequence data before any FASTA header")
     taxa: list[str] = []
     seqs: list[str] = []
-    current: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            if taxa:
-                seqs.append("".join(current).upper())
-            name = line[1:].split()
-            if not name:
-                raise ValueError("empty taxon name in a FASTA header")
-            taxa.append(name[0])
-            current = []
-        else:
-            if not taxa:
-                raise ValueError("sequence data before any FASTA header")
-            current.append(line)
-    if taxa:
-        seqs.append("".join(current).upper())
+    for head, end in zip(heads, heads[1:] + [len(lines)]):
+        name = lines[head][1:].split()
+        if not name:
+            raise ValueError("empty taxon name in a FASTA header")
+        taxa.append(name[0])
+        seqs.append("".join(lines[head + 1:end]).upper())
+    del lines
     if not taxa:
         raise ValueError("empty FASTA input")
-    if len(set(len(s) for s in seqs)) != 1:
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    if (lengths != lengths[0]).any():
         raise ValueError("sequences have unequal lengths")
     if len(set(taxa)) != len(taxa):
         raise ValueError("duplicate taxon names")
-    if not seqs[0]:
+    if not lengths[0]:
         raise ValueError("alignment has no sites")
     codes = np.empty((len(seqs), len(seqs[0])), dtype=np.uint8)
     for i, seq in enumerate(seqs):
         codes[i] = state_codes(seq)
-    del seqs, seq, current  # from here on the codes stand for the text
+    del seqs, seq  # from here on the codes stand for the text
     bad = (codes == AMBIGUOUS).any(axis=0)
     if bad.any():
         if ambiguous == "error":

@@ -67,6 +67,15 @@ class Bipartition:
         object.__setattr__(self, "n_leaves", n_leaves)
         object.__setattr__(self, "side", labels)
 
+    @classmethod
+    def from_side(cls, side: frozenset[int], n_leaves: int) -> "Bipartition":
+        """The bipartition with canonical side ``side``, which the caller
+        knows to be a nonempty subset of 2..n_leaves; nothing is checked."""
+        split = cls.__new__(cls)
+        object.__setattr__(split, "n_leaves", n_leaves)
+        object.__setattr__(split, "side", side)
+        return split
+
     @property
     def other(self) -> frozenset[int]:
         """The block containing leaf 1."""
@@ -195,7 +204,8 @@ def edge_splits(tree: TreeTopology) -> tuple[Bipartition, ...]:
         below = {v: {v} if v <= n else set() for v in tree._order}
         for v in reversed(tree._order[1:]):
             below[tree._parent[v]] |= below[v]
-        found = [Bipartition(below[v], n) for v in tree._order[1:]]
+        found = [Bipartition.from_side(frozenset(below[v]), n)
+                 for v in tree._order[1:]]
         tree._splits = tuple(sorted(found, key=Bipartition.sort_key))
     return tree._splits
 

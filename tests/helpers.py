@@ -1,9 +1,10 @@
 """Test-only helpers: the sparse-basis thin flattening with its invariance
-diagnostics, the exhaustive decision by scanning every topology, tensors, relabellings, dense operators, the plain flattening
-rank, presentation JSON round-trips, and the loop forms of the FASTA column
-count and the character transform, that the tests build their fixtures and
-oracles from, and the package does not use.  Only the sparse route needs
-scipy."""
+diagnostics, the exhaustive decision by scanning every topology, greedy
+selection from every split, tensors, relabellings, dense operators, the
+plain flattening rank, presentation JSON round-trips, and the loop forms of
+the FASTA column count and the character transform, that the tests build
+their fixtures and oracles from, and the package does not use.  Only the
+sparse route needs scipy."""
 
 import json
 from dataclasses import dataclass, field
@@ -17,13 +18,13 @@ from edgeinv.groups import K, EquivariantModel, SymmetryAdaptedBasis, \
     builtin_model, pattern_maps, symmetry_adapted_basis
 from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_TIE, \
     ReconstructionResult, _check_tol, data_driven_tol
-from edgeinv.scores import DEFAULT_SCORE_TOL, all_bipartitions, \
-    genericity_check, score_splits
+from edgeinv.scores import DEFAULT_SCORE_TOL, SplitTable, all_bipartitions, \
+    genericity_check, score_splits, side_mask
 from edgeinv.simulate import EvolutionaryPresentation
 from edgeinv.tensors import PatternTensor, ThinFlattening, _sides, averaged, \
     flatten
 from edgeinv.trees import TreeTopology, enumerate_trivalent_topologies, \
-    from_newick, to_newick
+    from_newick, splits_compatible, to_newick, tree_from_splits
 
 MAX_DENSE_POWER = 6     # dense k^l x k^l projector guard
 
@@ -166,8 +167,10 @@ def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
 
     genericity: tuple[str, ...] = ()
     if check_genericity:
+        ranks = SplitTable(scored_psi, model, average=False)
+        ranks.scored.update((side_mask(s), score) for s, score in table.items())
         audit = genericity_check(scored_psi, model, topologies[winner],
-                                 average=False, table=table)
+                                 table=ranks)
         genericity = tuple(audit.warnings())
     result = ReconstructionResult(
         method="exhaustive", tree=topologies[winner],
@@ -175,6 +178,29 @@ def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
         warnings=tuple(warnings), genericity_warnings=genericity,
         passers=len(passers), tol=tol)
     return result, tuple(topologies[i] for i in tied)
+
+
+# ---------------------------------------------------------------------------
+# Greedy selection from every split: the reference for reconstruct_by_splits
+# ---------------------------------------------------------------------------
+
+def greedy_splits_tree(psi: PatternTensor, model: EquivariantModel,
+                       average: bool = True) -> TreeTopology:
+    """The tree of the lowest-scoring mutually compatible splits: every
+    nontrivial bipartition is scored, and ascending by score (ties by
+    ``Bipartition.sort_key``) each is kept when compatible with everything
+    already kept, until n-3 survive."""
+    n = psi.n
+    table = score_splits(psi, model, all_bipartitions(n, nontrivial_only=True),
+                         average=average)
+    chosen = []
+    for candidate in sorted(table.values(),
+                            key=lambda s: (s.score, s.split.sort_key())):
+        if len(chosen) == n - 3:
+            break
+        if all(splits_compatible(candidate.split, c) for c in chosen):
+            chosen.append(candidate.split)
+    return tree_from_splits(chosen, n)
 
 
 def reassemble_flattening(tf: ThinFlattening,

@@ -12,6 +12,7 @@ import edgeinv.scores
 import helpers
 from edgeinv.groups import builtin_model
 from edgeinv.reconstruct import (
+    WARN_ABOVE_TOL,
     WARN_NO_UNIQUE_PASS,
     WARN_TIE,
     data_driven_tol,
@@ -19,7 +20,8 @@ from edgeinv.reconstruct import (
     reconstruct_by_splits,
     reconstruct_exhaustive,
 )
-from edgeinv.scores import all_bipartitions, score_splits, split_score
+from edgeinv.scores import all_bipartitions, score_splits, side_mask, \
+    split_score
 from edgeinv.simulate import (
     Alignment,
     joint_distribution,
@@ -35,9 +37,10 @@ from edgeinv.trees import (
     TreeTopology,
     enumerate_trivalent_topologies,
     from_newick,
+    to_newick,
     tree_from_splits,
 )
-from helpers import permute_labels, scan_exhaustive
+from helpers import greedy_splits_tree, permute_labels, scan_exhaustive
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -51,6 +54,17 @@ def quartet(partner: int) -> TreeTopology:
 def caterpillar6() -> TreeTopology:
     return TreeTopology(6, [(1, 7), (2, 7), (7, 8), (3, 8), (8, 9),
                             (4, 9), (9, 10), (5, 10), (6, 10)])
+
+
+def random_tree(n: int, seed: int) -> TreeTopology:
+    """A random trivalent tree on leaves 1..n (n <= 9), by joining random
+    pairs of subtrees until three are left."""
+    rng = np.random.default_rng(seed)
+    parts = [str(leaf) for leaf in range(1, n + 1)]
+    while len(parts) > 3:
+        i, j = sorted(rng.choice(len(parts), 2, replace=False))
+        parts.append(f"({parts.pop(j)},{parts.pop(i)})")
+    return from_newick(f"({','.join(parts)});")[0]
 
 
 def relabeled_tree(tree: TreeTopology, mapping: dict[int, int]) -> TreeTopology:
@@ -175,9 +189,9 @@ class TestExhaustive:
         scores.update(dict.fromkeys(passer.interior_splits(), 0.9))
         scores[Bipartition({2, 4}, 5)] = 0.0
         scores[Bipartition({2, 3, 4}, 5)] = 1.5
-        table = {split: replace(s, score=scores[split])
+        table = {side_mask(split): replace(s, score=scores[split])
                  for split, s in real.items()}
-        monkeypatch.setattr(edgeinv.reconstruct, "score_splits",
+        monkeypatch.setattr(edgeinv.reconstruct, "SplitTable",
                             lambda *args, **kwargs: table)
         result = reconstruct_exhaustive(psi, model, tol=1.0,
                                         check_genericity=False)
@@ -264,9 +278,11 @@ class TestAgainstTheScan:
         for _ in range(10):
             table = {split: replace(s, score=float(rng.integers(3)))
                      for split, s in real.items()}
-            for module in (edgeinv.reconstruct, helpers):
-                monkeypatch.setattr(module, "score_splits",
-                                    lambda *args, **kwargs: table)
+            by_mask = {side_mask(split): s for split, s in table.items()}
+            monkeypatch.setattr(edgeinv.reconstruct, "SplitTable",
+                                lambda *args, **kwargs: by_mask)
+            monkeypatch.setattr(helpers, "score_splits",
+                                lambda *args, **kwargs: table)
             for tol in (None, 0.0, 1.0):
                 result = reconstruct_exhaustive(psi, model, tol=tol,
                                                 check_genericity=False)
@@ -339,11 +355,97 @@ class TestBySplits:
                                 stochastic=True)
         result = reconstruct_by_splits(mixture, model)
         assert result.warnings  # wrong answers must carry a diagnosis
+        assert result.warnings[0] == WARN_ABOVE_TOL
+        assert len(result.warnings) == 2
+        assert "1 chosen splits score above tol 1e-08" in result.warnings[1]
 
     def test_leaf_guard(self):
         psi = PatternTensor(np.zeros(4 ** 3), (1, 2, 3))
         with pytest.raises(ValueError):
             reconstruct_by_splits(psi, builtin_model("GMM"))
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_joining_agrees_with_greedy_selection(self, n, name):
+        model = builtin_model(name)
+        tree = random_tree(n, n)
+        psi = joint_distribution(random_presentation(model, tree, n))
+        sampled = empirical_tensor(sample_alignment(psi, 3000, seed=n))
+        disagreements = []
+        for kind, tensor in (("exact", psi), ("3000 sites", sampled)):
+            joined = reconstruct_by_splits(tensor, model).tree
+            greedy = greedy_splits_tree(tensor, model)
+            if joined != greedy:
+                disagreements.append((kind, to_newick(joined),
+                                      to_newick(greedy)))
+        assert disagreements == []
+
+    def test_report_reads_the_scored_splits(self):
+        # 10^4 sites of an 8-leaf K81 caterpillar: the default tol comes
+        # from the scored splits only, below the median of all of them, and
+        # every runner-up lies off the tree and scores above every joined
+        # split
+        model = builtin_model("K81")
+        tree = from_newick("(((((((1,2),3),4),5),6),7),8);")[0]
+        psi = joint_distribution(random_presentation(model, tree, 1))
+        sampled = empirical_tensor(sample_alignment(psi, 10 ** 4, seed=1))
+        table = score_splits(sampled, model, all_bipartitions(8, True))
+        result = reconstruct_by_splits(sampled, model, tol=None)
+        assert result.tree == tree
+        assert result.tol < data_driven_tol(s.score for s in table.values())
+        assert len(result.chosen_splits) == 5
+        assert 1 <= len(result.rejected_splits) <= 5
+        assert not {s.split for s in result.rejected_splits} & set(
+            tree.interior_splits())
+        assert (min(s.score for s in result.rejected_splits)
+                > max(s.score for s in result.chosen_splits))
+
+
+class TestSplitCounts:
+    """The split table scores each bipartition at most once, and joining
+    asks it for fewer than n^2 of them."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        scored = []
+        original = edgeinv.scores.split_score
+
+        def counting(psi, split, *args, **kwargs):
+            scored.append(split)
+            return original(psi, split, *args, **kwargs)
+
+        monkeypatch.setattr(edgeinv.scores, "split_score", counting)
+        return scored
+
+    def test_eight_leaves_score_43_splits(self, monkeypatch):
+        scored = self.counted(monkeypatch)
+        model = builtin_model("K81")
+        tree = random_tree(8, 3)
+        psi = joint_distribution(random_presentation(model, tree, 3))
+        sampled = empirical_tensor(sample_alignment(psi, 3000, seed=3))
+        for tensor in (psi, sampled):
+            scored.clear()
+            result = reconstruct_by_splits(tensor, model, tol=None)
+            assert len(scored) == len(set(scored)) == 43
+        assert result.tol == data_driven_tol(
+            split_score(sampled, split, model).score for split in scored)
+
+    def test_exhaustive_scores_each_split_once(self, monkeypatch):
+        scored = self.counted(monkeypatch)
+        model = builtin_model("JC69")
+        psi = joint_distribution(random_presentation(model, caterpillar6(), 3))
+        reconstruct_exhaustive(psi, model, tol=None)
+        assert len(scored) == len(set(scored)) == 25
+
+    def test_ten_leaf_k81_caterpillar(self, monkeypatch):
+        scored = self.counted(monkeypatch)
+        model = builtin_model("K81")
+        tree = from_newick("(((((((((1,2),3),4),5),6),7),8),9),10);")[0]
+        psi = joint_distribution(random_presentation(model, tree, 1))
+        result = reconstruct_by_splits(psi, model)
+        assert len(scored) == len(set(scored)) == 75
+        assert result.tree == tree
+        assert result.confident
 
 
 # ---------------------------------------------------------------------------

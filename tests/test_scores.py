@@ -139,6 +139,14 @@ class TestScoreSplits:
                 single.per_block_residuals
             assert table[split].achieved == single.achieved
 
+    def test_split_over_other_leaves_rejected(self):
+        # the table is keyed by side mask, so a split of 1..6 would read as
+        # another split of the 5-leaf tensor
+        psi = PatternTensor(np.random.default_rng(4).random(4 ** 5),
+                            tuple(range(1, 6)))
+        with pytest.raises(ValueError, match="does not partition"):
+            score_splits(psi, builtin_model("K81"), [Bipartition({2, 6}, 6)])
+
     @pytest.mark.parametrize("name", ["GMM", "SSM", "K81"])
     @pytest.mark.parametrize("average", [False, True])
     def test_abelian_table_ranks_match_thin_flatten(self, name, average):
@@ -169,7 +177,7 @@ class TestScoreSplits:
                             tuple(range(1, 9)))
         table = score_splits(psi, model, all_bipartitions(8, True))
         caterpillar = from_newick("(((((((1,2),3),4),5),6),7),8);")[0]
-        audit = genericity_check(psi, model, caterpillar, table=table)
+        audit = genericity_check(psi, model, caterpillar)
         assert len(table) == 119 and len(audit.entries) == 127
         assert built and max(built) == 1
 
