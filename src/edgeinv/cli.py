@@ -183,8 +183,11 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    names = dict.fromkeys(n.strip().upper() for n in args.models.split(",")
+                          if n.strip())
+    if not names:
+        raise ValueError("--models lists no model name")
     psi = _load_input(args.input, args.format, args.ambiguous)
-    names = [n.strip().upper() for n in args.models.split(",") if n.strip()]
     scores = {name: model_fit_score(psi, _model(name)) for name in names}
     print(json.dumps({"n": psi.n, "fit_scores": scores}, indent=2))
     return 0
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "equivariant flattening ranks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_opts(p):
+    def add_input_opts(p, average=True):
         p.add_argument("--input", required=True,
                        help="tensor container, tensor JSON, or FASTA ('-' "
                             "for stdin)")
@@ -206,9 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ambiguous", choices=["error", "drop"],
                        default="error",
                        help="how to treat non-ACGT alignment columns")
-        p.add_argument("--no-average", action="store_true",
-                       help="skip the group-averaging projection of "
-                            "empirical tensors")
+        if average:
+            p.add_argument("--no-average", action="store_true",
+                           help="skip the group-averaging projection of "
+                                "empirical tensors")
 
     p = sub.add_parser("model-info", help="character table, multiplicities, "
                                           "adapted basis")
@@ -254,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("fit", help="linear-invariant model fit scores")
-    add_input_opts(p)
+    add_input_opts(p, average=False)
     p.add_argument("--models", required=True,
                    help="comma-separated model names")
     p.set_defaults(func=cmd_fit)

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from edgeinv import cli
 from edgeinv.cli import main
 
 QUARTET_NEWICK = "((1,2),(3,4));"
@@ -225,6 +226,38 @@ class TestFit:
         assert scores["K81"] <= 1e-12
         assert scores["GMM"] == 0.0
         assert scores["JC69"] > scores["K80"]
+
+    @pytest.mark.parametrize("models", [",", " , ,", ""])
+    def test_empty_model_list_is_an_error(self, capsys, tmp_path, models):
+        path = tmp_path / "t.eqpt"
+        run(capsys, "simulate", "--model", "K81", "--tree", QUARTET_NEWICK,
+            "--seed", "6", "--out", str(path))
+        code, out, err = run(capsys, "fit", "--input", str(path),
+                             "--models", models)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_each_model_scored_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "t.eqpt"
+        run(capsys, "simulate", "--model", "K81", "--tree", QUARTET_NEWICK,
+            "--seed", "6", "--out", str(path))
+        scored = []
+        real = cli.model_fit_score
+        monkeypatch.setattr(cli, "model_fit_score", lambda psi, model: (
+            scored.append(model.name) or real(psi, model)))
+        code, out, _ = run(capsys, "fit", "--input", str(path),
+                           "--models", "K81,jc69,K81, JC69,GMM")
+        assert code == 0
+        assert scored == ["K81", "JC69", "GMM"]
+        assert list(json.loads(out)["fit_scores"]) == ["K81", "JC69", "GMM"]
+
+    def test_no_average_is_not_a_fit_option(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", str(tmp_path / "t.eqpt"), "--models",
+                  "K81", "--no-average"])
+        assert exc.value.code == 2
+        assert "--no-average" in capsys.readouterr().err
 
     def test_zero_leaf_container(self, capsys, tmp_path):
         # a header with n=0 and its single entry

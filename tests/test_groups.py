@@ -5,6 +5,7 @@ substitution symmetries; basis fixtures are the explicit Fourier/Hadamard
 vectors those tables induce on the one-site state space.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -452,6 +453,9 @@ class TestInvariantProjector:
 # Group averaging
 # ---------------------------------------------------------------------------
 
+EPS = np.finfo(float).eps
+
+
 def digit_pattern_maps(model, power):
     """Reference image table: every pattern's base-4 digits are permuted and
     re-weighted, all patterns and all elements at once."""
@@ -484,6 +488,8 @@ class TestGroupAverage:
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_bit_identical_to_table_average(self, name):
+        # the trivial group returns its input; elsewhere the cyclic factors
+        # reorder the additions, which moves the result by rounding only
         model = builtin_model(name)
         rng = np.random.default_rng(3)
         for power in range(0, 7):
@@ -492,8 +498,40 @@ class TestGroupAverage:
             if model.order == 1:
                 assert np.array_equal(got, values)
             else:
-                assert got.tobytes() == table_average(values, model,
-                                                      power).tobytes()
+                gap = np.abs(got - table_average(values, model, power)).max()
+                assert gap <= 4 * EPS * np.abs(values).max()
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_cyclic_factors_cover_the_group_once(self, name):
+        model = builtin_model(name)
+        factors = G._cyclic_factors(model)
+        assert np.prod([len(f) for f in factors]) == model.order
+        assert all(len(f) == 2 for f in factors[1:])
+        products = set()
+        for choice in itertools.product(*factors):
+            g = choice[0]
+            for c in choice[1:]:
+                g = G._compose(g, c)
+            products.add(g)
+        assert products == set(model.elements)
+
+    @pytest.mark.parametrize("name, gathers", [
+        ("GMM", 0), ("SSM", 1), ("K81", 2), ("K80", 4), ("JC69", 5)])
+    def test_gather_count(self, name, gathers):
+        factors = G._cyclic_factors(builtin_model(name))
+        assert sum(len(f) - 1 for f in factors) == gathers
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("power", [1, 4, 8])
+    def test_invariant_and_idempotent(self, name, power):
+        # power 8 spans several gather blocks
+        model = builtin_model(name)
+        values = np.random.default_rng(5).normal(size=4 ** power)
+        avg = group_average(values, model, power)
+        tol = 4 * EPS * np.abs(avg).max()
+        for row in pattern_maps(name, power):
+            assert np.abs(avg[row] - avg).max() <= tol
+        assert np.abs(group_average(avg, model, power) - avg).max() <= tol
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -503,9 +541,10 @@ class TestGroupAverage:
         assert pattern_maps("K81", 3) is not pattern_maps("K81", 3)
         assert not hasattr(pattern_maps, "cache_info")
 
-    def test_peak_memory_is_a_few_tensors(self):
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_peak_memory_is_a_few_tensors(self, name):
         # the full JC69 image table alone would be 24 tensors' worth
-        model = builtin_model("JC69")
+        model = builtin_model(name)
         values = np.random.default_rng(0).normal(size=4 ** 8)
         tracemalloc.start()
         try:
