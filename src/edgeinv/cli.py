@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import MODEL_NAMES, EquivariantModel, builtin_model, \
-    symmetry_adapted_basis
+from .groups import MODEL_NAMES, builtin_model, symmetry_adapted_basis
 from .reconstruct import (
     empirical_tensor,
     reconstruct_by_splits,
@@ -40,10 +39,6 @@ from .tensors import (
     tensor_to_json,
 )
 from .trees import Bipartition, from_newick
-
-
-def _model(name: str) -> EquivariantModel:
-    return builtin_model(name)
 
 
 def _render_basis_vector(vec: np.ndarray, names: list[str]) -> str:
@@ -69,7 +64,7 @@ def _render_basis_vector(vec: np.ndarray, names: list[str]) -> str:
 
 
 def cmd_model_info(args) -> int:
-    model = _model(args.model)
+    model = builtin_model(args.model)
     power = args.power
     print(f"model {model.name}: group order {model.order}, "
           f"{model.n_irreps} irreducible representations")
@@ -110,7 +105,7 @@ def _write_tensor(psi: PatternTensor, out: Optional[str]) -> None:
 
 
 def cmd_simulate(args) -> int:
-    model = _model(args.model)
+    model = builtin_model(args.model)
     tree, names = from_newick(args.tree)
     pres = random_presentation(model, tree, args.seed,
                                concentration=args.concentration)
@@ -156,28 +151,24 @@ def _load_input(path: str, fmt: str, ambiguous: str) -> PatternTensor:
 
 
 def cmd_score(args) -> int:
-    model = _model(args.model)
+    model = builtin_model(args.model)
     psi = _load_input(args.input, args.format, args.ambiguous)
-    average = not args.no_average
     if args.split:
         splits = [Bipartition.parse(args.split, psi.n)]
     else:
         splits = all_bipartitions(psi.n, nontrivial_only=True)
-    scores = score_splits(psi, model, splits, average=average).values()
+    scores = score_splits(psi, model, splits).values()
     print(json.dumps(split_report(model, psi.n, scores), indent=2))
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    model = _model(args.model)
+    model = builtin_model(args.model)
     psi = _load_input(args.input, args.format, args.ambiguous)
-    average = not args.no_average
     if args.method == "exhaustive":
-        result = reconstruct_exhaustive(psi, model, tol=args.tol,
-                                        average=average)
+        result = reconstruct_exhaustive(psi, model, tol=args.tol)
     else:
-        result = reconstruct_by_splits(psi, model, tol=args.tol,
-                                       average=average)
+        result = reconstruct_by_splits(psi, model, tol=args.tol)
     print(json.dumps(result.to_report(model, psi.n), indent=2))
     return 0 if result.confident else 2
 
@@ -188,7 +179,8 @@ def cmd_fit(args) -> int:
     if not names:
         raise ValueError("--models lists no model name")
     psi = _load_input(args.input, args.format, args.ambiguous)
-    scores = {name: model_fit_score(psi, _model(name)) for name in names}
+    scores = {name: model_fit_score(psi, builtin_model(name))
+              for name in names}
     print(json.dumps({"n": psi.n, "fit_scores": scores}, indent=2))
     return 0
 
@@ -200,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "equivariant flattening ranks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_opts(p, average=True):
+    def add_input_opts(p):
         p.add_argument("--input", required=True,
                        help="tensor container, tensor JSON, or FASTA ('-' "
                             "for stdin)")
@@ -209,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ambiguous", choices=["error", "drop"],
                        default="error",
                        help="how to treat non-ACGT alignment columns")
-        if average:
-            p.add_argument("--no-average", action="store_true",
-                           help="skip the group-averaging projection of "
-                                "empirical tensors")
 
     p = sub.add_parser("model-info", help="character table, multiplicities, "
                                           "adapted basis")
@@ -258,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("fit", help="linear-invariant model fit scores")
-    add_input_opts(p, average=False)
+    add_input_opts(p)
     p.add_argument("--models", required=True,
                    help="comma-separated model names")
     p.set_defaults(func=cmd_fit)

@@ -31,7 +31,6 @@ machinery as the bases.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -474,15 +473,16 @@ def group_average(values: np.ndarray, model: EquivariantModel,
     takes 5 gathers, K80 4, K81 2 and SSM 1.  Element g moves the block of
     k^7 patterns with high digits h to block g . h, so c updates h and c . h
     from each other in place, with three block-sized buffers."""
+    values = np.asarray(values, dtype=float)
     if model.order == 1:
-        return np.asarray(values, dtype=float)
+        return values
     if len(values) != K ** power:
         raise ValueError(f"expected {K ** power} entries for power {power}, "
                          f"got {len(values)}")
     first, *rest = _cyclic_factors(model)
     low = min(power, _BLOCK_DIGITS)
-    acc = np.array(values, dtype=float).reshape(-1, K ** low)
-    blocks = np.asarray(values).reshape(acc.shape)
+    blocks = values.reshape(-1, K ** low)
+    acc = blocks.copy()
     row, high = np.empty(K ** low, np.int64), np.empty(len(acc), np.int64)
     tmp = np.empty((2, K ** low))
     # every index is in range, and mode="raise" would buffer the output
@@ -545,13 +545,10 @@ class SymmetryAdaptedBasis:
         return out
 
 
-_BASIS_CACHE: dict[tuple[str, int], SymmetryAdaptedBasis] = {}
-_BASIS_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def symmetry_adapted_basis(model: EquivariantModel,
                            power: int) -> SymmetryAdaptedBasis:
-    """Construct (or fetch from the process-wide cache) the adapted basis.
+    """Construct the adapted basis, once per model and power.
 
     Deterministic: seeds are standard pattern vectors in lexicographic order,
     orthonormalized by twice-through Gram-Schmidt within each G-orbit (once
@@ -561,14 +558,7 @@ def symmetry_adapted_basis(model: EquivariantModel,
     """
     if not 1 <= power <= MAX_POWER:
         raise ValueError(f"tensor power {power} outside guard 1..{MAX_POWER}")
-    key = (model.name, power)
-    cached = _BASIS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    basis = _build_basis(model, power)
-    with _BASIS_LOCK:
-        _BASIS_CACHE.setdefault(key, basis)
-    return _BASIS_CACHE[key]
+    return _build_basis(model, power)
 
 
 def _copy_vectors(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -841,31 +831,24 @@ def clifford_reduction(model: EquivariantModel) -> CliffordReduction:
     return CliffordReduction(model)
 
 
-_LABEL_CLASSES: dict[tuple[str, int], tuple[np.ndarray, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def label_classes(model: EquivariantModel,
                   power: int) -> tuple[np.ndarray, ...]:
     """For an abelian model, per irrep c the power-l patterns of the
     Kronecker power of its one-site adapted basis (most significant digit
     first) whose digits' characters multiply to c, ascending."""
-    key = (model.name, power)
-    found = _LABEL_CLASSES.get(key)
-    if found is None:
-        chars = model.characters
-        # products[a, b] = the irrep whose character is chi_a * chi_b
-        same = (chars[:, None, None, :] * chars[None, :, None, :]
-                == chars[None, None, :, :]).all(axis=-1)
-        products = same.argmax(axis=-1)
-        digits = clifford_reduction(model).digit_labels
-        labels = np.zeros(1, dtype=np.int64)
-        for _ in range(power):
-            labels = products[labels[:, None], digits].ravel()
-        found = tuple(np.flatnonzero(labels == c)
-                      for c in range(model.n_irreps))
-        for members in found:
-            members.setflags(write=False)
-        found = _LABEL_CLASSES.setdefault(key, found)
+    chars = model.characters
+    # products[a, b] = the irrep whose character is chi_a * chi_b
+    same = (chars[:, None, None, :] * chars[None, :, None, :]
+            == chars[None, None, :, :]).all(axis=-1)
+    products = same.argmax(axis=-1)
+    digits = clifford_reduction(model).digit_labels
+    labels = np.zeros(1, dtype=np.int64)
+    for _ in range(power):
+        labels = products[labels[:, None], digits].ravel()
+    found = tuple(np.flatnonzero(labels == c) for c in range(model.n_irreps))
+    for members in found:
+        members.setflags(write=False)
     return found
 
 

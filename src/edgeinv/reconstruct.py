@@ -140,7 +140,6 @@ def _backtrack(root: int, choice: Callable[[int], int]) -> list[int]:
 
 def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
                            tol: Optional[float] = DEFAULT_SCORE_TOL,
-                           average: bool = True,
                            check_genericity: bool = True
                            ) -> ReconstructionResult:
     """Decide among all trivalent topologies and return the unique edge-test
@@ -172,7 +171,7 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
     if not 3 <= n <= MAX_EXHAUSTIVE_LEAVES:
         raise ValueError(f"exhaustive search supports "
                          f"3..{MAX_EXHAUSTIVE_LEAVES} leaves, got {n}")
-    table = SplitTable(psi, model, average)
+    table = SplitTable(psi, model)
     full = (1 << (n - 1)) - 1
     if tol is None:
         nontrivial = [m for m in range(1, full) if 2 <= m.bit_count() <= n - 2]
@@ -236,7 +235,6 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
 
 def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
                           tol: Optional[float] = DEFAULT_SCORE_TOL,
-                          average: bool = True,
                           check_genericity: bool = False
                           ) -> ReconstructionResult:
     """Split selection by joining clusters bottom up.
@@ -261,7 +259,7 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
     if not 4 <= n <= MAX_SPLIT_LEAVES:
         raise ValueError(f"split selection supports 4..{MAX_SPLIT_LEAVES}"
                          f" leaves, got {n}")
-    table = SplitTable(psi, model, average)
+    table = SplitTable(psi, model)
     everyone = (1 << n) - 1     # bit i-1 for leaf i, leaf 1 included
 
     def join_key(x: int, y: int) -> tuple[float, int, int, int]:

@@ -56,20 +56,22 @@ class SplitScore:
 
 
 def split_score(psi: PatternTensor, split: Bipartition,
-                model: EquivariantModel, average: bool = True,
+                model: EquivariantModel,
                 norm: Optional[float] = None) -> SplitScore:
     """Score a bipartition of the tensor's leaves as a candidate edge split.
 
-    Empirical tensors are group-averaged first unless ``average`` is False.
+    The score is of the group-averaged tensor, the projection onto the
+    G-invariants whose flattening ranks the edge invariants bound; a tensor
+    that ``averaged`` returned for ``model`` is not averaged again.
     Trivial splits score 0 by construction: a side of one leaf makes every
     block at most m_t rows tall, so there is no spectral tail to measure.
-    ``norm`` is the norm of the scored tensor when the caller has it.
+    ``norm`` is the norm of the averaged tensor when the caller has it.
     """
     target = model.multiplicities(1)
     if split.is_trivial:
         zeros = tuple(0.0 for _ in target.entries)
         return SplitScore(split, zeros, 0.0, target, None)
-    scored = averaged(psi, model) if average else psi
+    scored = averaged(psi, model)
     tf = character_flattening(scored, split, model)
     residuals = tuple(float(np.sqrt((spectrum[m:] ** 2).sum()))
                       for spectrum, m in zip(tf.spectra, target))
@@ -92,8 +94,9 @@ class SplitTable:
     ``table[mask]`` is the ``SplitScore`` of the bipartition whose side
     without leaf 1 is ``mask`` (``side_mask``), computed by ``split_score``
     on first access and kept in ``scored`` (in the order of first access).
-    Every score comes from one group average of the tensor (skipped when
-    ``average`` is False), its one norm and its one character transform.
+    Every score comes from one group average of the tensor, its one norm
+    and its one character transform: ``split_score`` gets the averaged
+    tensor, which ``averaged`` hands back as it is.
 
     Every model takes one block route.  The averaged tensor is transformed
     once, by a one-site character basis along each axis: the model's own
@@ -107,9 +110,8 @@ class SplitTable:
     is t and the change of basis is the identity.
     """
 
-    def __init__(self, psi: PatternTensor, model: EquivariantModel,
-                 average: bool = True):
-        self.psi = averaged(psi, model) if average else psi
+    def __init__(self, psi: PatternTensor, model: EquivariantModel):
+        self.psi = averaged(psi, model)
         self.model = model
         self.norm = self.psi.norm()
         self.scored: dict[int, SplitScore] = {}
@@ -122,16 +124,16 @@ class SplitTable:
                              if mask >> (leaf - 2) & 1)
             found = self.scored[mask] = split_score(
                 self.psi, Bipartition.from_side(side, n), self.model,
-                average=False, norm=self.norm)
+                norm=self.norm)
         return found
 
 
 def score_splits(psi: PatternTensor, model: EquivariantModel,
-                 splits: Iterable[Bipartition],
-                 average: bool = True) -> dict[Bipartition, SplitScore]:
+                 splits: Iterable[Bipartition]
+                 ) -> dict[Bipartition, SplitScore]:
     """One score per bipartition, in the order given, read from one
     ``SplitTable`` of the tensor."""
-    table = SplitTable(psi, model, average)
+    table = SplitTable(psi, model)
     found = {}
     for split in splits:
         if split.n_leaves != psi.n:
@@ -156,13 +158,11 @@ class EdgeTestReport:
 
 def edge_invariant_test(psi: PatternTensor, tree: TreeTopology,
                         model: EquivariantModel,
-                        tol: float = DEFAULT_SCORE_TOL,
-                        average: bool = True) -> EdgeTestReport:
+                        tol: float = DEFAULT_SCORE_TOL) -> EdgeTestReport:
     """Pass iff every interior edge split of ``tree`` scores at most ``tol``."""
     if psi.n != tree.n_leaves:
         raise ValueError("tensor and tree disagree on the leaf count")
-    scores = tuple(score_splits(psi, model, tree.interior_splits(),
-                                average).values())
+    scores = tuple(score_splits(psi, model, tree.interior_splits()).values())
     return EdgeTestReport(tree, all(s.score <= tol for s in scores), scores,
                           tol)
 
@@ -215,8 +215,7 @@ def all_bipartitions(n: int, nontrivial_only: bool = False) -> list[Bipartition]
 
 
 def genericity_check(psi: PatternTensor, model: EquivariantModel,
-                     tree: TreeTopology, average: bool = True,
-                     table: Optional[SplitTable] = None
+                     tree: TreeTopology, table: Optional[SplitTable] = None
                      ) -> GenericityReport:
     """Verify the tensor attains the ceiling rank at every bipartition of the
     candidate tree (the hypothesis under which edge tests are decisive).
@@ -224,8 +223,8 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
     The ceiling is m(c), c the fewest edges of ``tree`` whose removal
     separates the bipartition's two sides (``expected_rank_vector``).
 
-    The ranks of nontrivial bipartitions are read from ``table``, a split
-    table of the tensor that stands in for ``psi`` and ``average`` when
+    Ranks are those of the group-averaged tensor.  The ranks of nontrivial
+    bipartitions are read from ``table``, a split table of ``psi`` when
     given; the trivial ones, which a table does not rank, are flattened.
     """
     n = psi.n
@@ -235,7 +234,7 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
     if tree.n_leaves != n:
         raise ValueError("tensor and tree disagree on the leaf count")
     if table is None:
-        table = SplitTable(psi, model, average)
+        table = SplitTable(psi, model)
     entries = []
     for split in all_bipartitions(n):
         ceiling = expected_rank_vector(model, tree, split)
@@ -316,8 +315,8 @@ class MinorEvaluation:
 
 
 def evaluate_generators(psi: PatternTensor, split: Bipartition,
-                        model: EquivariantModel, budget: int,
-                        average: bool = True) -> MinorEvaluation:
+                        model: EquivariantModel, budget: int
+                        ) -> MinorEvaluation:
     """Evaluate the determinantal constraints at the tensor, up to ``budget``.
 
     Enumeration order is frozen for reproducibility of budgeted runs:
@@ -330,8 +329,7 @@ def evaluate_generators(psi: PatternTensor, split: Bipartition,
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    scored = averaged(psi, model) if average else psi
-    tf = character_flattening(scored, split, model)
+    tf = character_flattening(averaged(psi, model), split, model)
     target = model.multiplicities(1)
     best = 0.0
     evaluated = 0
@@ -378,10 +376,9 @@ def model_fit_score(psi: PatternTensor, model: EquivariantModel) -> float:
 
 def split_report(model: EquivariantModel, n: int,
                  scores: Iterable[SplitScore],
-                 warnings: Iterable[str] = (),
-                 extra: Optional[dict] = None) -> dict:
+                 warnings: Iterable[str] = ()) -> dict:
     """The machine-readable report: one record per bipartition scored."""
-    doc = {
+    return {
         "model": model.name,
         "n": n,
         "bipartitions": [
@@ -397,6 +394,3 @@ def split_report(model: EquivariantModel, n: int,
         ],
         "warnings": list(warnings),
     }
-    if extra:
-        doc.update(extra)
-    return doc

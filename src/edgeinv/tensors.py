@@ -78,6 +78,9 @@ class PatternTensor:
     # model name -> CharacterTransform of these values, filled on first use
     _transforms: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    # the model whose group average these values are, set by ``averaged``
+    _averaged_for: EquivariantModel | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -184,11 +187,15 @@ def pattern_strings(indices: np.ndarray, n: int) -> list[str]:
 
 
 def averaged(psi: PatternTensor, model: EquivariantModel) -> PatternTensor:
-    """Group-average ``psi`` onto the exactly invariant tensors; the trivial
-    group leaves it unchanged."""
-    if model.order == 1:
+    """Group-average ``psi`` onto the exactly invariant tensors.  The trivial
+    group, and a tensor that is already this function's output for
+    ``model``, come back as they are: the average is a projection, and the
+    values of a ``PatternTensor`` are read-only."""
+    if model.order == 1 or psi._averaged_for is model:
         return psi
-    return replace(psi, values=group_average(psi.values, model, psi.n))
+    out = replace(psi, values=group_average(psi.values, model, psi.n))
+    object.__setattr__(out, "_averaged_for", model)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +451,9 @@ def load_tensor(path) -> PatternTensor:
         return tensor_from_bytes(fh.read())
 
 
-def tensor_to_json(psi: PatternTensor, include_zeros: bool = False) -> str:
+def tensor_to_json(psi: PatternTensor) -> str:
     canonical = psi.with_canonical_labels()
-    kept = (np.arange(canonical.values.size) if include_zeros
-            else np.flatnonzero(canonical.values))
+    kept = np.flatnonzero(canonical.values)
     entries = list(zip(pattern_strings(kept, canonical.n),
                        canonical.values[kept].tolist()))
     return json.dumps({

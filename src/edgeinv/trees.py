@@ -118,13 +118,10 @@ class TreeTopology:
     ----------
     n_leaves : int
     edges : iterable of (u, v) vertex-id pairs.  Leaves are 1..n_leaves;
-        interior ids may be any integers > n_leaves.
-    trivalent : bool
-        When set (default), every interior vertex must have degree exactly 3.
+        interior ids may be any integers > n_leaves; each must have degree 3.
     """
 
-    def __init__(self, n_leaves: int, edges: Iterable[tuple[int, int]],
-                 trivalent: bool = True):
+    def __init__(self, n_leaves: int, edges: Iterable[tuple[int, int]]):
         self.n_leaves = n_leaves
         self.edges = tuple(sorted(tuple(sorted(e)) for e in edges))
         adjacency: dict[int, list[int]] = {}
@@ -136,7 +133,6 @@ class TreeTopology:
         self.adjacency: Mapping[int, tuple[int, ...]] = {
             v: tuple(sorted(ns)) for v, ns in sorted(adjacency.items())
         }
-        self.trivalent = trivalent
         self._validate()
         self._splits: Optional[tuple[Bipartition, ...]] = None
 
@@ -165,11 +161,10 @@ class TreeTopology:
         for leaf in leaves:
             if n > 1 and len(self.adjacency[leaf]) != 1:
                 raise ValueError(f"leaf {leaf} must have degree 1")
-        if self.trivalent:
-            for v in verts - leaves:
-                if len(self.adjacency[v]) != 3:
-                    raise ValueError(f"interior vertex {v} has degree "
-                                     f"{len(self.adjacency[v])}, expected 3")
+        for v in verts - leaves:
+            if len(self.adjacency[v]) != 3:
+                raise ValueError(f"interior vertex {v} has degree "
+                                 f"{len(self.adjacency[v])}, expected 3")
 
     @property
     def interior_vertices(self) -> tuple[int, ...]:

@@ -127,7 +127,7 @@ def enumerated(n: int) -> tuple[TreeTopology, ...]:
 
 def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
                     tol: Optional[float] = DEFAULT_SCORE_TOL,
-                    average: bool = True, check_genericity: bool = True
+                    check_genericity: bool = True
                     ) -> tuple[ReconstructionResult, tuple[TreeTopology, ...]]:
     """``reconstruct_exhaustive`` by scoring every enumerated topology.
 
@@ -138,10 +138,9 @@ def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
     """
     _check_tol(tol)
     n = psi.n
-    scored_psi = averaged(psi, model) if average else psi
+    scored_psi = averaged(psi, model)
     table = score_splits(scored_psi, model,
-                         all_bipartitions(n, nontrivial_only=True),
-                         average=False)
+                         all_bipartitions(n, nontrivial_only=True))
     topologies = enumerated(n)
     tree_scores = [tuple(table[s] for s in tree.interior_splits())
                    for tree in topologies]
@@ -167,7 +166,7 @@ def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
 
     genericity: tuple[str, ...] = ()
     if check_genericity:
-        ranks = SplitTable(scored_psi, model, average=False)
+        ranks = SplitTable(scored_psi, model)
         ranks.scored.update((side_mask(s), score) for s, score in table.items())
         audit = genericity_check(scored_psi, model, topologies[winner],
                                  table=ranks)
@@ -184,15 +183,14 @@ def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
 # Greedy selection from every split: the reference for reconstruct_by_splits
 # ---------------------------------------------------------------------------
 
-def greedy_splits_tree(psi: PatternTensor, model: EquivariantModel,
-                       average: bool = True) -> TreeTopology:
+def greedy_splits_tree(psi: PatternTensor, model: EquivariantModel
+                       ) -> TreeTopology:
     """The tree of the lowest-scoring mutually compatible splits: every
     nontrivial bipartition is scored, and ascending by score (ties by
     ``Bipartition.sort_key``) each is kept when compatible with everything
     already kept, until n-3 survive."""
     n = psi.n
-    table = score_splits(psi, model, all_bipartitions(n, nontrivial_only=True),
-                         average=average)
+    table = score_splits(psi, model, all_bipartitions(n, nontrivial_only=True))
     chosen = []
     for candidate in sorted(table.values(),
                             key=lambda s: (s.score, s.split.sort_key())):

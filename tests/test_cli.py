@@ -1,12 +1,13 @@
 """CLI surface tests: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import struct
 
 import pytest
 
 from edgeinv import cli
-from edgeinv.cli import main
+from edgeinv.cli import build_parser, main
 
 QUARTET_NEWICK = "((1,2),(3,4));"
 
@@ -15,6 +16,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+INPUT_OPTIONS = ["--input", "--format", "--ambiguous"]
+
+
+def test_options_are_pinned():
+    # a new option or flag shows up here as a change to this list
+    (commands,) = (a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    options = {name: [o for a in p._actions for o in a.option_strings
+                      if o not in ("-h", "--help")]
+               for name, p in commands.items()}
+    assert options == {
+        "model-info": ["--model", "--power", "--basis"],
+        "simulate": ["--model", "--tree", "--seed", "--sites",
+                     "--concentration", "--out"],
+        "score": ["--model", *INPUT_OPTIONS, "--split", "--all-splits"],
+        "reconstruct": ["--model", *INPUT_OPTIONS, "--method", "--tol"],
+        "fit": [*INPUT_OPTIONS, "--models"],
+    }
 
 
 class TestModelInfo:
@@ -252,9 +273,11 @@ class TestFit:
         assert scored == ["K81", "JC69", "GMM"]
         assert list(json.loads(out)["fit_scores"]) == ["K81", "JC69", "GMM"]
 
-    def test_no_average_is_not_a_fit_option(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["fit", "score", "reconstruct"])
+    def test_no_average_is_not_a_fit_option(self, capsys, tmp_path, command):
+        models = "--models" if command == "fit" else "--model"
         with pytest.raises(SystemExit) as exc:
-            main(["fit", "--input", str(tmp_path / "t.eqpt"), "--models",
+            main([command, "--input", str(tmp_path / "t.eqpt"), models,
                   "K81", "--no-average"])
         assert exc.value.code == 2
         assert "--no-average" in capsys.readouterr().err

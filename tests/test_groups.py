@@ -344,14 +344,14 @@ class TestBases:
         import edgeinv.groups as G
         model = builtin_model("K80")
         a = symmetry_adapted_basis(model, 2).dense()
-        G._BASIS_CACHE.clear()
+        G.symmetry_adapted_basis.cache_clear()
         b = symmetry_adapted_basis(model, 2).dense()
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_matches_orbitwise_construction(self, name):
         model = builtin_model(name)
-        G._BASIS_CACHE.clear()
+        G.symmetry_adapted_basis.cache_clear()
         try:
             for power in range(1, 7):
                 expected, expected_tags = orbitwise_basis(model, power)
@@ -362,7 +362,7 @@ class TestBases:
                 assert np.array_equal(data, expected.data)
                 assert basis.tags == expected_tags
         finally:
-            G._BASIS_CACHE.clear()
+            G.symmetry_adapted_basis.cache_clear()
 
 
 class TestCliffordReduction:
@@ -536,6 +536,14 @@ class TestGroupAverage:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             group_average(np.zeros(15), builtin_model("K81"), 2)
+
+    @pytest.mark.parametrize("name", ["K81", "JC69"])
+    def test_integer_input_averages_as_float(self, name):
+        model = builtin_model(name)
+        values = np.arange(64)
+        got = group_average(values, model, 3)
+        assert np.array_equal(got, group_average(values.astype(float),
+                                                 model, 3))
 
     def test_pattern_maps_not_cached(self):
         assert pattern_maps("K81", 3) is not pattern_maps("K81", 3)

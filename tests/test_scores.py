@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import edgeinv.groups
+import edgeinv.tensors
 from edgeinv.groups import builtin_model
 from edgeinv.reconstruct import reconstruct_exhaustive
 from edgeinv.scores import (
@@ -148,14 +149,15 @@ class TestScoreSplits:
             score_splits(psi, builtin_model("K81"), [Bipartition({2, 6}, 6)])
 
     @pytest.mark.parametrize("name", ["GMM", "SSM", "K81"])
-    @pytest.mark.parametrize("average", [False, True])
-    def test_abelian_table_ranks_match_thin_flatten(self, name, average):
+    @pytest.mark.parametrize("pre_averaged", [False, True])
+    def test_abelian_table_ranks_match_thin_flatten(self, name, pre_averaged):
+        # the table scores the average whether or not it is handed one
         model = builtin_model(name)
         psi = PatternTensor(np.random.default_rng(5).random(4 ** 6),
                             tuple(range(1, 7)))
         splits = all_bipartitions(6, nontrivial_only=True)
-        table = score_splits(psi, model, splits, average=average)
-        scored = averaged(psi, model) if average else psi
+        scored = averaged(psi, model)
+        table = score_splits(scored if pre_averaged else psi, model, splits)
         for split in splits:
             want = thin_rank(thin_flatten(scored, split, model))
             assert table[split].achieved.entries == want.entries
@@ -171,7 +173,7 @@ class TestScoreSplits:
             return original_build(model, power)
 
         monkeypatch.setattr(edgeinv.groups, "_build_basis", counted_build)
-        monkeypatch.setattr(edgeinv.groups, "_BASIS_CACHE", {})
+        edgeinv.groups.symmetry_adapted_basis.cache_clear()
         model = builtin_model("K81")
         psi = PatternTensor(np.random.default_rng(6).random(4 ** 8),
                             tuple(range(1, 9)))
@@ -192,7 +194,7 @@ class TestScoreSplits:
             return original_build(model, power)
 
         monkeypatch.setattr(edgeinv.groups, "_build_basis", counted_build)
-        monkeypatch.setattr(edgeinv.groups, "_BASIS_CACHE", {})
+        edgeinv.groups.symmetry_adapted_basis.cache_clear()
         k80 = builtin_model("K80")
         psi = PatternTensor(np.random.default_rng(7).random(4 ** 8),
                             tuple(range(1, 9)))
@@ -204,6 +206,21 @@ class TestScoreSplits:
         assert result.tree.interior_splits() == tree.interior_splits()
         assert result.genericity_warnings == ()
         assert max(built, default=1) == 1
+
+    def test_table_takes_one_average(self, monkeypatch):
+        calls = []
+        original = edgeinv.tensors.group_average
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(edgeinv.tensors, "group_average", counted)
+        psi = PatternTensor(np.random.default_rng(9).random(4 ** 8),
+                            tuple(range(1, 9)))
+        table = score_splits(psi, builtin_model("K80"),
+                             all_bipartitions(8, True))
+        assert len(table) == 119 and len(calls) == 1
 
     def test_table_takes_one_norm(self, monkeypatch):
         norms = []

@@ -589,6 +589,13 @@ class TestGroupAveraging:
         psi = random_tensor(range(1, 4), 1)
         assert averaged(psi, builtin_model("GMM")) is psi
 
+    @pytest.mark.parametrize("name", ["K81", "JC69"])
+    def test_average_of_an_average_is_itself(self, name):
+        model = builtin_model(name)
+        avg = averaged(random_tensor(range(1, 4), 2), model)
+        assert averaged(avg, model) is avg
+        assert averaged(avg, builtin_model("SSM")) is not avg
+
     def test_average_preserves_stochastic(self):
         psi = random_tensor(range(1, 4), 1, stochastic=True)
         avg = averaged(psi, builtin_model("JC69"))
