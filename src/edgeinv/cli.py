@@ -17,18 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .groups import MODEL_NAMES, builtin_model, symmetry_adapted_basis
-from .reconstruct import (
-    empirical_tensor,
-    reconstruct_by_splits,
-    reconstruct_exhaustive,
-)
+from .reconstruct import reconstruct_by_splits, reconstruct_exhaustive
 from .scores import all_bipartitions, model_fit_score, score_splits, \
     split_report
 from .simulate import (
+    fasta_codes,
     joint_distribution,
     random_presentation,
     sample_alignment,
-    read_fasta,
     write_fasta,
 )
 from .tensors import (
@@ -146,8 +142,8 @@ def _load_input(path: str, fmt: str, ambiguous: str) -> PatternTensor:
     del data  # free the bytes before the text is parsed
     if fmt == "json":
         return tensor_from_json(text)
-    # read_fasta has dropped or rejected every non-ACGT column
-    return empirical_tensor(read_fasta(text, ambiguous=ambiguous))
+    # fasta_codes has dropped or rejected every non-ACGT column
+    return PatternTensor.column_frequencies(fasta_codes(text, ambiguous)[1])
 
 
 def cmd_score(args) -> int:

@@ -448,10 +448,14 @@ def pattern_maps(model_name: str, power: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _cyclic_factors(model: EquivariantModel) -> tuple[tuple[Perm, ...], ...]:
     """Cyclic subgroups C_1, ..., C_k of ``model``, each sorted (identity
-    first), such that c_1 ... c_k runs over every element once: C_1 of the
-    largest order that allows it, then ones of order 2, chosen greedily."""
+    first), whose products run over every element once: C_1 of order d and
+    the rest of order 2, greedily, for (d - 1) + log2(|G| / d) gathers."""
+    def gathers(c):  # fewest first, then larger C_1; |G| / d a power of 2
+        rest = model.order // len(c)
+        return rest & (rest - 1), len(c) - 1 + np.log2(rest), -len(c)
+
     cycles = [_closure([g]) for g in model.elements]
-    for first in sorted(cycles, key=len, reverse=True):
+    for first in sorted(cycles, key=gathers):
         covered, factors = set(first), [first]
         for c in (p[1] for p in cycles if len(p) == 2):
             shifted = {_compose(h, c) for h in covered}
@@ -470,7 +474,7 @@ def group_average(values: np.ndarray, model: EquivariantModel,
     With T_g the gather psi -> psi[g . p] and the cyclic factors C_i of G,
     sum_G T_g = (sum_{C_k} T) ... (sum_{C_1} T): C_1 gathers from ``values``
     and each later C_i = {1, c} adds a gather of the sum to itself, so JC69
-    takes 5 gathers, K80 4, K81 2 and SSM 1.  Element g moves the block of
+    takes 5 gathers, K80 3, K81 2 and SSM 1.  Element g moves the block of
     k^7 patterns with high digits h to block g . h, so c updates h and c . h
     from each other in place, with three block-sized buffers."""
     values = np.asarray(values, dtype=float)

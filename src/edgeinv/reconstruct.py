@@ -40,7 +40,7 @@ from .scores import (
     split_report,
 )
 from .simulate import Alignment
-from .tensors import AMBIGUOUS, PatternTensor, pattern_codes
+from .tensors import PatternTensor
 from .trees import TreeTopology, tree_from_splits
 
 WARN_NO_UNIQUE_PASS = "no-unique-pass"
@@ -307,13 +307,9 @@ def empirical_tensor(alignment: Alignment) -> PatternTensor:
     A pattern with a symbol outside ACGT raises; ``read_fasta`` drops or
     rejects such columns before they get here.
     """
-    if alignment.n_sites == 0:
+    total = alignment.n_sites
+    if total == 0:
         raise ValueError("empty alignment")
-    patterns = list(alignment.counts)
-    codes = pattern_codes(patterns, alignment.n_taxa)
-    bad = (codes == AMBIGUOUS).any(axis=0)
-    if bad.any():
-        raise ValueError(f"non-ACGT pattern {patterns[bad.argmax()]!r}")
-    counts = np.fromiter(alignment.counts.values(), float, len(patterns))
-    return PatternTensor.from_codes(codes, counts / counts.sum(),
-                                    stochastic=True)
+    return PatternTensor.from_pattern_counts(
+        {p: c / total for p, c in alignment.counts.items()},
+        alignment.n_taxa, stochastic=True)

@@ -262,28 +262,32 @@ def sample_alignment(psi: PatternTensor, sites: int, seed: int,
 # FASTA
 # ---------------------------------------------------------------------------
 
-def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
-    """Parse FASTA records into pattern counts.
-
-    Sequences must have equal lengths, and there may be at most 12 of them
-    (``tensors.MAX_LEAVES``).  Columns holding symbols outside ACGT are
-    dropped when ``ambiguous="drop"`` and rejected otherwise.
-    """
+def fasta_codes(text: str, ambiguous: str = "error"
+                ) -> tuple[tuple[str, ...], np.ndarray]:
+    """The taxa of FASTA records and the (n, m) state codes of the usable
+    columns.  Sequences must have equal lengths; every character is one
+    column, with ASCII case folded.  Columns holding symbols outside ACGT
+    are dropped when ``ambiguous="drop"`` and rejected otherwise."""
     if ambiguous not in ("error", "drop"):
         raise ValueError("ambiguous must be 'error' or 'drop'")
-    lines = list(map(str.strip, text.splitlines()))
-    heads = [i for i, line in enumerate(lines) if line.startswith(">")]
-    if any(lines[:heads[0] if heads else len(lines)]):
+    text = "\n".join(["", *map(str.strip, text.splitlines()), ""])
+    # a record starts at each line that starts with ">", a rare character
+    heads, at = [], text.find(">")
+    while at >= 0:
+        if text[at - 1] == "\n":
+            heads.append(at)
+        at = text.find(">", at + 1)
+    if text[:heads[0] if heads else None].strip():
         raise ValueError("sequence data before any FASTA header")
-    taxa: list[str] = []
-    seqs: list[str] = []
-    for head, end in zip(heads, heads[1:] + [len(lines)]):
-        name = lines[head][1:].split()
+    taxa, seqs = [], []
+    for head, end in zip(heads, heads[1:] + [len(text)]):
+        eol = text.find("\n", head)
+        name = text[head + 1:eol].split()
         if not name:
             raise ValueError("empty taxon name in a FASTA header")
         taxa.append(name[0])
-        seqs.append("".join(lines[head + 1:end]).upper())
-    del lines
+        seqs.append(text[eol:end].replace("\n", ""))
+    del text
     if not taxa:
         raise ValueError("empty FASTA input")
     lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
@@ -295,7 +299,8 @@ def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
         raise ValueError("alignment has no sites")
     codes = np.empty((len(seqs), len(seqs[0])), dtype=np.uint8)
     for i, seq in enumerate(seqs):
-        codes[i] = state_codes(seq)
+        # one byte per character, and bytes.upper touches ASCII only
+        codes[i] = state_codes(seq.encode("latin-1", "replace").upper())
     del seqs, seq  # from here on the codes stand for the text
     bad = (codes == AMBIGUOUS).any(axis=0)
     if bad.any():
@@ -304,11 +309,17 @@ def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
         codes = codes[:, ~bad]
     if not codes.shape[1]:
         raise ValueError("no usable columns remain")
+    return tuple(taxa), codes
+
+
+def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
+    """The pattern counts of ``fasta_codes``, for at most 12 taxa."""
+    taxa, codes = fasta_codes(text, ambiguous)
     indices = pattern_indices(codes)
     del codes   # before np.unique copies the indices
     patterns, counts = np.unique(indices, return_counts=True)
-    return Alignment(tuple(taxa), dict(zip(pattern_strings(patterns, len(taxa)),
-                                           counts.tolist())))
+    return Alignment(taxa, dict(zip(pattern_strings(patterns, len(taxa)),
+                                    counts.tolist())))
 
 
 def write_fasta(alignment: Alignment, width: int = 70) -> str:

@@ -90,14 +90,15 @@ class PatternTensor:
         if values.shape != (K ** n,):
             raise ValueError(f"expected {K ** n} entries for {n} positions,"
                              f" got {values.shape}")
-        if not np.all(np.isfinite(values)):
+        total = values.sum()  # an inf or nan entry makes it non-finite
+        if not (np.isfinite(total) or np.isfinite(values).all()):
             raise ValueError("tensor entries must be finite")
         if len(set(self.labels)) != n:
             raise ValueError("duplicate position labels")
         if self.stochastic:
             if values.min() < -STOCHASTIC_NEG_TOL:
                 raise ValueError("stochastic tensor has a negative entry")
-            if abs(values.sum() - 1.0) > STOCHASTIC_SUM_TOL:
+            if abs(total - 1.0) > STOCHASTIC_SUM_TOL:
                 raise ValueError("stochastic tensor does not sum to 1")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -138,25 +139,32 @@ class PatternTensor:
                              f"{patterns[bad.argmax()]!r}")
         if stop < len(patterns):
             raise ValueError(f"pattern {patterns[stop]!r} is not length {n}")
-        return cls.from_codes(codes, np.fromiter(counts.values(), float, stop),
-                              stochastic)
+        return cls(_scatter(codes, np.fromiter(counts.values(), float, stop)),
+                   tuple(range(1, n + 1)), stochastic)
 
     @classmethod
-    def from_codes(cls, codes: np.ndarray, weights: np.ndarray,
-                   stochastic: bool = False) -> "PatternTensor":
-        """``weights`` at the distinct ACGT patterns of ``pattern_codes``."""
-        indices = pattern_indices(codes)  # before allocating 4**n entries
-        values = np.zeros(K ** len(codes))
-        values[indices] += weights
-        return cls(values, tuple(range(1, len(codes) + 1)),
-                   stochastic=stochastic)
+    def column_frequencies(cls, codes: np.ndarray) -> "PatternTensor":
+        """The relative frequencies of the columns of (n, m) ACGT state codes,
+        flagged stochastic: each entry is its column count / m exactly."""
+        values = _scatter(codes, 1.0)
+        values /= codes.shape[1]
+        return cls(values, tuple(range(1, len(codes) + 1)), stochastic=True)
 
 
-def state_codes(text: str) -> np.ndarray:
-    """One read-only uint8 per character: 0..3 for A, C, G, T (upper case
-    only) and ``AMBIGUOUS`` for anything else."""
-    return np.frombuffer(text.encode("latin-1", "replace").translate(_CODES),
-                         dtype=np.uint8)
+def _scatter(codes: np.ndarray, weights) -> np.ndarray:
+    """The 4^n tensor of ``weights`` summed at the columns' patterns."""
+    indices = pattern_indices(codes)  # before allocating 4**n entries
+    values = np.zeros(K ** len(codes))
+    np.add.at(values, indices, weights)
+    return values
+
+
+def state_codes(text: str | bytes) -> np.ndarray:
+    """One read-only uint8 per character (or byte): 0..3 for A, C, G, T
+    (upper case only) and ``AMBIGUOUS`` for anything else."""
+    if isinstance(text, str):
+        text = text.encode("latin-1", "replace")
+    return np.frombuffer(text.translate(_CODES), dtype=np.uint8)
 
 
 def pattern_codes(patterns: list[str], n: int) -> np.ndarray:
@@ -436,7 +444,7 @@ def tensor_from_bytes(blob: bytes) -> PatternTensor:
         raise ValueError(f"unsupported container version {version}")
     if k != 4:
         raise ValueError(f"unsupported alphabet size k={k}, expected 4")
-    values = np.frombuffer(blob[12:], dtype="<f8")
+    values = np.frombuffer(blob, dtype="<f8", offset=12)
     return PatternTensor(values.copy(), tuple(range(1, n + 1)),
                          bool(flags & _FLAG_STOCHASTIC))
 

@@ -2,12 +2,16 @@
 
 import argparse
 import json
+import re
 import struct
 
 import pytest
 
 from edgeinv import cli
 from edgeinv.cli import build_parser, main
+from edgeinv.reconstruct import empirical_tensor
+from edgeinv.simulate import read_fasta
+from edgeinv.tensors import save_tensor
 
 QUARTET_NEWICK = "((1,2),(3,4));"
 
@@ -131,6 +135,25 @@ class TestScore:
         assert code == 0
         assert len(doc["bipartitions"]) == 1
         assert doc["bipartitions"][0]["score"] > 0.01
+
+    @pytest.mark.parametrize("ambiguous", ["error", "drop"])
+    def test_fasta_scores_as_its_empirical_tensor(self, capsys, tmp_path,
+                                                  ambiguous):
+        fasta = tmp_path / "a.fasta"
+        run(capsys, "simulate", "--model", "K81", "--tree",
+            "(((1,2),3),(4,5));", "--seed", "3", "--sites", "3000",
+            "--out", str(fasta))
+        if ambiguous == "drop":  # an N in the first column of taxon 1
+            fasta.write_text(re.sub("\n[ACGT]", "\nN", fasta.read_text(), 1))
+        tensor = tmp_path / "a.eqpt"
+        save_tensor(empirical_tensor(read_fasta(fasta.read_text(),
+                                                ambiguous)), tensor)
+        outs = [run(capsys, "score", "--model", "K81", "--input", str(path),
+                    "--ambiguous", ambiguous, "--all-splits")
+                for path in (fasta, tensor)]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and len(json.loads(outs[0][1])
+                                       ["bipartitions"]) == 10
 
 
 class TestReconstruct:

@@ -516,7 +516,7 @@ class TestGroupAverage:
         assert products == set(model.elements)
 
     @pytest.mark.parametrize("name, gathers", [
-        ("GMM", 0), ("SSM", 1), ("K81", 2), ("K80", 4), ("JC69", 5)])
+        ("GMM", 0), ("SSM", 1), ("K81", 2), ("K80", 3), ("JC69", 5)])
     def test_gather_count(self, name, gathers):
         factors = G._cyclic_factors(builtin_model(name))
         assert sum(len(f) - 1 for f in factors) == gathers

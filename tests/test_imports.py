@@ -9,6 +9,7 @@ already.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ import edgeinv
 from edgeinv.cli import main
 assert "scipy" not in sys.modules, "import edgeinv"
 for argv in json.loads(sys.argv[1]):
-    main(argv)
+    assert main(argv) in (0, 2), argv
     assert "scipy" not in sys.modules, argv
     assert "numpy.ma" not in sys.modules, argv
 """
@@ -45,6 +46,9 @@ def test_benchmark_commands_import_no_scipy(tmp_path):
     fasta = tmp_path / "k81.fasta"
     fasta.write_text(ei.write_fasta(ei.sample_alignment(psi, 2000, 2,
                                                         taxa=taxa)))
+    # an N column, so the parser's dropping path runs
+    dropped = tmp_path / "k81n.fasta"
+    dropped.write_text(re.sub("\n[ACGT]", "\nN", fasta.read_text(), 1))
     commands = [
         ["reconstruct", "--model", "JC69", "--input", str(paths["JC69"]),
          "--method", "exhaustive"],
@@ -52,6 +56,8 @@ def test_benchmark_commands_import_no_scipy(tmp_path):
          "--method", "splits"],
         ["score", "--model", "K80", "--input", str(paths["K80"]),
          "--all-splits"],
+        ["score", "--model", "K81", "--input", str(dropped), "--ambiguous",
+         "drop", "--all-splits"],
         ["fit", "--models", "JC69,K81", "--input", str(paths["K81"])],
         ["model-info", "--model", "JC69", "--power", "3", "--basis"],
         ["simulate", "--model", "K80", "--tree", "((a,b),(c,d));",

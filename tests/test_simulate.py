@@ -11,12 +11,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from edgeinv.cli import _load_input
 from edgeinv.groups import builtin_model, group_average
 from edgeinv.reconstruct import empirical_tensor
 from edgeinv.simulate import (
     Alignment,
     EvolutionaryPresentation,
     default_taxa,
+    fasta_codes,
     joint_distribution,
     no_mutation_presentation,
     position_orbits,
@@ -302,6 +304,19 @@ class TestFasta:
                                  r"0\.\.12$"):
             read_fasta(text)
 
+    @pytest.mark.parametrize("ambiguous", ["error", "drop"])
+    def test_each_character_is_one_column(self, ambiguous):
+        # str.upper would make the sharp s "SS" and the ligature "FF"
+        with pytest.raises(ValueError, match="^sequences have unequal "
+                                             "lengths$"):
+            read_fasta(">a\nA\xdfC\n>b\nACGT\n", ambiguous)
+        for text in (">a\nA\xdfC\n>b\nACG\n", ">a\nA\ufb00C\n>b\nacg\n"):
+            got = outcome(read_fasta, text, ambiguous)
+            if ambiguous == "drop":
+                assert got.counts == {"AA": 1, "CG": 1}
+            else:
+                assert got == "ValueError: non-ACGT symbol in column 2"
+
     def test_write_keeps_non_acgt_patterns(self):
         aln = Alignment(("a", "b"), {"CC": 1, "AN": 2, "G\xe9": 1})
         assert write_fasta(aln, width=3) == \
@@ -361,23 +376,58 @@ class TestFastaColumnCount:
                 assert got.counts == want
                 assert got.taxa == tuple(f"t{i}" for i in range(len(seqs)))
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ambiguous", ["error", "drop"])
+    def test_cli_tensor_matches_the_alignment_route(self, tmp_path, seed,
+                                                    ambiguous):
+        # the CLI counts the columns' codes; the library route counts
+        # pattern strings: the same bytes, or the same error
+        rng = random.Random(seed)
+        path = tmp_path / "a.fasta"
+        for _ in range(200):
+            text, _ = random_fasta(rng)
+            path.write_text(text, encoding="utf-8")
+            got = outcome(_load_input, str(path), "fasta", ambiguous)
+            want = outcome(lambda: empirical_tensor(read_fasta(text,
+                                                               ambiguous)))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.stochastic and got.labels == want.labels
+                assert np.array_equal(got.values, want.values)
+
     def test_peak_memory_bounded_by_the_text(self):
         # read_fasta + empirical_tensor of 10^5 sites x 8 taxa peaks at
-        # 2.9x the FASTA text size, as the column walk did
-        tree, names = from_newick(
-            "(((((((t1,t2),t3),t4),t5),t6),t7),t8);")
-        psi = joint_distribution(
-            random_presentation(builtin_model("K81"), tree, 1))
-        text = write_fasta(sample_alignment(
-            psi, 10 ** 5, 1, taxa=[names[i] for i in range(1, 9)]))
-        empirical_tensor(read_fasta(text))
-        tracemalloc.start()
-        try:
-            empirical_tensor(read_fasta(text))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * len(text)
+        # 2.8x the FASTA text size (the column walk: 2.9x)
+        text = caterpillar_fasta()
+        assert traced_peak(lambda: empirical_tensor(read_fasta(text))) \
+            <= 4 * len(text)
+
+    def test_cli_peak_memory_bounded_by_the_text(self):
+        # the CLI's count of the codes peaks at 2.8x as well
+        text = caterpillar_fasta()
+        assert traced_peak(lambda: PatternTensor.column_frequencies(
+            fasta_codes(text)[1])) <= 4 * len(text)
+
+
+def caterpillar_fasta() -> str:
+    """10^5 sites of an 8-taxon K81 caterpillar, as FASTA text."""
+    tree, names = from_newick("(((((((t1,t2),t3),t4),t5),t6),t7),t8);")
+    psi = joint_distribution(
+        random_presentation(builtin_model("K81"), tree, 1))
+    return write_fasta(sample_alignment(
+        psi, 10 ** 5, 1, taxa=[names[i] for i in range(1, 9)]))
+
+
+def traced_peak(parse) -> int:
+    """The tracemalloc peak of a second ``parse()``, after a warm-up."""
+    parse()
+    tracemalloc.start()
+    try:
+        parse()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPresentationJson:

@@ -120,6 +120,18 @@ class TestAlphabet:
         codes = state_codes("ACGTacgtN-?\xe9\u20ac")
         assert codes.tolist() == [0, 1, 2, 3] + [AMBIGUOUS] * 9
 
+    def test_state_codes_of_bytes_are_those_of_latin_1_text(self):
+        text = "ACGTacgtN-?\xe9\xff"
+        assert np.array_equal(state_codes(text.encode("latin-1")),
+                              state_codes(text))
+
+    def test_column_frequencies_count_repeated_columns(self):
+        psi = PatternTensor.column_frequencies(pattern_codes(
+            ["AC", "GT", "AC"], 2))
+        assert psi.stochastic and psi.labels == (1, 2)
+        assert psi.values[[1, 11]].tolist() == [2 / 3, 1 / 3]
+        assert psi.values.sum() == 1.0
+
     def test_index_is_base_four_first_position_most_significant(self):
         codes = pattern_codes(["TA", "CG", "AA"], 2)
         assert codes.shape == (2, 3)
@@ -542,6 +554,12 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             tensor_from_bytes(b"XXXX" + bytes(16))
+
+    def test_ragged_payload_rejected(self):
+        blob = tensor_to_bytes(no_mutation_tensor(2))
+        with pytest.raises(ValueError, match="^buffer size must be a "
+                                             "multiple of element size$"):
+            tensor_from_bytes(blob + b"\0")
 
     def test_truncated_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
