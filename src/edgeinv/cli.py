@@ -37,31 +37,38 @@ from .tensors import (
 from .trees import Bipartition, from_newick
 
 
-def _render_basis_vector(vec: np.ndarray, names: list[str]) -> str:
-    """Exact form when entries are a +-integer pattern over sqrt(norm)."""
-    nonzero = vec[np.abs(vec) > 1e-12]
+def _render_basis_vector(rows: np.ndarray, values: np.ndarray,
+                         names: list[str]) -> str:
+    """Exact form when entries are a +-integer pattern over sqrt(norm).  The
+    vector has ``values`` at ``rows`` and zeros at the other patterns."""
+    order = np.argsort(rows)
+    rows, values = rows[order], values[order]
+    nonzero = values[np.abs(values) > 1e-12]
     if nonzero.size == 0:
         return "0"
     scale = np.abs(nonzero).min()
-    ints = vec / scale
+    ints = values / scale
     rounded = np.rint(ints)
     if np.abs(ints - rounded).max() < 1e-9:
         norm = int(round((rounded ** 2).sum()))
         terms = []
         for idx in np.flatnonzero(rounded):
             coeff = int(rounded[idx])
-            label = names[idx]
+            label = names[rows[idx]]
             sign = "+" if coeff > 0 else "-"
             mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
             terms.append(f"{sign} {mag}{label}")
         body = " ".join(terms).lstrip("+ ")
         return f"({body}) / sqrt({norm})"
+    vec = np.zeros(len(names))
+    vec[rows] = values
     return "[" + ", ".join(f"{x: .6f}" for x in vec) + "]"
 
 
 def cmd_model_info(args) -> int:
     model = builtin_model(args.model)
     power = args.power
+    model.multiplicities(power)  # a power outside the guard fails here
     print(f"model {model.name}: group order {model.order}, "
           f"{model.n_irreps} irreducible representations")
     labels = model.class_labels
@@ -79,12 +86,13 @@ def cmd_model_info(args) -> int:
         print(f"\nmultiplicities m({l}) = {m.entries}")
     if args.basis:
         basis = symmetry_adapted_basis(model, power)
-        dense = basis.dense()
-        names = pattern_strings(np.arange(dense.shape[0]), power)
+        data, rows, indptr = basis.csc_arrays
+        names = pattern_strings(np.arange(len(basis.tags)), power)
         print(f"\nadapted basis of the {power}-fold state space:")
         for col, (t, r, j) in enumerate(basis.tags):
             name = model.irreps[t].name
-            rendered = _render_basis_vector(dense[:, col], names)
+            span = slice(indptr[col], indptr[col + 1])
+            rendered = _render_basis_vector(rows[span], data[span], names)
             print(f"  [{name} copy {r + 1} vec {j + 1}] {rendered}")
     return 0
 

@@ -4,7 +4,9 @@ Each model is a subgroup G of the permutations of the four states A,C,G,T
 together with explicit real orthogonal matrices for every irreducible
 representation.  Everything downstream (multiplicity vectors, symmetry-adapted
 bases of tensor powers, group averages) is computed from these, with
-character arithmetic done in exact integers.
+character arithmetic done in exact integers.  Once per model, one product
+table of the group serves its verification, its conjugacy classes and the
+cyclic factors of its average.
 
 Basis vectors of the l-fold tensor power are built per G-orbit with the
 matrix-element projectors E[t][r] = (d_t/|G|) sum_g D_t(g)[r,0] rho(g)^(x l):
@@ -13,10 +15,9 @@ multiplicity vectors, and E[t][r] maps those to the remaining copies.  Since
 rho(g)^(x l) permutes patterns within a G-orbit, every basis vector has at
 most |G| nonzero entries and the basis is held sparse, in numpy arrays.
 That arithmetic depends on an orbit only through its local action (where
-each g sends each member, as positions in the sorted member list), and few
-local actions occur at any power, so it runs once per orbit shape and the
-resulting vectors are copied onto every orbit of that shape by array
-operations.
+each g sends each member, as positions in the sorted member list) and the
+irrep, and few local actions occur at any power, so it runs once per process
+for each of them and the vectors are copied onto every orbit of that shape.
 
 Group averaging never holds the |G| x k^l table of pattern images: it sums
 over G as a product of sums over cyclic subgroups, gathering block by block,
@@ -26,7 +27,7 @@ Scoring builds no basis above power 1.  ``CliffordReduction`` places the
 first copy of every irrep on one label class of the Kronecker powers of an
 abelian label group's one-site basis, where the stabiliser of a state acts
 by permuting digits, and builds that copy orbit by orbit with the same
-machinery as the bases.
+machinery as the bases: the orbits once per stabiliser and power.
 """
 
 from __future__ import annotations
@@ -56,32 +57,24 @@ def _compose(g: Perm, h: Perm) -> Perm:
     return tuple(g[h[i]] for i in range(len(h)))
 
 
-def _inverse(g: Perm) -> Perm:
-    inv = [0] * len(g)
-    for i, gi in enumerate(g):
-        inv[gi] = i
-    return tuple(inv)
+def _close(a, b, atol: float) -> bool:
+    """``np.allclose(a, b, atol=atol)`` on finite values, set up faster."""
+    return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
 
 
 def _closure(generators: Iterable[Perm]) -> tuple[Perm, ...]:
-    elems = {_IDENTITY}
-    frontier = list(generators)
+    """The group generated, sorted, from |G| |gens| products: each element
+    found times each generator (a finite monoid of permutations is a group)."""
+    gens = tuple(generators)
+    elems, frontier = {_IDENTITY}, [_IDENTITY]
     while frontier:
-        g = frontier.pop()
-        if g in elems:
-            continue
-        elems.add(g)
-        for h in list(elems):
-            for prod in (_compose(g, h), _compose(h, g)):
-                if prod not in elems:
-                    frontier.append(prod)
+        h = frontier.pop()
+        for g in gens:
+            prod = _compose(g, h)
+            if prod not in elems:
+                elems.add(prod)
+                frontier.append(prod)
     return tuple(sorted(elems))
-
-
-def _parity(g: Perm) -> int:
-    inv = sum(1 for i in range(len(g)) for j in range(i + 1, len(g))
-              if g[i] > g[j])
-    return -1 if inv % 2 else 1
 
 
 def _cycle_notation(g: Perm) -> str:
@@ -150,35 +143,32 @@ class EquivariantModel:
         self.dims = tuple(ir.dim for ir in self.irreps)
         self.abelian = all(d == 1 for d in self.dims)
         self._index = {g: i for i, g in enumerate(self.elements)}
-        self.fixed_counts = np.array(
-            [sum(1 for i in range(K) if g[i] == i) for g in self.elements],
-            dtype=np.int64)
+        perms = np.array(self.elements, dtype=np.int64)
+        self.fixed_counts = (perms == np.arange(K)).sum(axis=1)
         # integral character values per element, exactness asserted
         chars = np.empty((self.n_irreps, self.order), dtype=np.int64)
         for t, ir in enumerate(self.irreps):
             traces = np.trace(ir.matrices, axis1=1, axis2=2)
             rounded = np.rint(traces)
-            if not np.allclose(traces, rounded, atol=1e-9):
+            if not _close(traces, rounded, 1e-9):
                 raise AssertionError(f"{name}: non-integral character {ir.name}")
             chars[t] = rounded.astype(np.int64)
         self.characters = chars
         self.characters.setflags(write=False)
-        self._classes = self._conjugacy_classes()
         self._multiplicities: dict[int, MultiplicityVector] = {}
-        self._verify()
+        # product[i, j] = index of g_i after g_j, built and verified once
+        self._product, inverses = self._verify(perms)
+        self._classes = self._conjugacy_classes(inverses)
 
     # -- structure ---------------------------------------------------------
 
-    def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        remaining = set(range(self.order))
-        classes = []
-        while remaining:
-            i = min(remaining)
-            g = self.elements[i]
-            cls = {self._index[_compose(_compose(h, g), _inverse(h))]
-                   for h in self.elements}
-            classes.append(tuple(sorted(cls)))
-            remaining -= cls
+    def _conjugacy_classes(self, inverses: np.ndarray
+                           ) -> tuple[tuple[int, ...], ...]:
+        product = self._product
+        # least[j]: least index of any h g_j h^-1, which names g_j's class
+        least = product[product, inverses[:, None]].min(axis=0)
+        classes = [tuple(np.flatnonzero(least == i).tolist())
+                   for i in np.flatnonzero(least == np.arange(self.order))]
         classes.sort(key=lambda c: (len(c), self.elements[c[0]]))
         return tuple(classes)
 
@@ -208,37 +198,39 @@ class EquivariantModel:
         """Fixed-state count of one explicit permutation."""
         return int(self.fixed_counts[self._index[perm]])
 
-    def _verify(self) -> None:
+    def _verify(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Assert the axioms; returns the product table and the inverses."""
         assert self.elements[0] == _IDENTITY
-        perms = np.array(self.elements, dtype=np.int64)
         weights = K ** np.arange(K - 1, -1, -1)
         # element index of each permutation, by its base-K code; -1 if absent
         lookup = np.full(K ** K, -1, dtype=np.int64)
         lookup[perms @ weights] = np.arange(self.order)
         inverses = lookup[np.argsort(perms, axis=1) @ weights]
         assert (inverses >= 0).all(), f"{self.name}: missing inverse"
-        # product[i, j] = index of g_i after g_j
         product = lookup[perms[:, perms] @ weights]
         assert (product >= 0).all(), f"{self.name}: not closed"
         assert sum(d * d for d in self.dims) == self.order
         for ir in self.irreps:
             mats = ir.matrices
             eye = np.eye(ir.dim)
-            assert np.allclose(mats[0], eye, atol=1e-12)
-            assert np.allclose(mats @ mats.transpose(0, 2, 1), eye,
-                               atol=1e-12), f"{self.name}:{ir.name} not orthogonal"
-            assert np.allclose(mats[:, None] @ mats[None, :], mats[product],
-                               atol=1e-12), f"{self.name}:{ir.name} not a homomorphism"
+            assert _close(mats[0], eye, 1e-12)
+            assert _close(mats @ mats.transpose(0, 2, 1), eye,
+                          1e-12), f"{self.name}:{ir.name} not orthogonal"
+            # block (i, j) of one product of stacked matrices is D(g_i) D(g_j)
+            n, d = mats.shape[:2]
+            pairs = mats.reshape(n * d, d) @ np.hstack(mats)
+            assert _close(pairs.reshape(n, d, n, d),
+                          mats[product].transpose(0, 2, 1, 3), 1e-12), \
+                f"{self.name}:{ir.name} not a homomorphism"
         # exact first orthogonality relation
         gram = self.characters @ self.characters.T
         assert np.array_equal(gram, self.order * np.eye(self.n_irreps,
                                                         dtype=np.int64))
         # the permutation character decomposes with non-negative multiplicities
-        m = self.multiplicities(1)
-        recomposed = np.zeros(self.order, dtype=np.int64)
-        for t in range(self.n_irreps):
-            recomposed += m[t] * self.characters[t]
+        recomposed = np.array(self.multiplicities(1).entries) @ self.characters
         assert np.array_equal(recomposed, self.fixed_counts)
+        product.setflags(write=False)
+        return product, inverses
 
     def __repr__(self) -> str:
         return f"EquivariantModel({self.name}, |G|={self.order})"
@@ -262,16 +254,12 @@ class EquivariantModel:
         found = self._multiplicities.get(power)
         if found is not None:
             return found
-        fixed = [int(c) for c in self.fixed_counts]
-        entries = []
-        for t in range(self.n_irreps):
-            total = sum((f ** power) * int(self.characters[t, i])
-                        for i, f in enumerate(fixed))
-            if total % self.order:
-                raise AssertionError("non-integral multiplicity")
-            m = total // self.order
-            assert m >= 0
-            entries.append(m)
+        # exact in int64: |totals| <= |G| max|chi| 4^12, far below 2^63
+        totals = self.characters @ self.fixed_counts ** power
+        if (totals % self.order).any():
+            raise AssertionError("non-integral multiplicity")
+        entries = (totals // self.order).tolist()
+        assert min(entries) >= 0
         assert sum(d * m for d, m in zip(self.dims, entries)) == K ** power
         found = MultiplicityVector(tuple(entries), power)
         self._multiplicities[power] = found
@@ -282,31 +270,16 @@ class EquivariantModel:
 # Built-in models
 # ---------------------------------------------------------------------------
 
-def _perm_matrices(elements: Sequence[Perm]) -> np.ndarray:
-    mats = np.zeros((len(elements), K, K))
-    for i, g in enumerate(elements):
-        for a in range(K):
-            mats[i, g[a], a] = 1.0
+def _perm_matrices(perms: np.ndarray) -> np.ndarray:
+    """The permutation matrices P with P[perm[a], a] = 1, one per row."""
+    n, size = perms.shape
+    mats = np.zeros((n, size, size))
+    mats[np.arange(n)[:, None], perms, np.arange(size)] = 1.0
     return mats
 
 
 def _one_dim(values: Sequence[float]) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1, 1)
-
-
-def _conjugated_rep(elements: Sequence[Perm], act, basis: np.ndarray,
-                    size: int) -> np.ndarray:
-    """Matrices U^T P(act(g)) U of the action ``act`` of each element on
-    ``size`` objects, restricted to the column span of ``basis``."""
-    dim = basis.shape[1]
-    out = np.empty((len(elements), dim, dim))
-    for i, g in enumerate(elements):
-        perm = act(g)
-        p_mat = np.zeros((size, size))
-        for a in range(size):
-            p_mat[perm[a], a] = 1.0
-        out[i] = basis.T @ p_mat @ basis
-    return out
 
 
 def _build_gmm() -> EquivariantModel:
@@ -365,32 +338,25 @@ def _build_k80() -> EquivariantModel:
     return EquivariantModel("K80", elements, irreps)
 
 
-_PAIR_PARTITIONS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-
-
-def _partition_action(g: Perm) -> Perm:
-    """Index permutation induced on the three pairings of the four states."""
-    out = []
-    for pair1, _ in _PAIR_PARTITIONS:
-        image_pair = frozenset(g[x] for x in pair1)
-        out.append(next(i for i, (p1, p2) in enumerate(_PAIR_PARTITIONS)
-                        if image_pair in (frozenset(p1), frozenset(p2))))
-    return tuple(out)
-
-
 def _build_jc69() -> EquivariantModel:
     elements = _closure([(1, 0, 2, 3), (1, 2, 3, 0)])  # (AC), (ACGT): all of S4
     assert len(elements) == 24
-    signs = [float(_parity(g)) for g in elements]
+    perms = np.array(elements)
+    # the pairings AC|GT, AG|CT, AT|CG of the states are numbered 0, 1, 2,
+    # so the one holding {x, y} is (x XOR y) - 1; pairings[e, i] is where
+    # g_e sends pairing i, read off the image of its pair holding A
+    pairings = (perms[:, :1] ^ perms[:, 1:]) - 1
+    p_mats = _perm_matrices(perms)
+    signs = np.rint(np.linalg.det(p_mats))  # exact: LU of a permutation
     hadamard3 = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                          dtype=float) / 2.0
-    standard = _conjugated_rep(elements, lambda g: g, hadamard3, K)
-    std_sign = standard * np.array(signs)[:, None, None]
+    standard = hadamard3.T @ p_mats @ hadamard3
+    std_sign = standard * signs[:, None, None]
     plane_basis = np.column_stack([
         np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
         np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0),
     ])
-    plane = _conjugated_rep(elements, _partition_action, plane_basis, 3)
+    plane = plane_basis.T @ _perm_matrices(pairings) @ plane_basis
     return EquivariantModel("JC69", elements, [
         Irrep("triv", 1, _one_dim([1.0] * 24)),
         Irrep("sgn", 1, _one_dim(signs)),
@@ -434,6 +400,16 @@ def _element_row(g: Perm, power: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _digit_rows(perms: np.ndarray, power: int) -> np.ndarray:
+    """``_element_row`` of every row of ``perms`` in a few calls, for a
+    transient 1.25 times the rows (which the in-place form avoids)."""
+    rows = np.zeros((len(perms), 1), dtype=np.int64)
+    for _ in range(power):
+        rows = (perms[:, :, None] * rows.shape[1]
+                + rows[:, None, :]).reshape(len(perms), -1)
+    return rows
+
+
 def pattern_maps(model_name: str, power: int) -> np.ndarray:
     """Array of shape (|G|, k^l): row e sends pattern index p to g_e . p,
     where elements act diagonally on the l digits of p.  Built afresh on
@@ -454,15 +430,22 @@ def _cyclic_factors(model: EquivariantModel) -> tuple[tuple[Perm, ...], ...]:
         rest = model.order // len(c)
         return rest & (rest - 1), len(c) - 1 + np.log2(rest), -len(c)
 
-    cycles = [_closure([g]) for g in model.elements]
+    product = model._product
+    # column i lists g_i^0, g_i^1, ... up to the exponent of the group
+    powers = [np.zeros(model.order, dtype=np.int64), np.arange(model.order)]
+    while powers[-1].any():
+        powers.append(product[powers[1], powers[-1]])
+    cycles = [sorted(set(col)) for col in np.array(powers).T.tolist()]
     for first in sorted(cycles, key=gathers):
-        covered, factors = set(first), [first]
+        covered = np.zeros(model.order, dtype=bool)
+        covered[first] = True
+        factors = [tuple(sorted(model.elements[i] for i in first))]
         for c in (p[1] for p in cycles if len(p) == 2):
-            shifted = {_compose(h, c) for h in covered}
-            if covered.isdisjoint(shifted):
-                covered |= shifted
-                factors.append((_IDENTITY, c))
-        if len(covered) == model.order:
+            shifted = product[covered, c]
+            if not covered[shifted].any():
+                covered[shifted] = True
+                factors.append((_IDENTITY, model.elements[c]))
+        if covered.all():
             return tuple(factors)
     raise AssertionError(f"{model.name}: no cyclic factorization")
 
@@ -565,7 +548,23 @@ def symmetry_adapted_basis(model: EquivariantModel,
     return _build_basis(model, power)
 
 
+_COPY_VECTORS: dict[tuple, np.ndarray] = {}
+
+
 def _copy_vectors(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``_orthonormal_copies(local, weights)``, computed once per process for
+    each distinct input and shared, read-only, by every basis and first-copy
+    table whose orbits have that local action and irrep weights."""
+    key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (local, weights))
+    found = _COPY_VECTORS.get(key)
+    if found is None:
+        found = _orthonormal_copies(local, weights)
+        found.setflags(write=False)
+        found = _COPY_VECTORS.setdefault(key, found)
+    return found
+
+
+def _orthonormal_copies(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Adapted vectors of one orbit shape for one irrep.  ``local[e, a]`` is
     the position, among the orbit's sorted members, of element e applied to
     member a; ``weights[e, r]`` is the coefficient of element e in the
@@ -577,23 +576,23 @@ def _copy_vectors(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     d = weights.shape[1]
     m_size = local.shape[1]
+    # summed in element order, as a loop over the elements would
     e_ops = np.zeros((d, m_size, m_size))
-    for e in range(len(local)):
-        np.add.at(e_ops, (slice(None), local[e], np.arange(m_size)),
-                  weights[e][:, None])
+    np.add.at(e_ops, (slice(None), local, np.arange(m_size)),
+              weights.T[:, :, None])
     accepted: list[np.ndarray] = []
     for seed in range(m_size):
         w = e_ops[0, :, seed].copy()
         for _ in range(2):
             for v in accepted:
                 w -= (v @ w) * v
-        norm = np.linalg.norm(w)
+        norm = np.sqrt(w.dot(w))  # as np.linalg.norm, without its checks
         if norm > 1e-6:
             accepted.append(w / norm)
     copies = [accepted]
     for r in range(1, d):
         moved = [e_ops[r] @ v1 for v1 in accepted]
-        copies.append([v / np.linalg.norm(v) for v in moved])
+        copies.append([v / np.sqrt(v.dot(v)) for v in moved])
     return np.array(copies).reshape(d, len(accepted), m_size)
 
 
@@ -614,22 +613,18 @@ def _orbit_shapes(maps: np.ndarray):
     stride = order // (1 + np.count_nonzero(np.diff(images, axis=0), axis=0))
     pos = np.empty(size, dtype=np.uint8)  # position of a point in its orbit
     pos[images] = np.arange(order)[:, None] // stride
-    # action[o, e, i]: position of g_e . images[i, o]; row e = 0 encodes the
-    # stride, so equal tables mean equal orbit size and equal local action
-    action = np.stack([pos[row[images]].T for row in maps], axis=1)
-    # distinct tables in lexicographic order, each compared as one string
-    # of bytes (as np.unique(axis=0) orders them, without its record dtype)
-    tables = action.reshape(len(reps), -1)
+    # column[o, e]: position of g_e . r for the least member r of orbit o.
+    # The maps form a group, so g_e sends member g_f . r to (g_e g_f) . r:
+    # equal columns mean equal orbit size and equal local action
+    column = np.ascontiguousarray(pos[maps[:, reps]].T)
     _, first, shape_of = np.unique(
-        tables.view(np.dtype((np.void, tables.shape[1]))).ravel(),
+        column.view(np.dtype((np.void, order))).ravel(),
         return_index=True, return_inverse=True)
-    shapes = tables[first]
     out = []
-    for s, shape in enumerate(shapes):
+    for s, o in enumerate(first):
         orbits = np.flatnonzero(shape_of == s)
-        step = stride[orbits[0]]
-        out.append((orbits, images[::step, orbits].T,
-                    shape.reshape(order, order)[:, ::step]))
+        out.append((orbits, images[::stride[o], orbits].T,
+                    pos[maps[:, images[::stride[o], o]]]))
     return len(reps), out
 
 
@@ -721,29 +716,40 @@ class CliffordReduction:
     ``_build_basis``.  When H_c is trivial (every irrep of an abelian model,
     and K80's E) that copy is the whole label class.  Nothing is
     hard-coded: labels and weights are read off the irrep matrices.
+
+    As N is regular on the states and H acts on it by automorphisms, the
+    label-c class at power l holds one pattern per first l - 1 digits, and
+    H_c moves it as it moves those digits.  So the orbits are found once per
+    stabiliser and power, on the power-(l - 1) patterns, for all its irreps.
     """
 
     def __init__(self, model: EquivariantModel):
         self.model = model
         self.labels = model if model.abelian else builtin_model("K81")
-        one_site = symmetry_adapted_basis(self.labels, 1)
-        basis = one_site.dense()
-        self.digit_labels = np.array([t for t, _, _ in one_site.tags])
+        basis = symmetry_adapted_basis(self.labels, 1).dense()
+        self.digit_labels, products = _label_table(self.labels)
         in_group = [model._index.get(v) for v in self.labels.elements]
         stab = [i for i, g in enumerate(model.elements) if g[0] == 0]
         if None in in_group or self.labels.order * len(stab) != model.order:
             raise AssertionError(f"{model.name} is not {self.labels.name} "
                                  f"times the stabiliser of a state")
         # the stabiliser acts on the one-site basis by permuting its vectors
-        perms = []
-        for i in stab:
-            moved = basis.T @ _perm_matrices([model.elements[i]])[0] @ basis
-            perm = moved.argmax(axis=0)
-            if not np.allclose(moved, np.eye(K)[:, perm], atol=1e-12):
-                raise AssertionError(f"{model.name}: a stabiliser element "
-                                     f"does not permute the one-site basis")
-            perms.append(perm)
-        self._perms = np.array(perms)
+        perms = np.array(model.elements)[stab]
+        moved = basis.T @ _perm_matrices(perms) @ basis
+        self._perms = moved.argmax(axis=1)
+        if not _close(moved, _perm_matrices(self._perms), 1e-12):
+            raise AssertionError(f"{model.name}: a stabiliser element "
+                                 f"does not permute the one-site basis")
+        # moves[e]: how stabiliser element e permutes the labels, which must
+        # be an automorphism of N for the orbits of ``first_copies``
+        moves = np.empty_like(self._perms)
+        moves[:, self.digit_labels] = self.digit_labels[self._perms]
+        if len(stab) > 1 and (
+                sorted(self.digit_labels) != list(range(K))
+                or (moves[:, products] != products[moves[:, :, None],
+                                                   moves[:, None, :]]).any()):
+            raise AssertionError(f"{model.name}: the stabiliser of a "
+                                 f"label moves its patterns off it")
         irrep_labels, self._stabilisers = [], []
         for ir in model.irreps:
             # part of e_A in each character's eigenspace of D_t over N
@@ -753,11 +759,11 @@ class CliffordReduction:
             c = int(np.flatnonzero(lengths > 1e-6)[0])
             u = parts[c] / lengths[c]
             digit = int(np.flatnonzero(self.digit_labels == c)[0])
-            keep = tuple(e for e, perm in enumerate(perms)
-                         if self.digit_labels[perm[digit]] == c)
+            keep = tuple(np.flatnonzero(
+                self.digit_labels[self._perms[:, digit]] == c).tolist())
             weights = np.array([u @ ir.matrices[stab[e]] @ u for e in keep])
             weights *= ir.dim / len(stab)
-            if len(keep) == 1 and not np.isclose(weights[0], 1.0):
+            if len(keep) == 1 and not _close(weights[0], 1.0, 1e-8):
                 raise AssertionError(f"{model.name}:{ir.name} has no copy on "
                                      f"one label class")
             irrep_labels.append(c)
@@ -769,62 +775,52 @@ class CliffordReduction:
         """Per irrep t, ``None`` when its first copy at this power is the
         whole class of label-c_t patterns, else ``(index, weight)``: arrays
         of shape (m_t, s) such that first-copy vector j is the sum over k of
-        weight[j, k] times label-class pattern index[j, k], zero-padded to
-        the largest orbit size s."""
+        weight[j, k] times label-class pattern index[j, k] (its position in
+        the class), zero-padded to the largest orbit size s."""
         found = self._first_copies.get(power)
         if found is None:
-            orbits = {}  # (label, stabiliser) -> its orbits on that class
-            pieces = []
-            for t, (c, (keep, weights)) in enumerate(
-                    zip(self.irrep_labels, self._stabilisers)):
+            # orbits per stabiliser, on the positions of any class it fixes
+            # (the power-(l - 1) patterns); pieces per stabiliser and weights
+            orbits, made, pieces = {}, {}, []
+            for t, (keep, weights) in enumerate(self._stabilisers):
                 if len(keep) == 1:
                     pieces.append(None)
                     continue
-                if (c, keep) not in orbits:
-                    orbits[c, keep] = self._label_orbits(c, keep, power)
-                pieces.append(self._stabiliser_copies(t, weights,
-                                                      orbits[c, keep], power))
+                if keep not in orbits:
+                    orbits[keep] = _orbit_shapes(
+                        _digit_rows(self._perms[list(keep)], power - 1))
+                key = keep, weights.tobytes()
+                if key not in made:
+                    made[key] = self._stabiliser_copies(weights, orbits[keep])
+                expected = self.model.multiplicities(power)[t]
+                if len(made[key][0]) != expected:
+                    raise AssertionError(
+                        f"{self.model.name}: stabiliser image rank "
+                        f"{len(made[key][0])} != multiplicity {expected} "
+                        f"for irrep {self.model.irreps[t].name}")
+                pieces.append(made[key])
             found = self._first_copies.setdefault(power, tuple(pieces))
         return found
 
-    def _label_orbits(self, c: int, keep: tuple[int, ...], power: int):
-        """``_orbit_shapes`` of the stabiliser elements ``keep`` acting on
-        the power-l patterns of label c, numbered by position in that
-        class."""
-        members = label_classes(self.labels, power)[c]
-        where = np.full(K ** power, -1, dtype=np.int64)
-        where[members] = np.arange(len(members))
-        row = np.empty(K ** power, dtype=np.int64)
-        maps = np.stack([where[_element_row(perm, power, row)[members]]
-                         for perm in self._perms[list(keep)]])
-        if (maps < 0).any():
-            raise AssertionError(f"{self.model.name}: the stabiliser of a "
-                                 f"label moves its patterns off it")
-        return _orbit_shapes(maps)[1]
-
-    def _stabiliser_copies(self, t: int, weights: np.ndarray, shapes,
-                           power: int) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _stabiliser_copies(weights: np.ndarray, orbit_shapes
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        n_orbits, shapes = orbit_shapes
         width = len(weights)  # no orbit is larger than the stabiliser
-        keys, index, weight = [], [], []
-        for orbits, members, local in shapes:
-            vectors = _copy_vectors(local, weights[:, None])[0]
-            accepted, size = vectors.shape
-            shape = (len(orbits), accepted, width)
-            idx, w = np.zeros(shape, dtype=np.int64), np.zeros(shape)
-            idx[:, :, :size] = members[:, None, :]
-            w[:, :, :size] = vectors
-            keys.append((orbits[:, None] * width + np.arange(accepted)).ravel())
-            index.append(idx.reshape(-1, width))
-            weight.append(w.reshape(-1, width))
-        # columns by orbit, then accepted vector, as in ``_build_basis``
-        order = np.argsort(np.concatenate(keys))
-        index, weight = np.concatenate(index)[order], \
-            np.concatenate(weight)[order]
-        expected = self.model.multiplicities(power)[t]
-        if len(index) != expected:
-            raise AssertionError(
-                f"{self.model.name}: stabiliser image rank {len(index)} != "
-                f"multiplicity {expected} for irrep {self.model.irreps[t].name}")
+        vectors = [_copy_vectors(local, weights[:, None])[0]
+                   for _, _, local in shapes]
+        # rows by orbit, then accepted vector, as in ``_build_basis``
+        counts = np.zeros(n_orbits, dtype=np.int64)
+        for (orbits, _, _), vecs in zip(shapes, vectors):
+            counts[orbits] = len(vecs)
+        start = np.cumsum(counts) - counts
+        index = np.zeros((counts.sum(), width), dtype=np.int64)
+        weight = np.zeros((counts.sum(), width))
+        for (orbits, members, _), vecs in zip(shapes, vectors):
+            accepted, size = vecs.shape
+            rows = start[orbits][:, None] + np.arange(accepted)
+            index[rows, :size] = members[:, None, :]
+            weight[rows, :size] = vecs
         index.setflags(write=False)
         weight.setflags(write=False)
         return index, weight
@@ -836,20 +832,30 @@ def clifford_reduction(model: EquivariantModel) -> CliffordReduction:
 
 
 @lru_cache(maxsize=None)
+def _label_table(model: EquivariantModel) -> tuple[np.ndarray, np.ndarray]:
+    """For an abelian model, the label (irrep) of each one-site adapted
+    basis vector, and products[a, b], the label whose character is
+    chi_a * chi_b."""
+    digit_labels = np.array([t for t, _, _ in
+                             symmetry_adapted_basis(model, 1).tags])
+    chars = model.characters
+    same = (chars[:, None, None, :] * chars[None, :, None, :]
+            == chars[None, None, :, :]).all(axis=-1)
+    return digit_labels, same.argmax(axis=-1)
+
+
+@lru_cache(maxsize=None)
 def label_classes(model: EquivariantModel,
                   power: int) -> tuple[np.ndarray, ...]:
     """For an abelian model, per irrep c the power-l patterns of the
     Kronecker power of its one-site adapted basis (most significant digit
     first) whose digits' characters multiply to c, ascending."""
-    chars = model.characters
-    # products[a, b] = the irrep whose character is chi_a * chi_b
-    same = (chars[:, None, None, :] * chars[None, :, None, :]
-            == chars[None, None, :, :]).all(axis=-1)
-    products = same.argmax(axis=-1)
-    digits = clifford_reduction(model).digit_labels
+    digit_labels, products = _label_table(model)
+    # row a: the labels of a pattern of label a extended by each digit
+    extend = products[:, digit_labels]
     labels = np.zeros(1, dtype=np.int64)
     for _ in range(power):
-        labels = products[labels[:, None], digits].ravel()
+        labels = extend[labels].ravel()
     found = tuple(np.flatnonzero(labels == c) for c in range(model.n_irreps))
     for members in found:
         members.setflags(write=False)

@@ -2,10 +2,12 @@
 diagnostics, the exhaustive decision by scanning every topology, greedy
 selection from every split, tensors, relabellings, dense operators, the
 plain flattening rank, presentation JSON round-trips, and the loop forms of
-the FASTA column count and the character transform, that the tests build
-their fixtures and oracles from, and the package does not use.  Only the
-sparse route needs scipy."""
+the FASTA column count and the character transform, the group tables by
+brute force, and table digests, that the tests build their fixtures and
+oracles from, and the package does not use.  Only the sparse route needs
+scipy."""
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -306,3 +308,56 @@ def character_transform_loop(psi: PatternTensor,
     for _ in range(psi.n):
         coeffs = coeffs.reshape(K, -1).T @ matrix
     return coeffs.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# Group tables by brute force, and digests of tables
+# ---------------------------------------------------------------------------
+
+def compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+    """g after h."""
+    return tuple(g[i] for i in h)
+
+
+def pairwise_closure(generators) -> tuple[tuple[int, ...], ...]:
+    """The group generated, sorted: every product of two elements found so
+    far is added until none is new."""
+    elems = {(0, 1, 2, 3), *generators}
+    while True:
+        grown = elems | {compose(g, h) for g in elems for h in elems}
+        if grown == elems:
+            return tuple(sorted(elems))
+        elems = grown
+
+
+def conjugation_classes(elements) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Conjugacy classes by h g h^-1 over every pair, each sorted, ordered
+    by size and then least element, as ``EquivariantModel`` orders them."""
+    def inverse(h):
+        return tuple(sorted(range(len(h)), key=h.__getitem__))
+
+    classes = {tuple(sorted({compose(compose(h, g), inverse(h))
+                             for h in elements}))
+               for g in elements}
+    return tuple(sorted(classes, key=lambda c: (len(c), c[0])))
+
+
+def table_digest(obj) -> str:
+    """sha256 of nested tuples of arrays, ints, strings and None: each array
+    by dtype, shape and bytes, so a changed bit, type or layout shows."""
+    h = hashlib.sha256()
+
+    def feed(x):
+        if isinstance(x, np.ndarray):
+            h.update(f"{x.dtype.str}{x.shape}".encode())
+            h.update(np.ascontiguousarray(x).tobytes())
+        elif isinstance(x, (tuple, list)):
+            h.update(f"({len(x)}".encode())
+            for y in x:
+                feed(y)
+            h.update(b")")
+        else:
+            h.update(repr(x).encode())
+
+    feed(obj)
+    return h.hexdigest()

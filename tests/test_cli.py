@@ -1,10 +1,13 @@
 """CLI surface tests: subcommands, formats, exit codes."""
 
 import argparse
+import hashlib
 import json
 import re
 import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from edgeinv import cli
@@ -62,6 +65,52 @@ class TestModelInfo:
         code, out, _ = run(capsys, "model-info", "--model", "K80")
         assert code == 0
         assert "m(1) = (1, 0, 1, 0, 1)" in out
+
+    @pytest.mark.parametrize("power", ["13", "0"])
+    @pytest.mark.parametrize("basis", [[], ["--basis"]],
+                             ids=["tables", "basis"])
+    def test_power_outside_guard_prints_nothing(self, capsys, power, basis):
+        code, out, err = run(capsys, "model-info", "--model", "K81",
+                             "--power", power, *basis)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "outside guard" in err
+
+    @pytest.mark.parametrize("name, digest", [
+        ("GMM", "80c7cf3eb0179194b05772a7afbd44f05fbdbc99f3e443f821b4da10460b45fc"),
+        ("SSM", "9edc4a459bc17be0426f9dec0d3c26ee975982946af97b360d4becbc9e904ad0"),
+        ("K81", "7d7e89fbf24df27d06bcade105385530c10b7c19a7d36ff1c6ee33a56f46d2b7"),
+        ("K80", "0d054ef3beb3f823e945e5b6e905d3631753eee97e63551a19f7b8aa417d8fd4"),
+        ("JC69", "b5acc51f6b5bb061dc5cc71cca56859b188d97d57aa56c0f02c9b2db1641aea9"),
+    ])
+    def test_basis_output_is_pinned(self, capsys, name, digest):
+        # sha256 of the output rendered from the dense basis matrix
+        code, out, _ = run(capsys, "model-info", "--model", name,
+                           "--power", "3", "--basis")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_basis_vector_from_sparse_entries(self):
+        names = ["A", "C", "G"]
+        exact = cli._render_basis_vector(np.array([2, 0]),
+                                         np.array([-0.5, 0.5]), names)
+        assert exact == "(A - G) / sqrt(2)"
+        inexact = cli._render_basis_vector(np.array([2, 0]),
+                                           np.array([0.3, 0.7]), names)
+        assert inexact == "[ 0.700000,  0.000000,  0.300000]"
+
+    def test_basis_output_memory_is_bounded(self, capsys):
+        # the dense 4^6 x 4^6 basis matrix alone would be 128 MiB
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "model-info", "--model", "JC69",
+                               "--power", "6", "--basis")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.count("\n  [") == 4 ** 6
+        assert peak < 32 * 2 ** 20
 
 
 class TestSimulate:

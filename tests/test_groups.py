@@ -25,7 +25,8 @@ from edgeinv.groups import (
     symmetry_adapted_basis,
 )
 from edgeinv.trees import Bipartition, TreeTopology
-from helpers import invariant_projector
+from helpers import conjugation_classes, invariant_projector, \
+    pairwise_closure, table_digest
 
 HADAMARD = {
     "Abar": np.array([1.0, 1.0, 1.0, 1.0]),
@@ -104,6 +105,90 @@ class TestModels:
         m = builtin_model(name)
         for i, g in enumerate(m.elements):
             assert m.fixed_counts[i] == sum(1 for x in range(4) if g[x] == x)
+
+
+# the generators each builder closes over, as its comments name them
+GENERATORS = {
+    "GMM": [],
+    "SSM": [(3, 2, 1, 0)],
+    "K81": [(1, 0, 3, 2), (2, 3, 0, 1)],
+    "K80": [(1, 2, 3, 0), (2, 1, 0, 3)],
+    "JC69": [(1, 0, 2, 3), (1, 2, 3, 0)],
+}
+
+# sha256 (helpers.table_digest) of the tables as the loop-by-loop
+# construction built them: every entry, bit for bit
+TABLE_DIGESTS = {
+    "GMM": ("678eedaa9651c95c7039a265e6763a65039f1003acfb9e7cb1729a8c63bb41ea",
+            "fd29102a20a05c69e1e8805b964b54ba3d0aa862f038e81298616cf90acc4727",
+            "1cc4c542ea009721fa4367871d17a802eb95b4094d4507366434272320db77a6"),
+    "SSM": ("a1cf096ecb34deffb04d36acc47bed822264ef3f46ff2717a9644a7c1913a602",
+            "b3c1496d9690cedf7f02dcb27c92133f543688a2d68ca1878607137f6a460b47",
+            "44de44b2c3109e8810955eed28269416a07284c63385f6452b1f6539fd52e7fe"),
+    "K81": ("bcb4f87bff458c6e34fcba450608ca7d376d036f55c42d11cb3da63d19a66150",
+            "93b1a7011777247f54577300ea82ee20272a336dafe126383dbfedda0021205c",
+            "2156aec89c4c7b5223454c76080827ce8846ffa2f8b6f9d7fb4b2dc5a9eb7b23"),
+    "K80": ("17ceafd5d844c734a0fb27a6a69113680a51e597e7a7c702cee5eaa16f24f64c",
+            "64f4ad4fc5b804011a15386104e94e452ef74d9084fb621745ba459b7f63053a",
+            "f4da6fd5565fe2c4c08fd7ca82f3485de94a6bd6b6b4db040e22c882eac2d85d"),
+    "JC69": ("5c599b50ddf62a461eeaf1cb868396471f4b19143f2561ef38e3ad00297ae5e2",
+             "0e070a3abd3c6b417dc7c7773b454a36be3c687b34562e22fdff56a2c70be973",
+             "cf95b0fd4e5af41c7bf162ff61a0948c87b73c70ec25a72ee90a48df6aae0116"),
+}
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_elements_and_classes_match_brute_force(self, name):
+        model = builtin_model(name)
+        assert model.elements == pairwise_closure(GENERATORS[name])
+        assert model.conjugacy_classes == conjugation_classes(model.elements)
+
+    def test_closure_by_generators_matches_pairwise(self):
+        s4 = builtin_model("JC69").elements
+        rng = np.random.default_rng(0)
+        sets = [[g] for g in s4] + [
+            [s4[i] for i in rng.choice(24, size=k, replace=False)]
+            for k in (2, 2, 2, 3, 3) for _ in range(6)]
+        for gens in sets:
+            assert G._closure(gens) == pairwise_closure(gens)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_tables_match_pinned_digests(self, name):
+        model = builtin_model(name)
+        reduction = clifford_reduction(model)
+        cyclic, first, bases = TABLE_DIGESTS[name]
+        assert table_digest(G._cyclic_factors(model)) == cyclic
+        assert table_digest(tuple(reduction.first_copies(p)
+                                  for p in range(1, 8))) == first
+        assert table_digest(tuple(
+            (basis.csc_arrays, basis.tags) for basis in
+            (symmetry_adapted_basis(model, p) for p in range(1, 5)))) == bases
+
+    def test_kept_copy_vectors_are_read_only(self):
+        G.CliffordReduction(builtin_model("JC69")).first_copies(3)
+        assert G._COPY_VECTORS
+        for vectors in G._COPY_VECTORS.values():
+            with pytest.raises(ValueError):
+                vectors[...] = 0.0
+
+    @pytest.mark.parametrize("name, top, most", [("JC69", 5, 13),
+                                                 ("K80", 7, 4)])
+    def test_copy_vectors_computed_once_per_input(self, monkeypatch, name,
+                                                  top, most):
+        computed = []
+        orthonormal_copies = G._orthonormal_copies
+
+        def counting(local, weights):
+            computed.append(1)
+            return orthonormal_copies(local, weights)
+
+        monkeypatch.setattr(G, "_COPY_VECTORS", {})
+        monkeypatch.setattr(G, "_orthonormal_copies", counting)
+        reduction = G.CliffordReduction(builtin_model(name))
+        for power in range(1, top + 1):
+            reduction.first_copies(power)
+        assert 0 < len(computed) <= most
 
 
 def jc69_irreps_with(name: str, matrices: np.ndarray) -> list[Irrep]:
