@@ -57,11 +57,6 @@ def _compose(g: Perm, h: Perm) -> Perm:
     return tuple(g[h[i]] for i in range(len(h)))
 
 
-def _close(a, b, atol: float) -> bool:
-    """``np.allclose(a, b, atol=atol)`` on finite values, set up faster."""
-    return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
-
-
 def _closure(generators: Iterable[Perm]) -> tuple[Perm, ...]:
     """The group generated, sorted, from |G| |gens| products: each element
     found times each generator (a finite monoid of permutations is a group)."""
@@ -150,7 +145,7 @@ class EquivariantModel:
         for t, ir in enumerate(self.irreps):
             traces = np.trace(ir.matrices, axis1=1, axis2=2)
             rounded = np.rint(traces)
-            if not _close(traces, rounded, 1e-9):
+            if not np.allclose(traces, rounded, atol=1e-9):
                 raise AssertionError(f"{name}: non-integral character {ir.name}")
             chars[t] = rounded.astype(np.int64)
         self.characters = chars
@@ -213,14 +208,15 @@ class EquivariantModel:
         for ir in self.irreps:
             mats = ir.matrices
             eye = np.eye(ir.dim)
-            assert _close(mats[0], eye, 1e-12)
-            assert _close(mats @ mats.transpose(0, 2, 1), eye,
-                          1e-12), f"{self.name}:{ir.name} not orthogonal"
+            assert np.allclose(mats[0], eye, atol=1e-12)
+            assert np.allclose(mats @ mats.transpose(0, 2, 1), eye,
+                               atol=1e-12), f"{self.name}:{ir.name} not orthogonal"
             # block (i, j) of one product of stacked matrices is D(g_i) D(g_j)
             n, d = mats.shape[:2]
             pairs = mats.reshape(n * d, d) @ np.hstack(mats)
-            assert _close(pairs.reshape(n, d, n, d),
-                          mats[product].transpose(0, 2, 1, 3), 1e-12), \
+            assert np.allclose(pairs.reshape(n, d, n, d),
+                               mats[product].transpose(0, 2, 1, 3),
+                               atol=1e-12), \
                 f"{self.name}:{ir.name} not a homomorphism"
         # exact first orthogonality relation
         gram = self.characters @ self.characters.T
@@ -385,29 +381,22 @@ def builtin_model(name: str) -> EquivariantModel:
 # Pattern-index machinery for tensor powers
 # ---------------------------------------------------------------------------
 
-def _element_row(g: Perm, power: int, out: np.ndarray) -> np.ndarray:
+def _element_row(g, power: int, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (length k^l) with the row of one element at the l-th
-    power: entry p becomes the index of g . p.  Built in place as a Kronecker
-    sum, one digit at a time with each new digit in front (every digit
-    carries the same permutation): out[j k^m + q] = g[j] k^m + out[q]."""
-    out[0] = 0
+    power: entry p becomes the index of g . p; for a stack of elements, row
+    i of ``out`` with the row of g_i.  Built in place as a Kronecker sum,
+    one digit at a time with each new digit in front (every digit carries
+    the same permutation): out[j k^m + q] = g[j] k^m + out[q]."""
+    g = np.asarray(g)[..., :, None]
+    out[..., 0] = 0
     size = 1
     for _ in range(power):
-        prefix = out[:size]
-        for j in range(K - 1, -1, -1):  # j = 0 last, as it overwrites prefix
-            np.add(prefix, g[j] * size, out=out[j * size:(j + 1) * size])
+        prefix = out[..., None, :size]
+        np.add(g[..., 1:, :] * size, prefix, out=out[..., size:K * size]
+               .reshape(*g.shape[:-2], K - 1, size))
+        prefix += g[..., :1, :] * size  # j = 0 last, as it overwrites prefix
         size *= K
     return out
-
-
-def _digit_rows(perms: np.ndarray, power: int) -> np.ndarray:
-    """``_element_row`` of every row of ``perms`` in a few calls, for a
-    transient 1.25 times the rows (which the in-place form avoids)."""
-    rows = np.zeros((len(perms), 1), dtype=np.int64)
-    for _ in range(power):
-        rows = (perms[:, :, None] * rows.shape[1]
-                + rows[:, None, :]).reshape(len(perms), -1)
-    return rows
 
 
 def pattern_maps(model_name: str, power: int) -> np.ndarray:
@@ -416,9 +405,7 @@ def pattern_maps(model_name: str, power: int) -> np.ndarray:
     every call and not cached: at 12 leaves the JC69 table is 3.2 GB."""
     model = builtin_model(model_name)
     maps = np.empty((model.order, K ** power), dtype=np.int64)
-    for row, g in zip(maps, model.elements):
-        _element_row(g, power, row)
-    return maps
+    return _element_row(model.elements, power, maps)
 
 
 @lru_cache(maxsize=None)
@@ -737,7 +724,7 @@ class CliffordReduction:
         perms = np.array(model.elements)[stab]
         moved = basis.T @ _perm_matrices(perms) @ basis
         self._perms = moved.argmax(axis=1)
-        if not _close(moved, _perm_matrices(self._perms), 1e-12):
+        if not np.allclose(moved, _perm_matrices(self._perms), atol=1e-12):
             raise AssertionError(f"{model.name}: a stabiliser element "
                                  f"does not permute the one-site basis")
         # moves[e]: how stabiliser element e permutes the labels, which must
@@ -763,7 +750,7 @@ class CliffordReduction:
                 self.digit_labels[self._perms[:, digit]] == c).tolist())
             weights = np.array([u @ ir.matrices[stab[e]] @ u for e in keep])
             weights *= ir.dim / len(stab)
-            if len(keep) == 1 and not _close(weights[0], 1.0, 1e-8):
+            if len(keep) == 1 and not np.isclose(weights[0], 1.0):
                 raise AssertionError(f"{model.name}:{ir.name} has no copy on "
                                      f"one label class")
             irrep_labels.append(c)
@@ -787,8 +774,9 @@ class CliffordReduction:
                     pieces.append(None)
                     continue
                 if keep not in orbits:
-                    orbits[keep] = _orbit_shapes(
-                        _digit_rows(self._perms[list(keep)], power - 1))
+                    orbits[keep] = _orbit_shapes(_element_row(
+                        self._perms[list(keep)], power - 1,
+                        np.empty((len(keep), K ** (power - 1)), np.int64)))
                 key = keep, weights.tobytes()
                 if key not in made:
                     made[key] = self._stabiliser_copies(weights, orbits[keep])

@@ -7,6 +7,7 @@ vectors those tables induce on the one-site state space.
 
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,6 +222,28 @@ class TestVerification:
         with pytest.raises(AssertionError, match="not closed"):
             EquivariantModel("K81", elements,
                              [Irrep("triv", 1, np.ones((3, 1, 1)))])
+
+    def test_stabiliser_must_act_by_automorphisms(self, monkeypatch):
+        # swapping the labels of the first two digits makes S3 move the
+        # trivial label, so it no longer permutes the labels as a group
+        digit_labels, products = G._label_table(builtin_model("K81"))
+        swapped = digit_labels[[1, 0, 2, 3]]
+        monkeypatch.setattr(G, "_label_table", lambda _: (swapped, products))
+        with pytest.raises(AssertionError, match="moves its patterns off it"):
+            G.CliffordReduction(builtin_model("JC69"))
+
+    def test_stabiliser_must_permute_the_one_site_basis(self, monkeypatch):
+        real = G.symmetry_adapted_basis(builtin_model("K81"), 1)
+        turn = np.eye(4)
+        turn[1:3, 1:3] = [[np.cos(0.3), -np.sin(0.3)],
+                          [np.sin(0.3), np.cos(0.3)]]
+        rotated = SimpleNamespace(tags=real.tags,
+                                  dense=lambda: real.dense() @ turn)
+        monkeypatch.setattr(G, "symmetry_adapted_basis",
+                            lambda model, power: rotated)
+        with pytest.raises(AssertionError,
+                           match="does not permute the one-site basis"):
+            G.CliffordReduction(builtin_model("JC69"))
 
 
 # ---------------------------------------------------------------------------
