@@ -210,7 +210,8 @@ class EquivariantModel:
             eye = np.eye(ir.dim)
             assert np.allclose(mats[0], eye, atol=1e-12)
             assert np.allclose(mats @ mats.transpose(0, 2, 1), eye,
-                               atol=1e-12), f"{self.name}:{ir.name} not orthogonal"
+                               atol=1e-12), \
+                f"{self.name}:{ir.name} not orthogonal"
             # block (i, j) of one product of stacked matrices is D(g_i) D(g_j)
             n, d = mats.shape[:2]
             pairs = mats.reshape(n * d, d) @ np.hstack(mats)
@@ -387,14 +388,14 @@ def _element_row(g, power: int, out: np.ndarray) -> np.ndarray:
     i of ``out`` with the row of g_i.  Built in place as a Kronecker sum,
     one digit at a time with each new digit in front (every digit carries
     the same permutation): out[j k^m + q] = g[j] k^m + out[q]."""
-    g = np.asarray(g)[..., :, None]
+    g = np.asarray(g)
     out[..., 0] = 0
     size = 1
     for _ in range(power):
-        prefix = out[..., None, :size]
-        np.add(g[..., 1:, :] * size, prefix, out=out[..., size:K * size]
-               .reshape(*g.shape[:-2], K - 1, size))
-        prefix += g[..., :1, :] * size  # j = 0 last, as it overwrites prefix
+        prefix = out[..., :size]
+        for j in range(K - 1, -1, -1):  # j = 0 last, as it overwrites prefix
+            np.add(prefix, g[..., j, None] * size,
+                   out=out[..., j * size:(j + 1) * size])
         size *= K
     return out
 
@@ -405,7 +406,9 @@ def pattern_maps(model_name: str, power: int) -> np.ndarray:
     every call and not cached: at 12 leaves the JC69 table is 3.2 GB."""
     model = builtin_model(model_name)
     maps = np.empty((model.order, K ** power), dtype=np.int64)
-    return _element_row(model.elements, power, maps)
+    for row, g in zip(maps, model.elements):
+        _element_row(g, power, row)
+    return maps
 
 
 @lru_cache(maxsize=None)
