@@ -225,7 +225,7 @@ class TestVerification:
 
     def test_stabiliser_must_act_by_automorphisms(self, monkeypatch):
         # swapping the labels of the first two digits makes S3 move the
-        # trivial label, so it no longer permutes the labels as a group
+        # trivial label, which no automorphism of K81 does
         digit_labels, products = G._label_table(builtin_model("K81"))
         swapped = digit_labels[[1, 0, 2, 3]]
         monkeypatch.setattr(G, "_label_table", lambda _: (swapped, products))
