@@ -12,11 +12,12 @@ Two deliberate routes:
   n-3 joined clusters are the tree's interior splits (also up to 12
   leaves), from O(n^2) scored splits.
 
-Both read one lazy split table (``scores.SplitTable``), which scores a
-bipartition the first time a route asks for it.  Both surface their
-evidence: per-split scores, warnings with a stable reason code when no
-topology passes uniquely, a tie was broken by a fixed rule or a chosen split
-scores above tol, and optional rank-achievement audits of the winner.
+Both read one split table (``scores.SplitTable``), which scores a
+bipartition the first time a route asks for it, in stacks of the splits
+asked for at once.  Both surface their evidence: per-split scores, warnings
+with a stable reason code when no topology passes uniquely, a tie was broken
+by a fixed rule or a chosen split scores above tol, and optional
+rank-achievement audits of the winner.
 Failures are diagnosed, never silent.
 """
 
@@ -155,6 +156,8 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
     for {2..n}.  The same recursion keeps the runner-up total and counts the
     passers (a cluster is allowed when s(C) <= tol), in 3^(n-1) steps rather
     than (2n-5)!! trees; only the winner is built as a ``TreeTopology``.
+    Every nontrivial cluster is scored up front, in one fill of the split
+    table.
 
     Without a unique passer the minimum-total topology is returned with a
     "no-unique-pass" warning, and with a "tie" warning when the runner-up
@@ -171,10 +174,10 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
     if not 3 <= n <= MAX_EXHAUSTIVE_LEAVES:
         raise ValueError(f"exhaustive search supports "
                          f"3..{MAX_EXHAUSTIVE_LEAVES} leaves, got {n}")
-    table = SplitTable(psi, model)
     full = (1 << (n - 1)) - 1
+    nontrivial = [m for m in range(1, full) if 2 <= m.bit_count() <= n - 2]
+    table = SplitTable(psi, model, nontrivial)
     if tol is None:
-        nontrivial = [m for m in range(1, full) if 2 <= m.bit_count() <= n - 2]
         tol = data_driven_tol(
             (table[mask].score for mask in nontrivial),
             (_double_factorial(2 * mask.bit_count() - 3)
@@ -243,9 +246,10 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
     rest) is scored for every pair of current clusters, and the pair whose
     split scores least is joined, ties going to the smaller side mask
     (``scores.side_mask``); joining stops at three clusters.  The n-3 joined
-    clusters are nested, so they are the interior splits of one tree.  The
-    table keeps each score, so a join scores only the new cluster's pairs,
-    and fewer than n^2 splits are scored in all (43 at 8 leaves, 115 at 12)
+    clusters are nested, so they are the interior splits of one tree.  Each
+    step fills the split table with its pairs' splits at once; the table
+    keeps each score, so a step scores only the new cluster's pairs, and
+    fewer than n^2 splits are scored in all (43 at 8 leaves, 115 at 12)
     instead of every bipartition.
 
     ``chosen_splits`` are the joined splits in join order.
@@ -262,18 +266,23 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
     table = SplitTable(psi, model)
     everyone = (1 << n) - 1     # bit i-1 for leaf i, leaf 1 included
 
+    def joined_side(x: int, y: int) -> int:
+        """The side mask of the split that joining x and y makes."""
+        union = x | y
+        return (everyone ^ union if union & 1 else union) >> 1
+
     def join_key(x: int, y: int) -> tuple[float, int, int, int]:
         """Joining x and y ranks by its split's score, then side mask."""
-        union = x | y
-        mask = (everyone ^ union if union & 1 else union) >> 1
+        mask = joined_side(x, y)
         return table[mask].score, mask, x, y
 
     clusters = [1 << i for i in range(n)]
     joined: list[int] = []
     steps: list[list[int]] = []     # each step's side masks, least first
     while len(clusters) > 3:
-        ranked = sorted(itertools.starmap(
-            join_key, itertools.combinations(clusters, 2)))
+        pairs = list(itertools.combinations(clusters, 2))
+        table.fill(itertools.starmap(joined_side, pairs))
+        ranked = sorted(itertools.starmap(join_key, pairs))
         _, mask, x, y = ranked[0]
         joined.append(mask)
         steps.append([r[1] for r in ranked])

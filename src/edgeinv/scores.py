@@ -28,8 +28,10 @@ from .tensors import (
     PatternTensor,
     RankVector,
     averaged,
+    block_spectra,
     character_flattening,
-    thin_rank,
+    split_stacks,
+    stack_ranks,
 )
 from .trees import Bipartition, TreeTopology
 
@@ -52,35 +54,21 @@ class SplitScore:
     per_block_residuals: tuple[float, ...]
     score: float
     expected: MultiplicityVector
-    achieved: Optional[RankVector]  # None for trivial splits, never computed
+    achieved: Optional[RankVector]  # None where scored by construction
 
 
 def split_score(psi: PatternTensor, split: Bipartition,
-                model: EquivariantModel,
-                norm: Optional[float] = None) -> SplitScore:
-    """Score a bipartition of the tensor's leaves as a candidate edge split.
+                model: EquivariantModel) -> SplitScore:
+    """Score a bipartition of the tensor's leaves as a candidate edge split
+    (``score_splits`` with this one split).
 
     The score is of the group-averaged tensor, the projection onto the
     G-invariants whose flattening ranks the edge invariants bound; a tensor
     that ``averaged`` returned for ``model`` is not averaged again.
     Trivial splits score 0 by construction: a side of one leaf makes every
     block at most m_t rows tall, so there is no spectral tail to measure.
-    ``norm`` is the norm of the averaged tensor when the caller has it.
     """
-    target = model.multiplicities(1)
-    if split.is_trivial:
-        zeros = tuple(0.0 for _ in target.entries)
-        return SplitScore(split, zeros, 0.0, target, None)
-    scored = averaged(psi, model)
-    tf = character_flattening(scored, split, model)
-    residuals = tuple(float(np.sqrt((spectrum[m:] ** 2).sum()))
-                      for spectrum, m in zip(tf.spectra, target))
-    if norm is None:
-        norm = scored.norm()
-    weighted = sum(d * r * r for d, r in zip(model.dims, residuals))
-    score = float(np.sqrt(weighted) / norm) if norm > 0 else 0.0
-    return SplitScore(split, residuals, score, target,
-                      thin_rank(tf, DEFAULT_RANK_TOL))
+    return score_splits(psi, model, [split])[split]
 
 
 def side_mask(split: Bipartition) -> int:
@@ -92,54 +80,92 @@ class SplitTable:
     """The split table of one tensor, filled on demand.
 
     ``table[mask]`` is the ``SplitScore`` of the bipartition whose side
-    without leaf 1 is ``mask`` (``side_mask``), computed by ``split_score``
-    on first access and kept in ``scored`` (in the order of first access).
-    Every score comes from one group average of the tensor, its one norm
-    and its one character transform: ``split_score`` gets the averaged
-    tensor, which ``averaged`` hands back as it is.
+    without leaf 1 is ``mask`` (``side_mask``).  ``fill`` scores every mask
+    of a list that ``scored`` does not hold yet, the table's ``masks`` on
+    creation; ``table[mask]`` fills one.  Trivial splits get their achieved
+    ranks here too.  Every score comes from one group average of the
+    tensor, its one norm and its one character transform.
 
-    Every model takes one block route.  The averaged tensor is transformed
-    once, by a one-site character basis along each axis: the model's own
-    for GMM, SSM and K81, K81's for K80 and JC69.  Each split's block of
-    irrep t is then a gather, on both sides, of the patterns whose digit
-    characters multiply to t's label c_t, compressed to the first copy of t
-    by a small change of basis for the stabiliser of c_t.  Both are read off
-    the irrep matrices (``groups.CliffordReduction``): c_t is the first label
-    that D_t(v) e_A touches for v in the label group, and the copy is that
-    of the irrep D_t induces on the stabiliser; for the abelian models c_t
-    is t and the change of basis is the identity.
+    Every model takes one block route (``tensors.character_flattening``).
+    The averaged tensor is transformed once, by a one-site character basis
+    along each axis: the model's own for GMM, SSM and K81, K81's for K80
+    and JC69.  Each split's block of irrep t is then a gather, on both
+    sides, of the patterns whose digit characters multiply to t's label
+    c_t, compressed to the first copy of t by a small change of basis for
+    the stabiliser of c_t.  Both are read off the irrep matrices
+    (``groups.CliffordReduction``): c_t is the first label that D_t(v) e_A
+    touches for v in the label group, and the copy is that of the irrep D_t
+    induces on the stabiliser; for the abelian models c_t is t and the
+    change of basis is the identity.
+
+    A fill scores its splits in stacks (``tensors.split_stacks``): splits
+    with equal side sizes share their label classes and first-copy pieces,
+    so their blocks have one shape, and a stack takes one gather per label,
+    one compression per irrep piece and one SVD call per irrep.  Stacks are
+    capped at ``tensors.STACK_ENTRIES`` entries: at 6 to 8 leaves a shape
+    group is one stack or a few, from 10 leaves on a stack is one split.
     """
 
-    def __init__(self, psi: PatternTensor, model: EquivariantModel):
+    def __init__(self, psi: PatternTensor, model: EquivariantModel,
+                 masks: Iterable[int] = ()):
         self.psi = averaged(psi, model)
         self.model = model
         self.norm = self.psi.norm()
         self.scored: dict[int, SplitScore] = {}
+        self.fill(masks)
 
     def __getitem__(self, mask: int) -> SplitScore:
-        found = self.scored.get(mask)
-        if found is None:
-            n = self.psi.n
-            side = frozenset(leaf for leaf in range(2, n + 1)
-                             if mask >> (leaf - 2) & 1)
-            found = self.scored[mask] = split_score(
-                self.psi, Bipartition.from_side(side, n), self.model,
-                norm=self.norm)
-        return found
+        if mask not in self.scored:
+            self.fill([mask])
+        return self.scored[mask]
+
+    def fill(self, masks: Iterable[int]) -> None:
+        n = self.psi.n
+        new = [Bipartition.from_side(
+                   frozenset(leaf for leaf in range(2, n + 1)
+                             if mask >> (leaf - 2) & 1), n)
+               for mask in dict.fromkeys(masks) if mask not in self.scored]
+        for stack in split_stacks(self.psi, new, self.model):
+            for score in self._score(stack):
+                self.scored[side_mask(score.split)] = score
+
+    def _score(self, stack: list[Bipartition]) -> list[SplitScore]:
+        target = self.model.multiplicities(1)
+        spectra = [np.empty(0)] * self.model.n_irreps
+        for t, blocks in character_flattening(self.psi, stack, self.model):
+            spectra[t] = block_spectra(blocks)
+            del blocks  # before the next label is gathered
+        tails = [np.sqrt((s[:, m:] ** 2).sum(axis=1)).tolist()
+                 for s, m in zip(spectra, target)]
+        ranks = stack_ranks(spectra, self.model.dims, DEFAULT_RANK_TOL)
+        scores = []
+        for split, residuals, achieved in zip(stack, zip(*tails), ranks):
+            weighted = sum(d * r * r
+                           for d, r in zip(self.model.dims, residuals))
+            score = (float(np.sqrt(weighted) / self.norm) if self.norm > 0
+                     else 0.0)
+            scores.append(SplitScore(split, residuals, score, target,
+                                     achieved))
+        return scores
 
 
 def score_splits(psi: PatternTensor, model: EquivariantModel,
                  splits: Iterable[Bipartition]
                  ) -> dict[Bipartition, SplitScore]:
-    """One score per bipartition, in the order given, read from one
-    ``SplitTable`` of the tensor."""
-    table = SplitTable(psi, model)
-    found = {}
-    for split in splits:
-        if split.n_leaves != psi.n:
-            raise ValueError("split does not partition the tensor labels")
-        found[split] = table[side_mask(split)]
-    return found
+    """One score per bipartition, in the order given: the nontrivial ones
+    from one fill of one ``SplitTable`` of the tensor, the trivial ones 0 by
+    construction (``split_score``), with no achieved ranks and no average
+    of the tensor."""
+    splits = list(splits)
+    if any(split.n_leaves != psi.n for split in splits):
+        raise ValueError("split does not partition the tensor labels")
+    masks = [side_mask(split) for split in splits if not split.is_trivial]
+    scored = SplitTable(psi, model, masks).scored if masks else {}
+    target = model.multiplicities(1)
+    zeros = tuple(0.0 for _ in target.entries)
+    return {split: SplitScore(split, zeros, 0.0, target, None)
+            if split.is_trivial else scored[side_mask(split)]
+            for split in splits}
 
 
 @dataclass(frozen=True)
@@ -223,9 +249,9 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
     The ceiling is m(c), c the fewest edges of ``tree`` whose removal
     separates the bipartition's two sides (``expected_rank_vector``).
 
-    Ranks are those of the group-averaged tensor.  The ranks of nontrivial
-    bipartitions are read from ``table``, a split table of ``psi`` when
-    given; the trivial ones, which a table does not rank, are flattened.
+    Ranks are those of the group-averaged tensor, read from ``table`` (a
+    split table of ``psi`` when given, else a new one) after one fill with
+    every bipartition, trivial ones included.
     """
     n = psi.n
     if n > MAX_AUDIT_LEAVES:
@@ -235,16 +261,14 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
         raise ValueError("tensor and tree disagree on the leaf count")
     if table is None:
         table = SplitTable(psi, model)
+    splits = all_bipartitions(n)
+    masks = [side_mask(split) for split in splits]
+    table.fill(masks)
     entries = []
-    for split in all_bipartitions(n):
+    for split, mask in zip(splits, masks):
         ceiling = expected_rank_vector(model, tree, split)
-        if split.is_trivial:
-            achieved = thin_rank(character_flattening(table.psi, split, model),
-                                 DEFAULT_RANK_TOL)
-        else:
-            achieved = table[side_mask(split)].achieved
         entries.append(GenericityEntry(split, tuple(ceiling.entries),
-                                       tuple(achieved.entries)))
+                                       table[mask].achieved.entries))
     return GenericityReport(tree, tuple(entries))
 
 
@@ -329,11 +353,12 @@ def evaluate_generators(psi: PatternTensor, split: Bipartition,
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    tf = character_flattening(averaged(psi, model), split, model)
+    blocks = dict(character_flattening(averaged(psi, model), [split], model))
     target = model.multiplicities(1)
     best = 0.0
     evaluated = 0
-    for t, block in enumerate(tf.blocks):
+    for t in range(model.n_irreps):
+        block = blocks[t][0]
         order = target[t] + 1
         rows, cols = block.shape
         if rows < order or cols < order:

@@ -262,15 +262,54 @@ def sample_alignment(psi: PatternTensor, sites: int, seed: int,
 # FASTA
 # ---------------------------------------------------------------------------
 
+# the line breaks of str.splitlines besides "\n", and the other characters
+# that str.strip removes
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BLANKS = ("\t\x1f \xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+          "\u2007\u2008\u2009\u200a\u202f\u205f\u3000")
+
+
+def _stripped_lines(text: str) -> str:
+    r"""``text`` between two "\n", with every line break a "\n" and each line
+    stripped: the lines of ``str.splitlines``, each ``str.strip``-ed, with a
+    blank line more where a break was "\r\n".  Only a text with whitespace
+    beside a line break is split into lines; a text without (the usual one)
+    is copied once, and once more per kind of line break in it."""
+    plain = text.isascii()
+    text = f"\n{text}\n"
+    for mark in _LINE_BREAKS:
+        if (mark.isascii() or not plain) and mark in text:
+            text = text.replace(mark, "\n")
+    if any(_beside_a_break(text, blank) for blank in _BLANKS
+           if blank.isascii() or not plain):
+        text = "\n".join(map(str.strip, text.split("\n")))
+    return text
+
+
+def _beside_a_break(text: str, blank: str) -> bool:
+    """Whether ``blank`` stands next to a "\n" in ``text``, which starts and
+    ends with one.  The first 64 blanks are looked at one by one (a header
+    holds a few); past them, both pairs are searched for."""
+    at = text.find(blank)
+    for _ in range(64):
+        if at < 0:
+            return False
+        if "\n" in (text[at - 1], text[at + 1]):
+            return True
+        at = text.find(blank, at + 1)
+    return blank + "\n" in text or "\n" + blank in text
+
+
 def fasta_codes(text: str, ambiguous: str = "error"
                 ) -> tuple[tuple[str, ...], np.ndarray]:
     """The taxa of FASTA records and the (n, m) state codes of the usable
     columns.  Sequences must have equal lengths; every character is one
-    column, with ASCII case folded.  Columns holding symbols outside ACGT
-    are dropped when ``ambiguous="drop"`` and rejected otherwise."""
+    column, with ASCII case folded, and whitespace counts only inside a
+    line.  Columns holding symbols outside ACGT are dropped when
+    ``ambiguous="drop"`` and rejected otherwise."""
     if ambiguous not in ("error", "drop"):
         raise ValueError("ambiguous must be 'error' or 'drop'")
-    text = "\n".join(["", *map(str.strip, text.splitlines()), ""])
+    text = _stripped_lines(text)
     # a record starts at each line that starts with ">", a rare character
     heads, at = [], text.find(">")
     while at >= 0:

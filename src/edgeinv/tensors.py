@@ -15,9 +15,11 @@ diagonal with one block per (irrep, copy) pair and identical blocks across
 copies, so only the first copy is kept.
 
 One route computes the blocks, ``character_flattening``, for every model
-and every caller.  It reads them from the tensor's one character transform:
-the one-site adapted basis of an abelian label group applied along every
-axis (the model's own for GMM, SSM and K81, K81's for K80 and JC69).  A
+and every caller, for a stack of splits with equal side sizes at once (a
+single split is a stack of one).  It reads them from the tensor's one
+character transform: the one-site adapted basis of an abelian label group
+applied along every axis (the model's own for GMM, SSM and K81, K81's for
+K80 and JC69).  A
 transformed pattern lies in the isotypic component of the product of its
 digits' characters, its label, so the block of irrep t is a gather of the
 side-1 patterns of label c_t against the side-2 patterns of label c_t,
@@ -35,7 +37,7 @@ import operator
 import struct
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,6 +53,8 @@ from .groups import (
 from .trees import Bipartition
 
 MAX_LEAVES = 12
+# the most entries of the largest label block of a stack of splits
+STACK_ENTRIES = 2 ** 14
 STATES = "ACGT"
 AMBIGUOUS = K    # the state code of every symbol outside ACGT
 # the state code of each latin-1 character, as a bytes.translate table
@@ -256,8 +260,15 @@ class ThinFlattening:
     @cached_property
     def spectra(self) -> tuple[np.ndarray, ...]:
         """Each block's singular values, descending; empty for empty blocks."""
-        return tuple(np.linalg.svd(b, compute_uv=False) if b.size
-                     else np.empty(0) for b in self.blocks)
+        return tuple(map(block_spectra, self.blocks))
+
+
+def block_spectra(blocks: np.ndarray) -> np.ndarray:
+    """The singular values of a block, or of each block of a stack along
+    the leading axis, descending; empty for empty blocks."""
+    if not blocks.size:
+        return np.empty(blocks.shape[:-2] + (0,))
+    return np.linalg.svd(blocks, compute_uv=False)
 
 
 class CharacterTransform:
@@ -288,23 +299,30 @@ class CharacterTransform:
         self._strides = {lab: K ** (psi.n - 1 - i) * np.arange(K)
                          for i, lab in enumerate(psi.labels)}
 
-    def blocks(self, side1: tuple[int, ...], side2: tuple[int, ...],
-               labels: Iterable[int]) -> tuple[np.ndarray, ...]:
-        """The label-c block along (side1, side2) for each c of ``labels``,
-        sides sorted as ``_sides`` returns them."""
-        def offsets(side):
-            # flat index in coeffs of every pattern of the side's positions
-            out = np.zeros(1, dtype=np.int64)
-            for lab in side:
-                out = (out[:, None] + self._strides[lab]).ravel()
+    def blocks(self, sides: list[tuple[tuple[int, ...], tuple[int, ...]]],
+               labels: Iterable[int]) -> Iterator[np.ndarray]:
+        """For each c of ``labels`` in turn, the stack of label-c blocks
+        along the (side1, side2) pairs of ``sides``, sorted as ``_sides``
+        returns them and all of one pair of side sizes: one gather of shape
+        (len(sides), side-1 patterns of label c, side-2 patterns of label
+        c).  Each label is gathered when the next one is asked for."""
+        def offsets(stack):
+            # flat index in coeffs of every pattern of each side's positions
+            strides = np.array([[self._strides[lab] for lab in side]
+                                for side in stack])
+            out = np.zeros((len(stack), 1), dtype=np.int64)
+            for stride in strides.transpose(1, 0, 2):
+                out = (out[:, :, None] + stride[:, None]).reshape(len(stack),
+                                                                  -1)
             return out
 
-        rows, cols = offsets(side1), offsets(side2)
-        members1 = label_classes(self.model, len(side1))
-        members2 = label_classes(self.model, len(side2))
-        return tuple(self.coeffs.take(np.add.outer(rows[members1[c]],
-                                                   cols[members2[c]]))
-                     for c in labels)
+        side1s, side2s = zip(*sides)
+        rows, cols = offsets(side1s), offsets(side2s)
+        members1 = label_classes(self.model, len(side1s[0]))
+        members2 = label_classes(self.model, len(side2s[0]))
+        for c in labels:
+            yield self.coeffs.take(rows[:, members1[c], None]
+                                   + cols[:, None, members2[c]])
 
 
 def character_transform(psi: PatternTensor,
@@ -317,37 +335,65 @@ def character_transform(psi: PatternTensor,
     return found
 
 
-def _first_copy_block(block: np.ndarray, rows, cols) -> np.ndarray:
-    """P1^T block P2 for first-copy pieces ``(index, weight)`` of
-    ``CliffordReduction.first_copies``; ``None`` pieces are identities."""
+def _first_copy_block(blocks: np.ndarray, rows, cols) -> np.ndarray:
+    """P1^T B P2 for each block B of a stack, for first-copy pieces
+    ``(index, weight)`` of ``CliffordReduction.first_copies``; ``None``
+    pieces are identities."""
     if rows is None:
-        return block
+        return blocks
     for index, weight in (rows, cols):
-        # compress the leading axis, then turn the other one to the front
-        block = np.matmul(weight[:, None, :], block[index])[:, 0].T
-    return block
+        # compress the first block axis, then turn the other one to it
+        blocks = np.matmul(weight[:, None, :], blocks.take(index, axis=1)
+                           )[:, :, 0].swapaxes(1, 2)
+    return blocks
 
 
-def character_flattening(psi: PatternTensor, split,
-                         model: EquivariantModel) -> ThinFlattening:
-    """The thin flattening along ``split``, from the character transform of
-    ``psi`` under the model's label group (see ``CliffordReduction``): the
-    label-c_t block of every irrep t, compressed on both sides to the first
-    copy of t.  On a tensor that is not group-invariant, K80's E block is
-    another copy of E than the first."""
-    side1, side2 = _sides(psi, split)
+def split_stacks(psi: PatternTensor, splits: Iterable,
+                 model: EquivariantModel) -> Iterator[list]:
+    """The splits in stacks for ``character_flattening``: splits of equal
+    side sizes, in order, as many as keep the stack's largest label block
+    within ``STACK_ENTRIES`` entries, and one at least."""
     reduction = clifford_reduction(model)
+    shapes: dict[tuple[int, int], list] = {}
+    for split in splits:
+        shapes.setdefault(tuple(map(len, _sides(psi, split))),
+                          []).append(split)
+    for (l1, l2), group in shapes.items():
+        members1 = label_classes(reduction.labels, l1)
+        members2 = label_classes(reduction.labels, l2)
+        size = max(1, STACK_ENTRIES // max(len(members1[c]) * len(members2[c])
+                                           for c in reduction.irrep_labels))
+        for start in range(0, len(group), size):
+            yield group[start:start + size]
+
+
+def character_flattening(psi: PatternTensor, splits,
+                         model: EquivariantModel
+                         ) -> Iterator[tuple[int, np.ndarray]]:
+    """The thin flattenings along a stack of splits with equal side sizes,
+    one irrep at a time: ``(t, blocks)``, where ``blocks[i]`` is the block
+    of irrep t along ``splits[i]``.  From the character transform of
+    ``psi`` under the model's label group (see ``CliffordReduction``): the
+    label-c_t block, compressed on both sides to the first copy of t.  The
+    irreps come grouped by label, and a label's blocks are gathered once,
+    for all its irreps, and dropped before the next label's.  A single
+    split is a stack of one.  On a tensor that is not group-invariant, K80's
+    E block is another copy of E than the first."""
+    sides = [_sides(psi, split) for split in splits]
+    reduction = clifford_reduction(model)
+    l1, l2 = map(len, sides[0])
+    if any((len(a), len(b)) != (l1, l2) for a, b in sides):
+        raise ValueError("a stack holds splits of one pair of side sizes")
+    pieces = tuple(zip(reduction.irrep_labels, reduction.first_copies(l1),
+                       reduction.first_copies(l2)))
     wanted = sorted(set(reduction.irrep_labels))
-    gathered = dict(zip(wanted, character_transform(
-        psi, reduction.labels).blocks(side1, side2, wanted)))
-    blocks = tuple(_first_copy_block(gathered[c], rows, cols)
-                   for c, rows, cols in zip(
-                       reduction.irrep_labels,
-                       reduction.first_copies(len(side1)),
-                       reduction.first_copies(len(side2))))
-    return ThinFlattening(split, model.name, blocks, model.dims,
-                          model.multiplicities(len(side1)),
-                          model.multiplicities(len(side2)))
+    gathered = character_transform(psi, reduction.labels).blocks(sides,
+                                                                 wanted)
+    for c, blocks in zip(wanted, gathered):
+        for t, (label, rows, cols) in enumerate(pieces):
+            if label == c:
+                yield t, _first_copy_block(blocks, rows, cols)
+        del blocks  # before the next label is gathered
 
 
 @dataclass(frozen=True)
@@ -370,8 +416,11 @@ class RankVector:
         return self.entries[t]
 
 
-def thin_rank(tf: ThinFlattening, tol: float = 1e-7) -> RankVector:
-    """Blockwise numerical rank of a thin flattening.
+def stack_ranks(spectra: list[np.ndarray], dims: tuple[int, ...],
+                tol: float) -> list[RankVector]:
+    """Blockwise numerical ranks of a stack of thin flattenings, one
+    ``RankVector`` per split, from each irrep's (splits, singular values)
+    array.
 
     The threshold is relative to the largest singular value over the whole
     thin flattening, not per block, so near-zero blocks of noisy data do not
@@ -379,14 +428,19 @@ def thin_rank(tf: ThinFlattening, tol: float = 1e-7) -> RankVector:
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
-    sigma_max = max((s[0] for s in tf.spectra if s.size), default=0.0)
-    if sigma_max == 0.0:
-        entries = tuple(0 for _ in tf.blocks)
-    else:
-        entries = tuple(int((s > tol * sigma_max).sum()) for s in tf.spectra)
-    total = sum(entries)
-    weighted = sum(d * r for d, r in zip(tf.dims, entries))
-    return RankVector(entries, tol, total, weighted)
+    tops = [s[:, 0] for s in spectra if s.shape[1]]
+    sigma_max = np.max(tops, axis=0) if tops else np.zeros(len(spectra[0]))
+    # no singular value exceeds a zero sigma_max
+    counts = np.array([(s > tol * sigma_max[:, None]).sum(axis=1)
+                       for s in spectra]).T.tolist()
+    return [RankVector(tuple(entries), tol, sum(entries),
+                       sum(d * r for d, r in zip(dims, entries)))
+            for entries in counts]
+
+
+def thin_rank(tf: ThinFlattening, tol: float = 1e-7) -> RankVector:
+    """Blockwise numerical rank of one thin flattening (``stack_ranks``)."""
+    return stack_ranks([s[None] for s in tf.spectra], tf.dims, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Test-only helpers: the sparse-basis thin flattening with its invariance
 diagnostics, the exhaustive decision by scanning every topology, greedy
 selection from every split, tensors, relabellings, dense operators, the
-plain flattening rank, presentation JSON round-trips, and the loop forms of
-the FASTA column count and the character transform, the group tables by
+plain flattening rank, presentation JSON round-trips, the per-split block
+route, the line-by-line FASTA strip, and the loop forms of the FASTA column
+count and the character transform, the group tables by
 brute force, and table digests, that the tests build their fixtures and
 oracles from, and the package does not use.  Only the sparse route needs
 scipy."""
@@ -17,16 +18,18 @@ import numpy as np
 from scipy import sparse
 
 from edgeinv.groups import K, EquivariantModel, SymmetryAdaptedBasis, \
-    builtin_model, pattern_maps, symmetry_adapted_basis
+    builtin_model, clifford_reduction, label_classes, pattern_maps, \
+    symmetry_adapted_basis
 from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_TIE, \
     ReconstructionResult, _check_tol, data_driven_tol
-from edgeinv.scores import DEFAULT_SCORE_TOL, SplitTable, all_bipartitions, \
-    genericity_check, score_splits, side_mask
+from edgeinv.scores import DEFAULT_RANK_TOL, DEFAULT_SCORE_TOL, SplitScore, \
+    all_bipartitions, genericity_check, score_splits
 from edgeinv.simulate import EvolutionaryPresentation
-from edgeinv.tensors import PatternTensor, ThinFlattening, _sides, averaged, \
-    flatten
-from edgeinv.trees import TreeTopology, enumerate_trivalent_topologies, \
-    from_newick, splits_compatible, to_newick, tree_from_splits
+from edgeinv.tensors import PatternTensor, RankVector, ThinFlattening, \
+    _sides, averaged, character_flattening, character_transform, flatten
+from edgeinv.trees import Bipartition, TreeTopology, \
+    enumerate_trivalent_topologies, from_newick, splits_compatible, \
+    to_newick, tree_from_splits
 
 MAX_DENSE_POWER = 6     # dense k^l x k^l projector guard
 
@@ -116,6 +119,79 @@ def thin_flatten(psi: PatternTensor, split,
                                 psi, model)
 
 
+def stack_of_one(psi: PatternTensor, split,
+                 model: EquivariantModel) -> ThinFlattening:
+    """``character_flattening`` along one split, as a ``ThinFlattening``."""
+    side1, side2 = _sides(psi, split)
+    blocks = dict(character_flattening(psi, [split], model))
+    return ThinFlattening(split, model.name,
+                          tuple(blocks[t][0] for t in range(model.n_irreps)),
+                          model.dims, model.multiplicities(len(side1)),
+                          model.multiplicities(len(side2)))
+
+
+# ---------------------------------------------------------------------------
+# The per-split route: the reference for the stacked split table
+# ---------------------------------------------------------------------------
+
+def per_split_blocks(psi: PatternTensor, split,
+                     model: EquivariantModel) -> tuple[np.ndarray, ...]:
+    """The first-copy blocks along one split as the split table built them
+    one split at a time: two-dimensional gathers of the character transform
+    and a compression of each block on its own."""
+    side1, side2 = _sides(psi, split)
+    reduction = clifford_reduction(model)
+    coeffs = character_transform(psi, reduction.labels).coeffs
+    strides = {lab: K ** (psi.n - 1 - i) * np.arange(K)
+               for i, lab in enumerate(psi.labels)}
+
+    def offsets(side):
+        out = np.zeros(1, dtype=np.int64)
+        for lab in side:
+            out = (out[:, None] + strides[lab]).ravel()
+        return out
+
+    rows, cols = offsets(side1), offsets(side2)
+    members1 = label_classes(reduction.labels, len(side1))
+    members2 = label_classes(reduction.labels, len(side2))
+    blocks = []
+    for c, pieces1, pieces2 in zip(reduction.irrep_labels,
+                                   reduction.first_copies(len(side1)),
+                                   reduction.first_copies(len(side2))):
+        block = coeffs.take(np.add.outer(rows[members1[c]],
+                                         cols[members2[c]]))
+        if pieces1 is not None:
+            for index, weight in (pieces1, pieces2):
+                block = np.matmul(weight[:, None, :], block[index])[:, 0].T
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def per_split_score(psi: PatternTensor, split: Bipartition,
+                    model: EquivariantModel) -> SplitScore:
+    """``split_score`` one split at a time: trivial splits score 0 by
+    construction, each block gets its own SVD, and the ranks count each
+    spectrum against the largest singular value of the split."""
+    target = model.multiplicities(1)
+    if split.is_trivial:
+        return SplitScore(split, tuple(0.0 for _ in target.entries), 0.0,
+                          target, None)
+    scored = averaged(psi, model)
+    spectra = [np.linalg.svd(b, compute_uv=False) if b.size else np.empty(0)
+               for b in per_split_blocks(scored, split, model)]
+    residuals = tuple(float(np.sqrt((spectrum[m:] ** 2).sum()))
+                      for spectrum, m in zip(spectra, target))
+    norm = scored.norm()
+    weighted = sum(d * r * r for d, r in zip(model.dims, residuals))
+    score = float(np.sqrt(weighted) / norm) if norm > 0 else 0.0
+    sigma_max = max((s[0] for s in spectra if s.size), default=0.0)
+    entries = tuple(int((s > DEFAULT_RANK_TOL * sigma_max).sum())
+                    if sigma_max else 0 for s in spectra)
+    achieved = RankVector(entries, DEFAULT_RANK_TOL, sum(entries),
+                          sum(d * r for d, r in zip(model.dims, entries)))
+    return SplitScore(split, residuals, score, target, achieved)
+
+
 # ---------------------------------------------------------------------------
 # The topology scan: the reference for reconstruct_exhaustive
 # ---------------------------------------------------------------------------
@@ -168,10 +244,7 @@ def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
 
     genericity: tuple[str, ...] = ()
     if check_genericity:
-        ranks = SplitTable(scored_psi, model)
-        ranks.scored.update((side_mask(s), score) for s, score in table.items())
-        audit = genericity_check(scored_psi, model, topologies[winner],
-                                 table=ranks)
+        audit = genericity_check(scored_psi, model, topologies[winner])
         genericity = tuple(audit.warnings())
     result = ReconstructionResult(
         method="exhaustive", tree=topologies[winner],
@@ -280,6 +353,13 @@ def presentation_from_json(text: str) -> EvolutionaryPresentation:
         builtin_model(doc["model"]), doc.get("stochastic", True))
     pres.validate()
     return pres
+
+
+def lines_stripped_one_by_one(text: str) -> str:
+    """The FASTA line pass that ``simulate._stripped_lines`` replaced: every
+    line of ``str.splitlines`` stripped on its own, joined between two
+    "\n"."""
+    return "\n".join(["", *map(str.strip, text.splitlines()), ""])
 
 
 def fasta_column_counts(seqs: list[str], ambiguous: str) -> dict[str, int]:

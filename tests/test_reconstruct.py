@@ -145,9 +145,9 @@ class TestExhaustive:
         flattened = []
         original = edgeinv.scores.character_flattening
 
-        def counted(psi, split, model):
-            flattened.append(split)
-            return original(psi, split, model)
+        def counted(psi, splits, model):
+            flattened.extend(splits)
+            return original(psi, splits, model)
 
         monkeypatch.setattr(edgeinv.scores, "character_flattening", counted)
         model = builtin_model("K81")
@@ -161,9 +161,9 @@ class TestExhaustive:
         flattened = []
         original = edgeinv.scores.character_flattening
 
-        def counted(psi, split, model):
-            flattened.append(split)
-            return original(psi, split, model)
+        def counted(psi, splits, model):
+            flattened.extend(splits)
+            return original(psi, splits, model)
 
         monkeypatch.setattr(edgeinv.scores, "character_flattening", counted)
         model = builtin_model("JC69")
@@ -407,14 +407,15 @@ class TestSplitCounts:
 
     @staticmethod
     def counted(monkeypatch) -> list:
+        # the nontrivial splits the table flattens, in stacks
         scored = []
-        original = edgeinv.scores.split_score
+        original = edgeinv.scores.character_flattening
 
-        def counting(psi, split, *args, **kwargs):
-            scored.append(split)
-            return original(psi, split, *args, **kwargs)
+        def counting(psi, splits, model):
+            scored.extend(s for s in splits if not s.is_trivial)
+            return original(psi, splits, model)
 
-        monkeypatch.setattr(edgeinv.scores, "split_score", counting)
+        monkeypatch.setattr(edgeinv.scores, "character_flattening", counting)
         return scored
 
     def test_eight_leaves_score_43_splits(self, monkeypatch):
@@ -428,7 +429,18 @@ class TestSplitCounts:
             result = reconstruct_by_splits(tensor, model, tol=None)
             assert len(scored) == len(set(scored)) == 43
         assert result.tol == data_driven_tol(
-            split_score(sampled, split, model).score for split in scored)
+            split_score(sampled, split, model).score
+            for split in tuple(scored))
+
+    def test_all_splits_score_119(self, monkeypatch):
+        # score --all-splits at 8 leaves; the 8 trivial splits score 0 by
+        # construction
+        scored = self.counted(monkeypatch)
+        model = builtin_model("K80")
+        psi = joint_distribution(random_presentation(model, random_tree(8, 1),
+                                                     1))
+        assert len(score_splits(psi, model, all_bipartitions(8))) == 127
+        assert len(scored) == len(set(scored)) == 119
 
     def test_exhaustive_scores_each_split_once(self, monkeypatch):
         scored = self.counted(monkeypatch)

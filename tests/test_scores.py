@@ -1,13 +1,18 @@
 """Split scoring, generator counting, minor evaluation, and model fit."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import edgeinv.groups
+import edgeinv.scores
 import edgeinv.tensors
-from edgeinv.groups import builtin_model
+from edgeinv.groups import builtin_model, clifford_reduction
 from edgeinv.reconstruct import reconstruct_exhaustive
 from edgeinv.scores import (
+    SplitTable,
     all_bipartitions,
     edge_invariant_test,
     evaluate_generators,
@@ -15,6 +20,7 @@ from edgeinv.scores import (
     genericity_check,
     model_fit_score,
     score_splits,
+    side_mask,
     split_report,
     split_score,
 )
@@ -23,14 +29,15 @@ from edgeinv.simulate import (
     no_mutation_presentation,
     random_presentation,
 )
-from edgeinv.tensors import PatternTensor, averaged, thin_rank
+from edgeinv.tensors import STACK_ENTRIES, PatternTensor, averaged, \
+    character_transform, split_stacks, thin_rank
 from edgeinv.trees import (
     Bipartition,
     TreeTopology,
     enumerate_trivalent_topologies,
     from_newick,
 )
-from helpers import thin_flatten
+from helpers import per_split_score, thin_flatten
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -222,6 +229,18 @@ class TestScoreSplits:
                              all_bipartitions(8, True))
         assert len(table) == 119 and len(calls) == 1
 
+    def test_trivial_splits_take_no_average(self, monkeypatch):
+        # they score 0 by construction, as a split table would not
+        calls = []
+        monkeypatch.setattr(edgeinv.tensors, "group_average",
+                            lambda *args: calls.append(args))
+        psi = PatternTensor(np.random.default_rng(9).random(4 ** 6),
+                            tuple(range(1, 7)))
+        scores = score_splits(psi, builtin_model("JC69"),
+                              [Bipartition({2}, 6), Bipartition({3}, 6)])
+        assert [s.score for s in scores.values()] == [0.0, 0.0]
+        assert not calls
+
     def test_table_takes_one_norm(self, monkeypatch):
         norms = []
         original = PatternTensor.norm
@@ -244,6 +263,118 @@ class TestScoreSplits:
         report = edge_invariant_test(psi, quartet12(), model)
         assert report.scores == tuple(table[s] for s in
                                       quartet12().interior_splits())
+
+
+def averaged_random(name: str, n: int, seed: int) -> PatternTensor:
+    values = np.random.default_rng(seed).random(4 ** n)
+    return averaged(PatternTensor(values, tuple(range(1, n + 1))),
+                    builtin_model(name))
+
+
+class TestStacks:
+    """The split table scores its splits in stacks of equal side sizes; a
+    split's score does not depend on the stack it was scored in."""
+
+    @staticmethod
+    def in_stacks_of(monkeypatch, size: int) -> None:
+        # whole shape groups, cut into stacks of ``size``
+        whole = edgeinv.tensors.split_stacks
+
+        def stacks(psi, splits, model):
+            for group in whole(psi, splits, model):
+                yield from (group[i:i + size]
+                            for i in range(0, len(group), size))
+
+        monkeypatch.setattr(edgeinv.tensors, "STACK_ENTRIES", 4 ** 12)
+        monkeypatch.setattr(edgeinv.scores, "split_stacks", stacks)
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_every_stacking_scores_as_one_split_alone(self, monkeypatch,
+                                                      name, n):
+        model = builtin_model(name)
+        psi = averaged_random(name, n, n)
+        masks = [side_mask(split) for split in all_bipartitions(n)]
+        largest = max(Counter(map(int.bit_count, masks)).values())
+        sizes = range(1, largest + 1)
+        if n == 8:  # every size takes 20 s for GMM
+            sizes = (1, 2, 3, 4, 6, 11, largest)
+        rng = np.random.default_rng(n)
+        alone = {}
+        for size in sizes:
+            self.in_stacks_of(monkeypatch, size)
+            table = SplitTable(psi, model, rng.permutation(masks).tolist())
+            if size == 1:
+                alone = table.scored
+            # bit for bit: floats compare equal only when their bits agree
+            # (no score is -0.0 or nan)
+            assert table.scored == alone
+        for mask, score in alone.items():
+            if not score.split.is_trivial:
+                assert score == per_split_score(psi, score.split, model)
+
+    def test_one_gather_per_label_and_one_svd_per_irrep(self, monkeypatch):
+        model = builtin_model("K80")
+        psi = averaged_random("K80", 8, 3)
+        splits = all_bipartitions(8)
+        stacks = list(split_stacks(
+            psi, [s for s in splits if not s.is_trivial], model))
+        reduction = clifford_reduction(model)
+        transform = character_transform(psi, reduction.labels)
+
+        class Gathers(np.ndarray):
+            calls = 0
+
+            def take(self, *args, **kwargs):
+                Gathers.calls += 1
+                return np.asarray(self).take(*args, **kwargs)
+
+        transform.coeffs = transform.coeffs.view(Gathers)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted(blocks, *args, **kwargs):
+            shapes.append(blocks.shape)
+            return svd(blocks, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        score_splits(psi, model, splits)
+        assert sum(map(len, stacks)) == 119 and len(stacks) == 32
+        assert Gathers.calls == len(set(reduction.irrep_labels)) * 32
+        assert len(shapes) == model.n_irreps * 32
+        assert [shape[0] for shape in shapes[::model.n_irreps]] == \
+            list(map(len, stacks))
+
+    @pytest.mark.parametrize("name,width", [("K81", 1), ("K80", 2),
+                                            ("JC69", 6)])
+    def test_peak_memory_capped(self, name, width):
+        # a stack scales every array of its blocks by its size: the long
+        # side's offsets, a label block and its gather index hold at most
+        # STACK_ENTRIES entries each, and the compression's gather ``width``
+        # times that (the largest stabiliser orbit of a label)
+        model = builtin_model(name)
+        psi = averaged_random(name, 8, 5)
+        splits = all_bipartitions(8, nontrivial_only=True)
+
+        def peak(score):
+            score()
+            tracemalloc.start()
+            try:
+                score()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = peak(lambda: [per_split_score(psi, s, model) for s in splits])
+        stacked = peak(lambda: score_splits(psi, model, splits))
+        assert stacked <= alone + (3 + width) * STACK_ENTRIES * 8
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_ten_leaf_stacks_hold_one_balanced_split(self, name):
+        psi = PatternTensor(np.zeros(4 ** 10), tuple(range(1, 11)))
+        balanced = [s for s in all_bipartitions(10) if len(s.side) == 5]
+        stacks = list(split_stacks(psi, balanced, builtin_model(name)))
+        assert len(stacks) == len(balanced) == 126
 
 
 class TestEdgeInvariantTest:

@@ -29,8 +29,9 @@ from edgeinv.simulate import (
 )
 from edgeinv.tensors import PatternTensor
 from edgeinv.trees import TreeTopology, from_newick
-from helpers import fasta_column_counts, presentation_from_json, \
-    presentation_to_json
+import edgeinv.simulate
+from helpers import fasta_column_counts, lines_stripped_one_by_one, \
+    presentation_from_json, presentation_to_json
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -408,6 +409,85 @@ class TestFastaColumnCount:
         text = caterpillar_fasta()
         assert traced_peak(lambda: PatternTensor.column_frequencies(
             fasta_codes(text)[1])) <= 4 * len(text)
+
+
+# whitespace for ``messy_fasta``: every line break of str.splitlines and
+# every other character that str.strip removes, ASCII or not
+BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+BLANKS = " \t\x1f\xa0\u1680\u2000\u2005\u200a\u202f\u205f\u3000"
+
+
+def messy_fasta(rng: random.Random) -> str:
+    """A ``random_fasta`` text with whitespace of every kind and stray ">"
+    put in at random: around line breaks, inside lines, in place of line
+    breaks and at both ends."""
+    text, _ = random_fasta(rng)
+    spaces = rng.choice([" \t", " ", BLANKS, BLANKS + BREAKS])
+    out = [rng.choice(["", "\n", " ", rng.choice(BLANKS + BREAKS)])]
+    for ch in text:
+        if ch == "\n" and rng.random() < 0.3:
+            ch = rng.choice(BREAKS)
+        if ch in "\r\n" and rng.random() < 0.3:
+            ch = rng.choice(spaces) + ch + rng.choice(spaces)
+        elif rng.random() < 0.005:
+            ch += rng.choice(spaces + ">")
+        out.append(ch)
+    if rng.random() < 0.2:
+        out.append(rng.choice(BLANKS) + ">")
+    return "".join(out)
+
+
+class TestFastaLinePass:
+    """``fasta_codes`` strips whitespace around line breaks only, in place;
+    against the line-by-line strip it replaced."""
+
+    @staticmethod
+    def both(monkeypatch, text, ambiguous):
+        got = outcome(fasta_codes, text, ambiguous)
+        with monkeypatch.context() as patch:
+            patch.setattr(edgeinv.simulate, "_stripped_lines",
+                          lines_stripped_one_by_one)
+            want = outcome(fasta_codes, text, ambiguous)
+        return got, want
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ambiguous", ["error", "drop"])
+    def test_same_codes_or_error_as_line_by_line(self, monkeypatch, seed,
+                                                 ambiguous):
+        rng = random.Random(seed)
+        kinds = set()
+        for _ in range(300):
+            text = messy_fasta(rng)
+            got, want = self.both(monkeypatch, text, ambiguous)
+            if isinstance(want, str):
+                assert got == want
+                kinds.add(want)
+            else:
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+                kinds.add("codes")
+        assert "codes" in kinds and len(kinds) > 2
+
+    @pytest.mark.parametrize("text", [
+        ">a\r\nAC\r\n>b\r\nGT\r\n", " >a \n AC \n\t>b\u3000\nGT",
+        ">a\u2028AC\x85>b\x0bGT", ">a x\nA C\n>b y\nGT\n",
+        ">a\nA>C\n>b\nGTA\n", "\xa0\n>a\nAC\x1f\n>b\nGT\xa0\n",
+        "x\n>a\nAC\n", "\u2029>a\x1c\x1dAC\x1e>b\x0cGT\r"])
+    def test_examples(self, monkeypatch, text):
+        got, want = self.both(monkeypatch, text, "drop")
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize("form", ["LF", "CRLF", "described"])
+    def test_text_stays_whole(self, form):
+        # without whitespace beside a line break the text is copied, once
+        # per kind of break, and not split into lines (that peaks at 2.8x)
+        text = caterpillar_fasta()
+        if form == "CRLF":
+            text = text.replace("\n", "\r\n")
+        elif form == "described":
+            text = text.replace(">t", ">taxon t")
+        peak = traced_peak(lambda: edgeinv.simulate._stripped_lines(text))
+        assert peak <= (1 + (form == "CRLF")) * len(text) + 1000
 
 
 def caterpillar_fasta() -> str:

@@ -18,7 +18,6 @@ from edgeinv.tensors import (
     CharacterTransform,
     PatternTensor,
     averaged,
-    character_flattening,
     character_transform,
     flatten,
     load_tensor,
@@ -42,6 +41,7 @@ from helpers import (
     identity_link,
     permute_labels,
     reassemble_flattening,
+    stack_of_one,
     thin_flatten,
 )
 
@@ -364,7 +364,7 @@ class TestCharacterFlattening:
         if average:
             psi = averaged(psi, model)
         for split in all_bipartitions(n):
-            got = character_flattening(psi, split, model)
+            got = stack_of_one(psi, split, model)
             want = thin_flatten(psi, split, model)
             sigma_max = max(s[0] for s in want.spectra if s.size)
             for a, b in zip(got.spectra, want.spectra):
@@ -387,7 +387,7 @@ class TestCharacterFlattening:
             psi = averaged(psi, model)
         other_copy = [not average and ir.name == "E" for ir in model.irreps]
         for split in all_bipartitions(n):
-            got = character_flattening(psi, split, model)
+            got = stack_of_one(psi, split, model)
             want = thin_flatten(psi, split, model)
             sigma_max = max(s[0] for s in want.spectra if s.size)
             for a, b, skip in zip(got.spectra, want.spectra, other_copy):
@@ -404,7 +404,7 @@ class TestCharacterFlattening:
         model = builtin_model("K81")
         psi = random_tensor((3, 1, 5, 2, 4), 2)
         for split in all_bipartitions(5):
-            got = character_flattening(psi, split, model)
+            got = stack_of_one(psi, split, model)
             want = thin_flatten(psi, split, model)
             for a, b in zip(got.spectra, want.spectra):
                 assert np.allclose(a, b, rtol=0, atol=1e-12)
