@@ -31,7 +31,6 @@ from .simulate import (
     Alignment,
     EvolutionaryPresentation,
     joint_distribution,
-    no_mutation_presentation,
     random_presentation,
     read_fasta,
     sample_alignment,
@@ -40,19 +39,13 @@ from .simulate import (
 from .tensors import (
     PatternTensor,
     RankVector,
-    ThinFlattening,
     character_flattening,
-    flatten,
-    load_tensor,
     save_tensor,
-    star_contract,
-    thin_rank,
 )
 from .trees import (
     Bipartition,
     TreeTopology,
     edge_splits,
-    enumerate_trivalent_topologies,
     from_newick,
     min_edge_cut,
     splits_compatible,
@@ -74,25 +67,20 @@ __all__ = [
     "ReconstructionResult",
     "SplitScore",
     "SymmetryAdaptedBasis",
-    "ThinFlattening",
     "TreeTopology",
     "builtin_model",
     "character_flattening",
     "edge_invariant_test",
     "edge_splits",
     "empirical_tensor",
-    "enumerate_trivalent_topologies",
     "evaluate_generators",
     "expected_rank_vector",
-    "flatten",
     "from_newick",
     "generator_catalog",
     "genericity_check",
     "joint_distribution",
-    "load_tensor",
     "min_edge_cut",
     "model_fit_score",
-    "no_mutation_presentation",
     "random_presentation",
     "read_fasta",
     "reconstruct_by_splits",
@@ -102,9 +90,7 @@ __all__ = [
     "score_splits",
     "splits_compatible",
     "split_score",
-    "star_contract",
     "symmetry_adapted_basis",
-    "thin_rank",
     "to_newick",
     "tree_from_splits",
     "write_fasta",

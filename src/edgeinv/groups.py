@@ -40,7 +40,7 @@ import numpy as np
 
 from .trees import Bipartition, TreeTopology, min_edge_cut
 
-STATES = ("A", "C", "G", "T")
+STATES = "ACGT"        # the state alphabet, in index order
 K = 4
 MODEL_NAMES = ("GMM", "SSM", "K81", "K80", "JC69")
 
@@ -129,8 +129,6 @@ class EquivariantModel:
     def __init__(self, name: str, elements: Sequence[Perm],
                  irreps: Sequence[Irrep]):
         self.name = name
-        self.k = K
-        self.states = STATES
         self.elements: tuple[Perm, ...] = tuple(elements)
         self.irreps: tuple[Irrep, ...] = tuple(irreps)
         self.order = len(self.elements)
@@ -618,13 +616,39 @@ def _orbit_shapes(maps: np.ndarray):
     return len(reps), out
 
 
+def _orbit_rows(shapes, n_orbits: int, vectors: list[np.ndarray],
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the vectors of each orbit shape onto each of its orbits, as
+    read-only ``(index, weight)`` arrays of shape (rows, width): row i has
+    weight[i, k] at pattern index[i, k], zero-padded to ``width`` (at least
+    the largest orbit).  ``n_orbits, shapes`` are ``_orbit_shapes``', and
+    ``vectors[s]`` (accepted x orbit size) holds shape s's vectors on its
+    members in order.  Rows are ordered by orbit (by least member), then
+    accepted vector."""
+    counts = np.zeros(n_orbits, dtype=np.int64)
+    for (orbits, _, _), vecs in zip(shapes, vectors):
+        counts[orbits] = len(vecs)
+    start = np.cumsum(counts) - counts
+    index = np.zeros((counts.sum(), width), dtype=np.int64)
+    weight = np.zeros((counts.sum(), width))
+    for (orbits, members, _), vecs in zip(shapes, vectors):
+        accepted, size = vecs.shape
+        rows = start[orbits][:, None] + np.arange(accepted)
+        index[rows, :size] = members[:, None, :]
+        weight[rows, :size] = vecs
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
+
+
 def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
     """Assemble the adapted basis of the l-th tensor power.
 
     The projector arithmetic of a G-orbit depends only on its local action,
     so it runs once per distinct local action (orbit shape) and its vectors
-    are copied onto every orbit of that shape.  Columns are ordered by
-    (t, r), then orbit representative ascending, then accepted vector.
+    are copied onto every orbit of that shape (``_orbit_rows``).  Columns
+    are ordered by (t, r), then orbit representative ascending, then
+    accepted vector.
     """
     size = K ** power
     mult = model.multiplicities(power)
@@ -635,48 +659,25 @@ def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
                                     (np.ones(size), steps[:-1], steps), tags)
 
     n_orbits, shapes = _orbit_shapes(pattern_maps(model.name, power))
-    # per shape: its orbits, their members (orbits x size), its vectors
-    by_shape = []
-    counts = np.zeros((model.n_irreps, n_orbits), dtype=np.int64)
-    for orbits, members, local in shapes:
-        vectors = [_copy_vectors(local,
-                                 ir.dim / model.order * ir.matrices[:, :, 0])
-                   for ir in model.irreps]
-        for t, vecs in enumerate(vectors):
-            counts[t, orbits] = vecs.shape[1]
-        by_shape.append((orbits, members, vectors))
-
-    for t in range(model.n_irreps):
-        found = int(counts[t].sum())
-        if found != mult[t]:
-            raise AssertionError(
-                f"{model.name}: projector image rank {found} "
-                f"!= multiplicity {mult[t]} for irrep {model.irreps[t].name}")
-
-    # assemble in shape order, then permute the columns into (t, r), orbit,
-    # vector order: final[c] is the place of assembled column c
-    first_col = np.cumsum([0] + [mult[t] for t in range(model.n_irreps)
-                                 for _ in range(model.dims[t])])
-    orbit_start = np.cumsum(counts, axis=1) - counts
-    final, nnz, rows, data = [], [], [], []
-    for orbits, members, vectors in by_shape:
-        tr = 0
-        for t, vecs in enumerate(vectors):
-            for r in range(model.dims[t]):
-                keep = np.abs(vecs[r]) > 1e-14
-                start = first_col[tr] + orbit_start[t, orbits]
-                final.append((start[:, None] + np.arange(len(keep))).ravel())
-                nnz.append(np.tile(keep.sum(axis=1), len(orbits)))
-                rows.append(members[:, np.nonzero(keep)[1]].ravel())
-                data.append(np.tile(vecs[r][keep], len(orbits)))
-                tr += 1
-    nnz = np.concatenate(nnz)
-    order = np.argsort(np.concatenate(final))
-    indptr = np.concatenate(([0], np.cumsum(nnz[order])))
-    # entry i of the permuted matrix is entry take[i] of the assembled one
-    take = (np.repeat((np.cumsum(nnz) - nnz)[order] - indptr[:-1], nnz[order])
-            + np.arange(indptr[-1]))
-    columns = (np.concatenate(data)[take], np.concatenate(rows)[take], indptr)
+    nnz, rows, data = [], [], []
+    for t, ir in enumerate(model.irreps):
+        weights = ir.dim / model.order * ir.matrices[:, :, 0]
+        vectors = [_copy_vectors(local, weights) for _, _, local in shapes]
+        for r in range(ir.dim):
+            # no orbit is larger than the group
+            index, weight = _orbit_rows(shapes, n_orbits,
+                                        [vecs[r] for vecs in vectors],
+                                        model.order)
+            if len(index) != mult[t]:
+                raise AssertionError(
+                    f"{model.name}: projector image rank {len(index)} "
+                    f"!= multiplicity {mult[t]} for irrep {ir.name}")
+            keep = np.abs(weight) > 1e-14
+            nnz.append(keep.sum(axis=1))
+            rows.append(index[keep])
+            data.append(weight[keep])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(nnz))))
+    columns = (np.concatenate(data), np.concatenate(rows), indptr)
     tags = tuple((t, r, j) for t in range(model.n_irreps)
                  for r in range(model.dims[t]) for j in range(mult[t]))
     return SymmetryAdaptedBasis(model, power, columns, tags)
@@ -766,7 +767,7 @@ class CliffordReduction:
         whole class of label-c_t patterns, else ``(index, weight)``: arrays
         of shape (m_t, s) such that first-copy vector j is the sum over k of
         weight[j, k] times label-class pattern index[j, k] (its position in
-        the class), zero-padded to the largest orbit size s."""
+        the class), zero-padded to s, the order of the stabiliser of c_t."""
         found = self._first_copies.get(power)
         if found is None:
             # orbits per stabiliser, on the positions of any class it fixes
@@ -782,7 +783,12 @@ class CliffordReduction:
                         np.empty((len(keep), K ** (power - 1)), np.int64)))
                 key = keep, weights.tobytes()
                 if key not in made:
-                    made[key] = self._stabiliser_copies(weights, orbits[keep])
+                    n_orbits, shapes = orbits[keep]
+                    # no orbit is larger than the stabiliser
+                    made[key] = _orbit_rows(
+                        shapes, n_orbits,
+                        [_copy_vectors(local, weights[:, None])[0]
+                         for _, _, local in shapes], len(keep))
                 expected = self.model.multiplicities(power)[t]
                 if len(made[key][0]) != expected:
                     raise AssertionError(
@@ -792,29 +798,6 @@ class CliffordReduction:
                 pieces.append(made[key])
             found = self._first_copies.setdefault(power, tuple(pieces))
         return found
-
-    @staticmethod
-    def _stabiliser_copies(weights: np.ndarray, orbit_shapes
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        n_orbits, shapes = orbit_shapes
-        width = len(weights)  # no orbit is larger than the stabiliser
-        vectors = [_copy_vectors(local, weights[:, None])[0]
-                   for _, _, local in shapes]
-        # rows by orbit, then accepted vector, as in ``_build_basis``
-        counts = np.zeros(n_orbits, dtype=np.int64)
-        for (orbits, _, _), vecs in zip(shapes, vectors):
-            counts[orbits] = len(vecs)
-        start = np.cumsum(counts) - counts
-        index = np.zeros((counts.sum(), width), dtype=np.int64)
-        weight = np.zeros((counts.sum(), width))
-        for (orbits, members, _), vecs in zip(shapes, vectors):
-            accepted, size = vecs.shape
-            rows = start[orbits][:, None] + np.arange(accepted)
-            index[rows, :size] = members[:, None, :]
-            weight[rows, :size] = vecs
-        index.setflags(write=False)
-        weight.setflags(write=False)
-        return index, weight
 
 
 @lru_cache(maxsize=None)

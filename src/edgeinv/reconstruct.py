@@ -41,14 +41,12 @@ from .scores import (
     split_report,
 )
 from .simulate import Alignment
-from .tensors import PatternTensor
+from .tensors import MAX_LEAVES, PatternTensor
 from .trees import TreeTopology, tree_from_splits
 
 WARN_NO_UNIQUE_PASS = "no-unique-pass"
 WARN_TIE = "tie"
 WARN_ABOVE_TOL = "above-tol"
-MAX_EXHAUSTIVE_LEAVES = 12
-MAX_SPLIT_LEAVES = 12
 
 
 @dataclass(frozen=True)
@@ -171,9 +169,9 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
     """
     _check_tol(tol)
     n = psi.n
-    if not 3 <= n <= MAX_EXHAUSTIVE_LEAVES:
-        raise ValueError(f"exhaustive search supports "
-                         f"3..{MAX_EXHAUSTIVE_LEAVES} leaves, got {n}")
+    if not 3 <= n <= MAX_LEAVES:
+        raise ValueError(f"exhaustive search supports 3..{MAX_LEAVES} "
+                         f"leaves, got {n}")
     full = (1 << (n - 1)) - 1
     nontrivial = [m for m in range(1, full) if 2 <= m.bit_count() <= n - 2]
     table = SplitTable(psi, model, nontrivial)
@@ -260,9 +258,9 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
     """
     _check_tol(tol)
     n = psi.n
-    if not 4 <= n <= MAX_SPLIT_LEAVES:
-        raise ValueError(f"split selection supports 4..{MAX_SPLIT_LEAVES}"
-                         f" leaves, got {n}")
+    if not 4 <= n <= MAX_LEAVES:
+        raise ValueError(f"split selection supports 4..{MAX_LEAVES} leaves,"
+                         f" got {n}")
     table = SplitTable(psi, model)
     everyone = (1 << n) - 1     # bit i-1 for leaf i, leaf 1 included
 

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .groups import EquivariantModel, builtin_model
+from .groups import EquivariantModel
 from .tensors import AMBIGUOUS, PatternTensor, pattern_indices, \
     pattern_strings, state_codes
 from .trees import TreeTopology
@@ -141,20 +141,6 @@ def random_presentation(model: EquivariantModel, tree: TreeTopology,
                 mat[row, col] = weight
         mat /= mat.sum(axis=0, keepdims=True)
         matrices[edge] = mat
-    pres = EvolutionaryPresentation(tree, _default_root(tree), matrices,
-                                    np.full(4, 0.25), model, stochastic=True)
-    pres.validate()
-    return pres
-
-
-def no_mutation_presentation(tree: TreeTopology,
-                             model: Optional[EquivariantModel] = None
-                             ) -> EvolutionaryPresentation:
-    """Identity matrix on every edge, uniform root: all leaves copy the root
-    state, so the joint distribution is the diagonal tensor at weight 1/4."""
-    model = model or builtin_model("GMM")
-    matrices = {edge: np.eye(4)
-                for edge in _oriented_edges(tree, _default_root(tree))}
     pres = EvolutionaryPresentation(tree, _default_root(tree), matrices,
                                     np.full(4, 0.25), model, stochastic=True)
     pres.validate()

@@ -1,4 +1,4 @@
-"""Dense pattern tensors, the state alphabet, flattenings, and
+"""Dense pattern tensors, pattern indexing, thin flattenings, and
 multiplicity-space block ranks.
 
 A PatternTensor stores the joint state distribution (or any real tensor) over
@@ -36,15 +36,14 @@ import json
 import operator
 import struct
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .groups import (
     K,
+    STATES,
     EquivariantModel,
-    MultiplicityVector,
     clifford_reduction,
     group_average,
     label_classes,
@@ -55,7 +54,6 @@ from .trees import Bipartition
 MAX_LEAVES = 12
 # the most entries of the largest label block of a stack of splits
 STACK_ENTRIES = 2 ** 14
-STATES = "ACGT"
 AMBIGUOUS = K    # the state code of every symbol outside ACGT
 # the state code of each latin-1 character, as a bytes.translate table
 _CODES = bytes(STATES.index(ch) if ch in STATES else AMBIGUOUS
@@ -228,41 +226,6 @@ def _sides(psi: PatternTensor, split) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(sorted(side1)), tuple(sorted(side2))
 
 
-def flatten(psi: PatternTensor, split) -> np.ndarray:
-    """Reshape along a bipartition: rows are joint states of the first side
-    (for a Bipartition, the side containing leaf 1; leaves ascending), columns
-    the other side.  A pure index permutation; the Frobenius norm equals the
-    tensor norm."""
-    side1, side2 = _sides(psi, split)
-    pos = {lab: i for i, lab in enumerate(psi.labels)}
-    axes = [pos[x] for x in side1] + [pos[x] for x in side2]
-    return psi.nd().transpose(axes).reshape(K ** len(side1),
-                                            K ** len(side2))
-
-
-@dataclass(frozen=True)
-class ThinFlattening:
-    """Per-irrep multiplicity-space blocks of a flattening along a split.
-
-    blocks[t] has shape m(l1)_t x m(l2)_t (possibly empty) and is the copy
-    r=1 block, in the multiplicity-space bases of ``character_flattening``.
-    Other orthonormal bases of those spaces give other entries but the same
-    singular values (``spectra``, hence all ranks and scores downstream).
-    """
-
-    split: object
-    model_name: str
-    blocks: tuple[np.ndarray, ...]
-    dims: tuple[int, ...]
-    row_mult: MultiplicityVector
-    col_mult: MultiplicityVector
-
-    @cached_property
-    def spectra(self) -> tuple[np.ndarray, ...]:
-        """Each block's singular values, descending; empty for empty blocks."""
-        return tuple(map(block_spectra, self.blocks))
-
-
 def block_spectra(blocks: np.ndarray) -> np.ndarray:
     """The singular values of a block, or of each block of a stack along
     the leading axis, descending; empty for empty blocks."""
@@ -348,16 +311,18 @@ def _first_copy_block(blocks: np.ndarray, rows, cols) -> np.ndarray:
     return blocks
 
 
-def split_stacks(psi: PatternTensor, splits: Iterable,
+def split_stacks(psi: PatternTensor, splits: Iterable[Bipartition],
                  model: EquivariantModel) -> Iterator[list]:
-    """The splits in stacks for ``character_flattening``: splits of equal
-    side sizes, in order, as many as keep the stack's largest label block
-    within ``STACK_ENTRIES`` entries, and one at least."""
+    """The bipartitions of ``psi``'s leaves in stacks for
+    ``character_flattening``, which checks them: splits of equal side sizes,
+    in order, as many as keep the stack's largest label block within
+    ``STACK_ENTRIES`` entries, and one at least."""
     reduction = clifford_reduction(model)
     shapes: dict[tuple[int, int], list] = {}
     for split in splits:
-        shapes.setdefault(tuple(map(len, _sides(psi, split))),
-                          []).append(split)
+        # the side sizes of ``_sides``: leaf 1's side first
+        sizes = split.n_leaves - len(split.side), len(split.side)
+        shapes.setdefault(sizes, []).append(split)
     for (l1, l2), group in shapes.items():
         members1 = label_classes(reduction.labels, l1)
         members2 = label_classes(reduction.labels, l2)
@@ -438,40 +403,6 @@ def stack_ranks(spectra: list[np.ndarray], dims: tuple[int, ...],
             for entries in counts]
 
 
-def thin_rank(tf: ThinFlattening, tol: float = 1e-7) -> RankVector:
-    """Blockwise numerical rank of one thin flattening (``stack_ranks``)."""
-    return stack_ranks([s[None] for s in tf.spectra], tf.dims, tol)[0]
-
-
-# ---------------------------------------------------------------------------
-# The gluing contraction
-# ---------------------------------------------------------------------------
-
-def star_contract(phi1: PatternTensor, phi2: PatternTensor,
-                  shared: Iterable[int]) -> PatternTensor:
-    """Contract two tensors over a shared set of positions.
-
-    Pairs the two tensors against every basis vector of the shared positions
-    and tensors the leftovers, i.e. an inner product over the shared axes;
-    the result carries the surviving labels of ``phi1`` then ``phi2``.
-    With a single shared position this is the gluing of two tensors at a
-    common vertex.
-    """
-    shared = tuple(sorted(set(shared)))
-    if not shared:
-        raise ValueError("shared positions must be nonempty")
-    if not set(shared) <= set(phi1.labels) & set(phi2.labels):
-        raise ValueError("shared positions must appear in both tensors")
-    pos1 = {lab: i for i, lab in enumerate(phi1.labels)}
-    pos2 = {lab: i for i, lab in enumerate(phi2.labels)}
-    axes1 = [pos1[z] for z in shared]
-    axes2 = [pos2[z] for z in shared]
-    out = np.tensordot(phi1.nd(), phi2.nd(), axes=(axes1, axes2))
-    labels = tuple(l for l in phi1.labels if l not in shared) + \
-        tuple(l for l in phi2.labels if l not in shared)
-    return PatternTensor(out.reshape(-1), labels)
-
-
 # ---------------------------------------------------------------------------
 # Serialization: binary container and JSON debug form
 # ---------------------------------------------------------------------------
@@ -506,11 +437,6 @@ def tensor_from_bytes(blob: bytes) -> PatternTensor:
 def save_tensor(psi: PatternTensor, path) -> None:
     with open(path, "wb") as fh:
         fh.write(tensor_to_bytes(psi))
-
-
-def load_tensor(path) -> PatternTensor:
-    with open(path, "rb") as fh:
-        return tensor_from_bytes(fh.read())
 
 
 def tensor_to_json(psi: PatternTensor) -> str:

@@ -214,28 +214,6 @@ def splits_compatible(a: Bipartition, b: Bipartition) -> bool:
     return (not a1 & b1 or not a1 & b2 or not a2 & b1 or not a2 & b2)
 
 
-def enumerate_trivalent_topologies(n: int) -> list[TreeTopology]:
-    """All (2n-5)!! leaf-labelled trivalent topologies, in a fixed order.
-
-    The order is the leaf-insertion order: leaf i+1 is grafted onto every
-    edge of every tree on i leaves, edges taken in sorted order.
-    """
-    if not 3 <= n <= 10:
-        raise ValueError(f"leaf count {n} outside supported range 3..10")
-    # star on leaves 1,2,3 with center n+1
-    trees = [(((1, n + 1), (2, n + 1), (3, n + 1)), n + 1)]
-    for leaf in range(4, n + 1):
-        grown = []
-        for edges, top_id in trees:
-            mid = top_id + 1
-            for i, (u, v) in enumerate(edges):
-                new_edges = edges[:i] + edges[i + 1:] + (
-                    (u, mid), (mid, v), (mid, leaf))
-                grown.append((new_edges, mid))
-        trees = grown
-    return [TreeTopology(n, edges) for edges, _ in trees]
-
-
 def tree_from_splits(splits: Iterable[Bipartition], n: int) -> TreeTopology:
     """Assemble the unique trivalent tree whose interior splits are ``splits``.
 
@@ -345,27 +323,29 @@ def from_newick(text: str) -> tuple[TreeTopology, dict[int, str]]:
 
     Leaf labels 1..n are assigned in sorted taxon-name order.  Degree-2
     vertices introduced by a rooted input are contracted away; the result
-    must be trivalent.
+    must be trivalent.  While parsing, a leaf is its index in the list of
+    taxon names and the k-th interior vertex (from 1) is -k; interior
+    vertex -k becomes n + k.
     """
     text = text.strip()
     if text.endswith(";"):
         text = text[:-1]
     pos = 0
-    next_internal = [0]
     leaf_names: list[str] = []
-    edges: list[tuple[str, str]] = []
+    edges: list[tuple[int, int]] = []
+    interior = 0
 
     def peek() -> str:
         if pos >= len(text):
             raise ValueError("newick input ends before its tree does")
         return text[pos]
 
-    def parse() -> str:
-        nonlocal pos
+    def parse() -> int:
+        nonlocal pos, interior
         if peek() == "(":
             pos += 1
-            node = f"@{next_internal[0]}"
-            next_internal[0] += 1
+            interior += 1
+            node = -interior
             while True:
                 child = parse()
                 edges.append((node, child))
@@ -385,7 +365,7 @@ def from_newick(text: str) -> tuple[TreeTopology, dict[int, str]]:
             raise ValueError("empty taxon name in newick input")
         leaf_names.append(name)
         _skip_decoration()
-        return f"leaf:{name}"
+        return len(leaf_names) - 1
 
     def _skip_decoration() -> None:
         # optional support value and/or :length after a node
@@ -394,7 +374,7 @@ def from_newick(text: str) -> tuple[TreeTopology, dict[int, str]]:
             pos += 1
 
     try:
-        root = parse()
+        parse()
     except RecursionError:
         raise ValueError("newick input nested too deeply") from None
     if pos != len(text):
@@ -404,16 +384,12 @@ def from_newick(text: str) -> tuple[TreeTopology, dict[int, str]]:
 
     order = {name: i + 1 for i, name in enumerate(sorted(leaf_names))}
     n = len(leaf_names)
-    ids: dict[str, int] = {}
-    for node in {v for e in edges for v in e} | {root}:
-        if node.startswith("leaf:"):
-            ids[node] = order[node[5:]]
-        else:
-            ids[node] = n + 1 + int(node[1:])
+    ids = [order[name] for name in leaf_names]
     adjacency: dict[int, set[int]] = {}
     for u, v in edges:
-        adjacency.setdefault(ids[u], set()).add(ids[v])
-        adjacency.setdefault(ids[v], set()).add(ids[u])
+        u, v = (ids[x] if x >= 0 else n - x for x in (u, v))
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
 
     # contract degree-2 vertices (e.g. a rooted binary input's root)
     for v in [v for v, ns in adjacency.items() if v > n and len(ns) == 2]:

@@ -1,37 +1,82 @@
-"""Test-only helpers: the sparse-basis thin flattening with its invariance
-diagnostics, the exhaustive decision by scanning every topology, greedy
-selection from every split, tensors, relabellings, dense operators, the
-plain flattening rank, presentation JSON round-trips, the per-split block
-route, the line-by-line FASTA strip, and the loop forms of the FASTA column
-count and the character transform, the group tables by
-brute force, and table digests, that the tests build their fixtures and
-oracles from, and the package does not use.  Only the sparse route needs
-scipy."""
+"""Test-only helpers: the plain flattening and its rank, the thin
+flattening of one split with its block ranks, the sparse-basis thin
+flattening with its invariance diagnostics, every trivalent topology and
+the exhaustive decision by scanning them, greedy selection from every
+split, tensors, the gluing contraction, the no-mutation presentation,
+relabellings, dense operators, presentation JSON round-trips, the per-split
+block route, the line-by-line FASTA strip, and the loop forms of the FASTA
+column count and the character transform, the group tables by brute force,
+and table digests, that the tests build their fixtures and oracles from,
+and the package does not use.  Only the sparse route needs scipy."""
 
 import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 from scipy import sparse
 
-from edgeinv.groups import K, EquivariantModel, SymmetryAdaptedBasis, \
-    builtin_model, clifford_reduction, label_classes, pattern_maps, \
-    symmetry_adapted_basis
+from edgeinv.groups import K, EquivariantModel, MultiplicityVector, \
+    SymmetryAdaptedBasis, builtin_model, clifford_reduction, label_classes, \
+    pattern_maps, symmetry_adapted_basis
 from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_TIE, \
     ReconstructionResult, _check_tol, data_driven_tol
 from edgeinv.scores import DEFAULT_RANK_TOL, DEFAULT_SCORE_TOL, SplitScore, \
     all_bipartitions, genericity_check, score_splits
-from edgeinv.simulate import EvolutionaryPresentation
-from edgeinv.tensors import PatternTensor, RankVector, ThinFlattening, \
-    _sides, averaged, character_flattening, character_transform, flatten
-from edgeinv.trees import Bipartition, TreeTopology, \
-    enumerate_trivalent_topologies, from_newick, splits_compatible, \
-    to_newick, tree_from_splits
+from edgeinv.simulate import EvolutionaryPresentation, _default_root, \
+    _oriented_edges
+from edgeinv.tensors import PatternTensor, RankVector, _sides, averaged, \
+    block_spectra, character_flattening, character_transform, stack_ranks
+from edgeinv.trees import Bipartition, TreeTopology, from_newick, \
+    splits_compatible, to_newick, tree_from_splits
 
 MAX_DENSE_POWER = 6     # dense k^l x k^l projector guard
+
+
+# ---------------------------------------------------------------------------
+# The plain flattening, and the thin flattening of one split
+# ---------------------------------------------------------------------------
+
+def flatten(psi: PatternTensor, split) -> np.ndarray:
+    """Reshape along a bipartition: rows are joint states of the first side
+    (for a Bipartition, the side containing leaf 1; leaves ascending), columns
+    the other side.  A pure index permutation; the Frobenius norm equals the
+    tensor norm."""
+    side1, side2 = _sides(psi, split)
+    pos = {lab: i for i, lab in enumerate(psi.labels)}
+    axes = [pos[x] for x in side1] + [pos[x] for x in side2]
+    return psi.nd().transpose(axes).reshape(K ** len(side1),
+                                            K ** len(side2))
+
+
+@dataclass(frozen=True)
+class ThinFlattening:
+    """Per-irrep multiplicity-space blocks of a flattening along a split.
+
+    blocks[t] has shape m(l1)_t x m(l2)_t (possibly empty) and is the copy
+    r=1 block, in the multiplicity-space bases of ``character_flattening``.
+    Other orthonormal bases of those spaces give other entries but the same
+    singular values (``spectra``, hence all ranks and scores downstream).
+    """
+
+    split: object
+    model_name: str
+    blocks: tuple[np.ndarray, ...]
+    dims: tuple[int, ...]
+    row_mult: MultiplicityVector
+    col_mult: MultiplicityVector
+
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, ...]:
+        """Each block's singular values, descending; empty for empty blocks."""
+        return tuple(map(block_spectra, self.blocks))
+
+
+def thin_rank(tf: ThinFlattening, tol: float = 1e-7) -> RankVector:
+    """Blockwise numerical rank of one thin flattening (``stack_ranks``)."""
+    return stack_ranks([s[None] for s in tf.spectra], tf.dims, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +241,28 @@ def per_split_score(psi: PatternTensor, split: Bipartition,
 # The topology scan: the reference for reconstruct_exhaustive
 # ---------------------------------------------------------------------------
 
+def enumerate_trivalent_topologies(n: int) -> list[TreeTopology]:
+    """All (2n-5)!! leaf-labelled trivalent topologies, in a fixed order.
+
+    The order is the leaf-insertion order: leaf i+1 is grafted onto every
+    edge of every tree on i leaves, edges taken in sorted order.
+    """
+    if not 3 <= n <= 10:
+        raise ValueError(f"leaf count {n} outside supported range 3..10")
+    # star on leaves 1,2,3 with center n+1
+    trees = [(((1, n + 1), (2, n + 1), (3, n + 1)), n + 1)]
+    for leaf in range(4, n + 1):
+        grown = []
+        for edges, top_id in trees:
+            mid = top_id + 1
+            for i, (u, v) in enumerate(edges):
+                new_edges = edges[:i] + edges[i + 1:] + (
+                    (u, mid), (mid, v), (mid, leaf))
+                grown.append((new_edges, mid))
+        trees = grown
+    return [TreeTopology(n, edges) for edges, _ in trees]
+
+
 @lru_cache(maxsize=None)
 def enumerated(n: int) -> tuple[TreeTopology, ...]:
     """``enumerate_trivalent_topologies(n)``, built once, so that each tree
@@ -297,6 +364,45 @@ def reassemble_flattening(tf: ThinFlattening,
 def identity_link(label_a: int, label_b: int) -> PatternTensor:
     """The two-position tensor pairing equal states, sum_b b (x) b."""
     return PatternTensor(np.eye(K).reshape(-1), (label_a, label_b))
+
+
+def star_contract(phi1: PatternTensor, phi2: PatternTensor,
+                  shared: Iterable[int]) -> PatternTensor:
+    """Contract two tensors over a shared set of positions.
+
+    Pairs the two tensors against every basis vector of the shared positions
+    and tensors the leftovers, i.e. an inner product over the shared axes;
+    the result carries the surviving labels of ``phi1`` then ``phi2``.
+    With a single shared position this is the gluing of two tensors at a
+    common vertex.
+    """
+    shared = tuple(sorted(set(shared)))
+    if not shared:
+        raise ValueError("shared positions must be nonempty")
+    if not set(shared) <= set(phi1.labels) & set(phi2.labels):
+        raise ValueError("shared positions must appear in both tensors")
+    pos1 = {lab: i for i, lab in enumerate(phi1.labels)}
+    pos2 = {lab: i for i, lab in enumerate(phi2.labels)}
+    axes1 = [pos1[z] for z in shared]
+    axes2 = [pos2[z] for z in shared]
+    out = np.tensordot(phi1.nd(), phi2.nd(), axes=(axes1, axes2))
+    labels = tuple(l for l in phi1.labels if l not in shared) + \
+        tuple(l for l in phi2.labels if l not in shared)
+    return PatternTensor(out.reshape(-1), labels)
+
+
+def no_mutation_presentation(tree: TreeTopology,
+                             model: Optional[EquivariantModel] = None
+                             ) -> EvolutionaryPresentation:
+    """Identity matrix on every edge, uniform root: all leaves copy the root
+    state, so the joint distribution is the diagonal tensor at weight 1/4."""
+    model = model or builtin_model("GMM")
+    matrices = {edge: np.eye(4)
+                for edge in _oriented_edges(tree, _default_root(tree))}
+    pres = EvolutionaryPresentation(tree, _default_root(tree), matrices,
+                                    np.full(4, 0.25), model, stochastic=True)
+    pres.validate()
+    return pres
 
 
 def permute_labels(psi: PatternTensor, mapping: dict[int, int]) -> PatternTensor:

@@ -20,24 +20,14 @@ from edgeinv.reconstruct import (
 from edgeinv.scores import generator_catalog, model_fit_score
 from edgeinv.simulate import (
     joint_distribution,
-    no_mutation_presentation,
     random_presentation,
     sample_alignment,
 )
-from edgeinv.tensors import (
-    PatternTensor,
-    averaged,
-    flatten,
-    star_contract,
-    thin_rank,
-)
-from edgeinv.trees import (
-    Bipartition,
-    enumerate_trivalent_topologies,
-    splits_compatible,
-    tree_from_splits,
-)
-from helpers import flattening_rank, thin_flatten
+from edgeinv.tensors import PatternTensor, averaged
+from edgeinv.trees import Bipartition, splits_compatible, tree_from_splits
+from helpers import enumerate_trivalent_topologies, flatten, \
+    flattening_rank, no_mutation_presentation, star_contract, thin_flatten, \
+    thin_rank
 
 MODELS = ("GMM", "SSM", "K81", "K80", "JC69")
 

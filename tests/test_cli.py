@@ -129,8 +129,8 @@ class TestSimulate:
                          "--tree", QUARTET_NEWICK, "--seed", "3",
                          "--out", str(out_path))
         assert code == 0
-        from edgeinv.tensors import load_tensor
-        psi = load_tensor(out_path)
+        from edgeinv.tensors import tensor_from_bytes
+        psi = tensor_from_bytes(out_path.read_bytes())
         assert psi.n == 4 and psi.stochastic
 
     def test_fasta_output(self, capsys):

@@ -1,4 +1,4 @@
-"""No subcommand imports scipy or numpy.ma.
+"""The package's public names, and no subcommand imports scipy or numpy.ma.
 
 The package depends on numpy alone; only the tests' sparse-basis oracle
 (``helpers.thin_flatten``) uses scipy.  Some forms of ``np.unique`` and
@@ -26,6 +26,26 @@ for argv in json.loads(sys.argv[1]):
     assert "scipy" not in sys.modules, argv
     assert "numpy.ma" not in sys.modules, argv
 """
+
+
+def test_public_names_are_pinned():
+    # a new or removed public name shows up here as a change to this list
+    assert ei.__all__ == [
+        "Alignment", "Bipartition", "EquivariantModel",
+        "EvolutionaryPresentation", "GeneratorCatalog", "MultiplicityVector",
+        "PatternTensor", "RankVector", "ReconstructionResult", "SplitScore",
+        "SymmetryAdaptedBasis", "TreeTopology", "builtin_model",
+        "character_flattening", "edge_invariant_test", "edge_splits",
+        "empirical_tensor", "evaluate_generators", "expected_rank_vector",
+        "from_newick", "generator_catalog", "genericity_check",
+        "joint_distribution", "min_edge_cut", "model_fit_score",
+        "random_presentation", "read_fasta", "reconstruct_by_splits",
+        "reconstruct_exhaustive", "sample_alignment", "save_tensor",
+        "score_splits", "splits_compatible", "split_score",
+        "symmetry_adapted_basis", "to_newick", "tree_from_splits",
+        "write_fasta",
+    ]
+    assert all(hasattr(ei, name) for name in ei.__all__)
 
 
 def _simulated(model_name: str, seed: int):

@@ -25,7 +25,6 @@ from edgeinv.scores import all_bipartitions, score_splits, side_mask, \
 from edgeinv.simulate import (
     Alignment,
     joint_distribution,
-    no_mutation_presentation,
     random_presentation,
     read_fasta,
     sample_alignment,
@@ -35,12 +34,12 @@ from edgeinv.tensors import PatternTensor
 from edgeinv.trees import (
     Bipartition,
     TreeTopology,
-    enumerate_trivalent_topologies,
     from_newick,
     to_newick,
     tree_from_splits,
 )
-from helpers import greedy_splits_tree, permute_labels, scan_exhaustive
+from helpers import enumerate_trivalent_topologies, greedy_splits_tree, \
+    no_mutation_presentation, permute_labels, scan_exhaustive
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 

@@ -24,20 +24,12 @@ from edgeinv.scores import (
     split_report,
     split_score,
 )
-from edgeinv.simulate import (
-    joint_distribution,
-    no_mutation_presentation,
-    random_presentation,
-)
+from edgeinv.simulate import joint_distribution, random_presentation
 from edgeinv.tensors import STACK_ENTRIES, PatternTensor, averaged, \
-    character_transform, split_stacks, thin_rank
-from edgeinv.trees import (
-    Bipartition,
-    TreeTopology,
-    enumerate_trivalent_topologies,
-    from_newick,
-)
-from helpers import per_split_score, thin_flatten
+    character_transform, split_stacks
+from edgeinv.trees import Bipartition, TreeTopology, from_newick
+from helpers import enumerate_trivalent_topologies, \
+    no_mutation_presentation, per_split_score, thin_flatten, thin_rank
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 

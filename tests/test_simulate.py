@@ -20,7 +20,6 @@ from edgeinv.simulate import (
     default_taxa,
     fasta_codes,
     joint_distribution,
-    no_mutation_presentation,
     position_orbits,
     random_presentation,
     read_fasta,
@@ -31,7 +30,7 @@ from edgeinv.tensors import PatternTensor
 from edgeinv.trees import TreeTopology, from_newick
 import edgeinv.simulate
 from helpers import fasta_column_counts, lines_stripped_one_by_one, \
-    presentation_from_json, presentation_to_json
+    no_mutation_presentation, presentation_from_json, presentation_to_json
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 

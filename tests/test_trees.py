@@ -14,13 +14,13 @@ from edgeinv.trees import (
     SplitSystemError,
     TreeTopology,
     edge_splits,
-    enumerate_trivalent_topologies,
     from_newick,
     min_edge_cut,
     splits_compatible,
     to_newick,
     tree_from_splits,
 )
+from helpers import enumerate_trivalent_topologies
 
 
 # ---------------------------------------------------------------------------
