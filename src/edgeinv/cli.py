@@ -189,23 +189,18 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="edgeinv",
-        description="tree topology decisions from site-pattern tensors via "
-                    "equivariant flattening ranks")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_input_opts(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True,
+                   help="tensor container, tensor JSON, or FASTA ('-' "
+                        "for stdin)")
+    p.add_argument("--format", choices=["auto", "tensor", "json", "fasta"],
+                   default="auto")
+    p.add_argument("--ambiguous", choices=["error", "drop"],
+                   default="error",
+                   help="how to treat non-ACGT alignment columns")
 
-    def add_input_opts(p):
-        p.add_argument("--input", required=True,
-                       help="tensor container, tensor JSON, or FASTA ('-' "
-                            "for stdin)")
-        p.add_argument("--format", choices=["auto", "tensor", "json", "fasta"],
-                       default="auto")
-        p.add_argument("--ambiguous", choices=["error", "drop"],
-                       default="error",
-                       help="how to treat non-ACGT alignment columns")
 
+def _add_model_info(sub) -> None:
     p = sub.add_parser("model-info", help="character table, multiplicities, "
                                           "adapted basis")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
@@ -214,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the adapted basis vectors")
     p.set_defaults(func=cmd_model_info)
 
+
+def _add_simulate(sub) -> None:
     p = sub.add_parser("simulate", help="draw parameters, emit a tensor or "
                                         "a FASTA alignment")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
@@ -228,17 +225,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "else for the binary container; default stdout JSON")
     p.set_defaults(func=cmd_simulate)
 
+
+def _add_score(sub) -> None:
     p = sub.add_parser("score", help="score bipartitions of the leaf set")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
-    add_input_opts(p)
+    _add_input_opts(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--split", help='one split, e.g. "1,2|3,4"')
     group.add_argument("--all-splits", action="store_true")
     p.set_defaults(func=cmd_score)
 
+
+def _add_reconstruct(sub) -> None:
     p = sub.add_parser("reconstruct", help="infer the tree topology")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)
-    add_input_opts(p)
+    _add_input_opts(p)
     p.add_argument("--method", choices=["exhaustive", "splits"],
                    default="exhaustive")
     p.add_argument("--tol", type=float, default=None,
@@ -249,17 +250,43 @@ def build_parser() -> argparse.ArgumentParser:
                         "that joining scored)")
     p.set_defaults(func=cmd_reconstruct)
 
+
+def _add_fit(sub) -> None:
     p = sub.add_parser("fit", help="linear-invariant model fit scores")
-    add_input_opts(p)
+    _add_input_opts(p)
     p.add_argument("--models", required=True,
                    help="comma-separated model names")
     p.set_defaults(func=cmd_fit)
+
+
+_SUBCOMMANDS = {"model-info": _add_model_info, "simulate": _add_simulate,
+                "score": _add_score, "reconstruct": _add_reconstruct,
+                "fit": _add_fit}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand, or with only ``command``
+    when it names one.  The one-subcommand parser prints the same usage line,
+    so its help and error texts are those of the full one."""
+    parser = argparse.ArgumentParser(
+        prog="edgeinv",
+        description="tree topology decisions from site-pattern tensors via "
+                    "equivariant flattening ranks")
+    single = command in _SUBCOMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if single else None)
+    for name in [command] if single else _SUBCOMMANDS:
+        _SUBCOMMANDS[name](sub)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call builds the subparser it runs; no name, --help or an unknown
+    # name gets all of them
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

@@ -27,7 +27,8 @@ Scoring builds no basis above power 1.  ``CliffordReduction`` places the
 first copy of every irrep on one label class of the Kronecker powers of an
 abelian label group's one-site basis, where the stabiliser of a state acts
 by permuting digits, and builds that copy orbit by orbit with the same
-machinery as the bases: the orbits once per stabiliser and power.
+machinery as the bases: the orbits once per stabiliser, at the highest
+power asked so far.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ def _closure(generators: Iterable[Perm]) -> tuple[Perm, ...]:
                 elems.add(prod)
                 frontier.append(prod)
     return tuple(sorted(elems))
+
+
+def _close(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
+    """``np.isclose(a, b, atol=atol)`` on finite values, without its set-up
+    cost: |a - b| <= atol + 1e-5 |b| elementwise."""
+    return np.abs(a - b) <= atol + 1e-5 * np.abs(b)
 
 
 def _cycle_notation(g: Perm) -> str:
@@ -138,19 +145,27 @@ class EquivariantModel:
         self._index = {g: i for i, g in enumerate(self.elements)}
         perms = np.array(self.elements, dtype=np.int64)
         self.fixed_counts = (perms == np.arange(K)).sum(axis=1)
+        # the irreps of each dimension in one stack, so that every check is
+        # one array pass per dimension
+        by_dim: dict[int, list[int]] = {}
+        for t, d in enumerate(self.dims):
+            by_dim.setdefault(d, []).append(t)
+        stacks = [(which, np.stack([self.irreps[t].matrices for t in which]))
+                  for which in by_dim.values()]
         # integral character values per element, exactness asserted
-        chars = np.empty((self.n_irreps, self.order), dtype=np.int64)
-        for t, ir in enumerate(self.irreps):
-            traces = np.trace(ir.matrices, axis1=1, axis2=2)
-            rounded = np.rint(traces)
-            if not np.allclose(traces, rounded, atol=1e-9):
-                raise AssertionError(f"{name}: non-integral character {ir.name}")
-            chars[t] = rounded.astype(np.int64)
-        self.characters = chars
+        traces = np.empty((self.n_irreps, self.order))
+        for which, mats in stacks:
+            traces[which] = np.trace(mats, axis1=2, axis2=3)
+        rounded = np.rint(traces)
+        bad = np.flatnonzero(~_close(traces, rounded, 1e-9).all(axis=1))
+        if bad.size:
+            raise AssertionError(
+                f"{name}: non-integral character {self.irreps[bad[0]].name}")
+        self.characters = rounded.astype(np.int64)
         self.characters.setflags(write=False)
         self._multiplicities: dict[int, MultiplicityVector] = {}
         # product[i, j] = index of g_i after g_j, built and verified once
-        self._product, inverses = self._verify(perms)
+        self._product, inverses = self._verify(perms, stacks)
         self._classes = self._conjugacy_classes(inverses)
 
     # -- structure ---------------------------------------------------------
@@ -191,8 +206,10 @@ class EquivariantModel:
         """Fixed-state count of one explicit permutation."""
         return int(self.fixed_counts[self._index[perm]])
 
-    def _verify(self, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Assert the axioms; returns the product table and the inverses."""
+    def _verify(self, perms: np.ndarray, stacks: list
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Assert the axioms; returns the product table and the inverses.
+        ``stacks`` holds ``(irrep indices, their matrices)`` per dimension."""
         assert self.elements[0] == _IDENTITY
         weights = K ** np.arange(K - 1, -1, -1)
         # element index of each permutation, by its base-K code; -1 if absent
@@ -203,20 +220,26 @@ class EquivariantModel:
         product = lookup[perms[:, perms] @ weights]
         assert (product >= 0).all(), f"{self.name}: not closed"
         assert sum(d * d for d in self.dims) == self.order
-        for ir in self.irreps:
-            mats = ir.matrices
-            eye = np.eye(ir.dim)
-            assert np.allclose(mats[0], eye, atol=1e-12)
-            assert np.allclose(mats @ mats.transpose(0, 2, 1), eye,
-                               atol=1e-12), \
-                f"{self.name}:{ir.name} not orthogonal"
+        # per irrep: D(id) = 1, orthogonal, a homomorphism
+        holds = np.empty((self.n_irreps, 3), dtype=bool)
+        for which, mats in stacks:
+            count, n, d = mats.shape[:3]
+            eye = np.eye(d)
             # block (i, j) of one product of stacked matrices is D(g_i) D(g_j)
-            n, d = mats.shape[:2]
-            pairs = mats.reshape(n * d, d) @ np.hstack(mats)
-            assert np.allclose(pairs.reshape(n, d, n, d),
-                               mats[product].transpose(0, 2, 1, 3),
-                               atol=1e-12), \
-                f"{self.name}:{ir.name} not a homomorphism"
+            pairs = (mats.reshape(count, n * d, d)
+                     @ mats.transpose(0, 2, 1, 3).reshape(count, d, n * d))
+            holds[which] = np.column_stack((
+                _close(mats[:, 0], eye, 1e-12).all(axis=(1, 2)),
+                _close(mats @ mats.transpose(0, 1, 3, 2), eye,
+                       1e-12).all(axis=(1, 2, 3)),
+                _close(pairs.reshape(count, n, d, n, d),
+                       mats[:, product].transpose(0, 1, 3, 2, 4),
+                       1e-12).all(axis=(1, 2, 3, 4))))
+        for ir, row in zip(self.irreps, holds):
+            for ok, fault in zip(row, ("D(id) is not the identity",
+                                       "not orthogonal", "not a homomorphism")):
+                if not ok:
+                    raise AssertionError(f"{self.name}:{ir.name} {fault}")
         # exact first orthogonality relation
         gram = self.characters @ self.characters.T
         assert np.array_equal(gram, self.order * np.eye(self.n_irreps,
@@ -710,8 +733,9 @@ class CliffordReduction:
 
     As N is regular on the states and H acts on it by automorphisms, the
     label-c class at power l holds one pattern per first l - 1 digits, and
-    H_c moves it as it moves those digits.  So the orbits are found once per
-    stabiliser and power, on the power-(l - 1) patterns, for all its irreps.
+    H_c moves it as it moves those digits.  So the orbits are found on the
+    power-(l - 1) patterns, for all irreps of a stabiliser at once, and once
+    for all powers up to the highest asked so far.
     """
 
     def __init__(self, model: EquivariantModel):
@@ -728,15 +752,17 @@ class CliffordReduction:
         perms = np.array(model.elements)[stab]
         moved = basis.T @ _perm_matrices(perms) @ basis
         self._perms = moved.argmax(axis=1)
-        if not np.allclose(moved, _perm_matrices(self._perms), atol=1e-12):
+        if not _close(moved, _perm_matrices(self._perms), 1e-12).all():
             raise AssertionError(f"{model.name}: a stabiliser element "
                                  f"does not permute the one-site basis")
         # moves[e]: how stabiliser element e permutes the labels, which must
-        # be an automorphism of N for the orbits of ``first_copies``
+        # be an automorphism of N for the orbits of ``first_copies``; and
+        # digit 0 must stay put for those orbits to serve lower powers
         moves = np.empty_like(self._perms)
         moves[:, self.digit_labels] = self.digit_labels[self._perms]
         if len(stab) > 1 and (
                 sorted(self.digit_labels) != list(range(K))
+                or self._perms[:, 0].any()
                 or (moves[:, products] != products[moves[:, :, None],
                                                    moves[:, None, :]]).any()):
             raise AssertionError(f"{model.name}: the stabiliser of a "
@@ -754,50 +780,72 @@ class CliffordReduction:
                 self.digit_labels[self._perms[:, digit]] == c).tolist())
             weights = np.array([u @ ir.matrices[stab[e]] @ u for e in keep])
             weights *= ir.dim / len(stab)
-            if len(keep) == 1 and not np.isclose(weights[0], 1.0):
+            if len(keep) == 1 and not _close(weights[0], 1.0, 1e-8):
                 raise AssertionError(f"{model.name}:{ir.name} has no copy on "
                                      f"one label class")
             irrep_labels.append(c)
             self._stabilisers.append((keep, weights))
         self.irrep_labels = tuple(irrep_labels)
         self._first_copies: dict[int, tuple] = {}
+        self._top, self._rows = 0, []   # the rows at the highest power
 
     def first_copies(self, power: int) -> tuple:
         """Per irrep t, ``None`` when its first copy at this power is the
         whole class of label-c_t patterns, else ``(index, weight)``: arrays
         of shape (m_t, s) such that first-copy vector j is the sum over k of
         weight[j, k] times label-class pattern index[j, k] (its position in
-        the class), zero-padded to s, the order of the stabiliser of c_t."""
+        the class), zero-padded to s, the order of the stabiliser of c_t.
+
+        The rows are built once, at the highest power asked so far, and a
+        lower power takes a prefix of them.  The stabiliser fixes digit 0,
+        so the power-l positions are the first 4^(l - 1) of any higher power
+        and no orbit leaves them; rows are ordered by orbit, numbered by
+        least member, so the power-l rows are those whose least member,
+        ``index[:, 0]``, is one of those positions."""
         found = self._first_copies.get(power)
         if found is None:
-            # orbits per stabiliser, on the positions of any class it fixes
-            # (the power-(l - 1) patterns); pieces per stabiliser and weights
-            orbits, made, pieces = {}, {}, []
-            for t, (keep, weights) in enumerate(self._stabilisers):
-                if len(keep) == 1:
+            if power > self._top:
+                self._top, self._rows = power, self._stabiliser_rows(power)
+            pieces = []
+            for t, rows in enumerate(self._rows):
+                if rows is None:
                     pieces.append(None)
                     continue
-                if keep not in orbits:
-                    orbits[keep] = _orbit_shapes(_element_row(
-                        self._perms[list(keep)], power - 1,
-                        np.empty((len(keep), K ** (power - 1)), np.int64)))
-                key = keep, weights.tobytes()
-                if key not in made:
-                    n_orbits, shapes = orbits[keep]
-                    # no orbit is larger than the stabiliser
-                    made[key] = _orbit_rows(
-                        shapes, n_orbits,
-                        [_copy_vectors(local, weights[:, None])[0]
-                         for _, _, local in shapes], len(keep))
+                index, weight = rows
+                count = np.searchsorted(index[:, 0], K ** (power - 1))
                 expected = self.model.multiplicities(power)[t]
-                if len(made[key][0]) != expected:
+                if count != expected:
                     raise AssertionError(
-                        f"{self.model.name}: stabiliser image rank "
-                        f"{len(made[key][0])} != multiplicity {expected} "
-                        f"for irrep {self.model.irreps[t].name}")
-                pieces.append(made[key])
+                        f"{self.model.name}: stabiliser image rank {count} "
+                        f"!= multiplicity {expected} for irrep "
+                        f"{self.model.irreps[t].name}")
+                pieces.append((index[:count], weight[:count]))
             found = self._first_copies.setdefault(power, tuple(pieces))
         return found
+
+    def _stabiliser_rows(self, power: int) -> list:
+        """Per irrep, ``None`` or the ``_orbit_rows`` of its stabiliser and
+        weights at this power, with the orbits found once per stabiliser on
+        the positions of any class it fixes (the power-(l - 1) patterns)."""
+        orbits, made, rows = {}, {}, []
+        for keep, weights in self._stabilisers:
+            if len(keep) == 1:
+                rows.append(None)
+                continue
+            if keep not in orbits:
+                orbits[keep] = _orbit_shapes(_element_row(
+                    self._perms[list(keep)], power - 1,
+                    np.empty((len(keep), K ** (power - 1)), np.int64)))
+            key = keep, weights.tobytes()
+            if key not in made:
+                n_orbits, shapes = orbits[keep]
+                # no orbit is larger than the stabiliser
+                made[key] = _orbit_rows(
+                    shapes, n_orbits,
+                    [_copy_vectors(local, weights[:, None])[0]
+                     for _, _, local in shapes], len(keep))
+            rows.append(made[key])
+        return rows
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,8 @@ bipartition the first time a route asks for it, in stacks of the splits
 asked for at once.  Both surface their evidence: per-split scores, warnings
 with a stable reason code when no topology passes uniquely, a tie was broken
 by a fixed rule or a chosen split scores above tol, and optional
-rank-achievement audits of the winner.
+rank-achievement audits of the winner, whose flagged splits follow the
+reason code "rank-not-generic".
 Failures are diagnosed, never silent.
 """
 
@@ -47,6 +48,7 @@ from .trees import TreeTopology, tree_from_splits
 WARN_NO_UNIQUE_PASS = "no-unique-pass"
 WARN_TIE = "tie"
 WARN_ABOVE_TOL = "above-tol"
+WARN_RANK_NOT_GENERIC = "rank-not-generic"
 
 
 @dataclass(frozen=True)
@@ -222,10 +224,8 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
     tree = tree_from_splits([table[c].split for c in clusters if c != full],
                             n)
 
-    genericity: tuple[str, ...] = ()
-    if check_genericity and n <= MAX_AUDIT_LEAVES:
-        genericity = tuple(genericity_check(psi, model, tree,
-                                            table=table).warnings())
+    genericity = (_audit(psi, model, tree, table)
+                  if check_genericity and n <= MAX_AUDIT_LEAVES else ())
     return ReconstructionResult(
         method="exhaustive", tree=tree,
         chosen_splits=tuple(table[side_mask(s)]
@@ -298,14 +298,20 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
         warnings = (WARN_ABOVE_TOL,
                     f"{len(above)} chosen splits score above tol {tol:g} "
                     f"(max score {max(above):.3g})")
-    genericity: tuple[str, ...] = ()
-    if check_genericity and n <= MAX_AUDIT_LEAVES:
-        genericity = tuple(genericity_check(psi, model, tree,
-                                            table=table).warnings())
+    genericity = (_audit(psi, model, tree, table)
+                  if check_genericity and n <= MAX_AUDIT_LEAVES else ())
     return ReconstructionResult(
         method="splits", tree=tree, chosen_splits=chosen,
         rejected_splits=rejected, warnings=warnings,
         genericity_warnings=genericity, tol=tol)
+
+
+def _audit(psi: PatternTensor, model: EquivariantModel, tree: TreeTopology,
+           table: SplitTable) -> tuple[str, ...]:
+    """The genericity audit's lines for ``tree``, after the reason code
+    "rank-not-generic" when there are any."""
+    lines = genericity_check(psi, model, tree, table=table).warnings()
+    return (WARN_RANK_NOT_GENERIC, *lines) if lines else ()
 
 
 def empirical_tensor(alignment: Alignment) -> PatternTensor:

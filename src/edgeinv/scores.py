@@ -125,7 +125,7 @@ class SplitTable:
                    frozenset(leaf for leaf in range(2, n + 1)
                              if mask >> (leaf - 2) & 1), n)
                for mask in dict.fromkeys(masks) if mask not in self.scored]
-        for stack in split_stacks(self.psi, new, self.model):
+        for stack in split_stacks(new, self.model):
             for score in self._score(stack):
                 self.scored[side_mask(score.split)] = score
 

@@ -125,7 +125,7 @@ def random_presentation(model: EquivariantModel, tree: TreeTopology,
     concentration keeps the matrices diagonally dominant and the simulated
     tensors away from degenerate rank loci.  Deterministic per seed.
     """
-    if concentration <= 0:
+    if not concentration > 0:  # NaN included
         raise ValueError("concentration must be positive")
     rng = np.random.default_rng(seed)
     orbits = position_orbits(model)

@@ -311,12 +311,12 @@ def _first_copy_block(blocks: np.ndarray, rows, cols) -> np.ndarray:
     return blocks
 
 
-def split_stacks(psi: PatternTensor, splits: Iterable[Bipartition],
+def split_stacks(splits: Iterable[Bipartition],
                  model: EquivariantModel) -> Iterator[list]:
-    """The bipartitions of ``psi``'s leaves in stacks for
-    ``character_flattening``, which checks them: splits of equal side sizes,
-    in order, as many as keep the stack's largest label block within
-    ``STACK_ENTRIES`` entries, and one at least."""
+    """Bipartitions in stacks for ``character_flattening``, which checks
+    them against the tensor: splits of equal side sizes, in order, as many
+    as keep the stack's largest label block within ``STACK_ENTRIES``
+    entries, and one at least."""
     reduction = clifford_reduction(model)
     shapes: dict[tuple[int, int], list] = {}
     for split in splits:

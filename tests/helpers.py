@@ -21,8 +21,8 @@ from scipy import sparse
 from edgeinv.groups import K, EquivariantModel, MultiplicityVector, \
     SymmetryAdaptedBasis, builtin_model, clifford_reduction, label_classes, \
     pattern_maps, symmetry_adapted_basis
-from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_TIE, \
-    ReconstructionResult, _check_tol, data_driven_tol
+from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_RANK_NOT_GENERIC, \
+    WARN_TIE, ReconstructionResult, _check_tol, data_driven_tol
 from edgeinv.scores import DEFAULT_RANK_TOL, DEFAULT_SCORE_TOL, SplitScore, \
     all_bipartitions, genericity_check, score_splits
 from edgeinv.simulate import EvolutionaryPresentation, _default_root, \
@@ -311,8 +311,9 @@ def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
 
     genericity: tuple[str, ...] = ()
     if check_genericity:
-        audit = genericity_check(scored_psi, model, topologies[winner])
-        genericity = tuple(audit.warnings())
+        lines = genericity_check(scored_psi, model,
+                                 topologies[winner]).warnings()
+        genericity = (WARN_RANK_NOT_GENERIC, *lines) if lines else ()
     result = ReconstructionResult(
         method="exhaustive", tree=topologies[winner],
         chosen_splits=tree_scores[winner], rejected_splits=(),

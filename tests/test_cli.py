@@ -6,6 +6,7 @@ import json
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,44 @@ def test_options_are_pinned():
         "reconstruct": ["--model", *INPUT_OPTIONS, "--method", "--tol"],
         "fit": [*INPUT_OPTIONS, "--models"],
     }
+
+
+# argv, exit status, stdout and stderr of the help and usage-error texts,
+# as printed at 80 columns by the parser that built every subcommand
+CLI_TEXTS = json.loads(Path(__file__).with_name("cli_texts.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_TEXTS,
+                         ids=lambda case: "_".join(case["argv"]) or "none")
+def test_help_and_usage_texts_are_pinned(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to it
+    with pytest.raises(SystemExit) as stop:
+        main(case["argv"])
+    out = capsys.readouterr()
+    assert (stop.value.code, out.out, out.err) == (
+        case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["model-info", "--model", "K81", "--power", "1"], ["model-info"]),
+    (["fit", "--help"], ["fit"]),
+    (["--help"], list(cli._SUBCOMMANDS)),
+    (["bogus"], list(cli._SUBCOMMANDS)),
+    ([], list(cli._SUBCOMMANDS)),
+])
+def test_a_call_builds_the_subparser_it_runs(capsys, monkeypatch, argv,
+                                             built):
+    calls = []
+    for name, add in cli._SUBCOMMANDS.items():
+        def recorded(sub, name=name, add=add):
+            calls.append(name)
+            add(sub)
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, recorded)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert calls == built
 
 
 class TestModelInfo:
@@ -148,6 +187,14 @@ class TestSimulate:
                            "--tree", newick, "--seed", "1")
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_concentration_not_positive_exit_one(self, capsys, value):
+        code, out, err = run(capsys, "simulate", "--model", "JC69",
+                             "--tree", QUARTET_NEWICK, "--seed", "1",
+                             "--concentration", value)
+        assert (code, out, err) == (
+            1, "", "error: concentration must be positive\n")
 
     def test_deterministic(self, capsys):
         a = run(capsys, "simulate", "--model", "K80", "--tree",

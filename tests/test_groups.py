@@ -166,6 +166,20 @@ class TestTables:
             (basis.csc_arrays, basis.tags) for basis in
             (symmetry_adapted_basis(model, p) for p in range(1, 5)))) == bases
 
+    @pytest.mark.parametrize("name", ["K80", "JC69"])
+    @pytest.mark.parametrize("order", [(1, 2, 3, 4, 5, 6, 7),
+                                       (7, 6, 5, 4, 3, 2, 1),
+                                       (4, 2, 6, 1, 7, 3, 5)])
+    def test_first_copies_do_not_depend_on_the_order_asked(self, name,
+                                                           order):
+        # a lower power is cut from the rows of the highest asked so far
+        reduction = G.CliffordReduction(builtin_model(name))
+        for power in order:
+            reduction.first_copies(power)
+        assert table_digest(tuple(reduction.first_copies(p)
+                                  for p in range(1, 8))) \
+            == TABLE_DIGESTS[name][1]
+
     def test_kept_copy_vectors_are_read_only(self):
         G.CliffordReduction(builtin_model("JC69")).first_copies(3)
         assert G._COPY_VECTORS
@@ -214,6 +228,14 @@ class TestVerification:
         mats = shear @ model.irreps[2].matrices @ np.linalg.inv(shear)
         with pytest.raises(AssertionError, match="not orthogonal"):
             EquivariantModel("JC69", model.elements,
+                             jc69_irreps_with("plane", mats))
+
+    def test_identity_must_map_to_the_identity_matrix(self):
+        # negating every matrix keeps orthogonality and integral characters
+        mats = -builtin_model("JC69").irreps[2].matrices
+        with pytest.raises(AssertionError,
+                           match=r"JC69:plane D\(id\) is not the identity"):
+            EquivariantModel("JC69", builtin_model("JC69").elements,
                              jc69_irreps_with("plane", mats))
 
     def test_elements_not_closed(self):

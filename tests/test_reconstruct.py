@@ -14,6 +14,7 @@ from edgeinv.groups import builtin_model
 from edgeinv.reconstruct import (
     WARN_ABOVE_TOL,
     WARN_NO_UNIQUE_PASS,
+    WARN_RANK_NOT_GENERIC,
     WARN_TIE,
     data_driven_tol,
     empirical_tensor,
@@ -176,6 +177,30 @@ class TestExhaustive:
         psi = joint_distribution(no_mutation_presentation(quartet(2)))
         result = reconstruct_exhaustive(psi, builtin_model("GMM"))
         assert result.genericity_warnings
+
+    @pytest.mark.parametrize("route", [reconstruct_exhaustive,
+                                       reconstruct_by_splits])
+    def test_flagged_audit_leads_with_its_reason_code(self, route):
+        model = builtin_model("GMM")
+        psi = joint_distribution(no_mutation_presentation(quartet(2)))
+        result = route(psi, model, check_genericity=True)
+        code, *lines = result.genericity_warnings
+        assert code == WARN_RANK_NOT_GENERIC
+        assert lines and all(line.startswith("rank not generic at ")
+                             for line in lines)
+        report = result.to_report(model, psi.n)["warnings"]
+        assert report.count(WARN_RANK_NOT_GENERIC) == 1
+        assert report[report.index(WARN_RANK_NOT_GENERIC) + 1:] == lines
+
+    @pytest.mark.parametrize("route", [reconstruct_exhaustive,
+                                       reconstruct_by_splits])
+    def test_generic_input_has_no_reason_code(self, route):
+        model = builtin_model("K81")
+        psi = joint_distribution(random_presentation(model, caterpillar6(), 3))
+        result = route(psi, model, check_genericity=True)
+        assert result.genericity_warnings == ()
+        assert WARN_RANK_NOT_GENERIC not in result.to_report(
+            model, psi.n)["warnings"]
 
     def test_unique_passer_beats_a_lower_failing_total(self, monkeypatch):
         model = builtin_model("K81")

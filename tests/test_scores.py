@@ -272,8 +272,8 @@ class TestStacks:
         # whole shape groups, cut into stacks of ``size``
         whole = edgeinv.tensors.split_stacks
 
-        def stacks(psi, splits, model):
-            for group in whole(psi, splits, model):
+        def stacks(splits, model):
+            for group in whole(splits, model):
                 yield from (group[i:i + size]
                             for i in range(0, len(group), size))
 
@@ -310,7 +310,7 @@ class TestStacks:
         psi = averaged_random("K80", 8, 3)
         splits = all_bipartitions(8)
         stacks = list(split_stacks(
-            psi, [s for s in splits if not s.is_trivial], model))
+            [s for s in splits if not s.is_trivial], model))
         reduction = clifford_reduction(model)
         transform = character_transform(psi, reduction.labels)
 
@@ -363,9 +363,8 @@ class TestStacks:
 
     @pytest.mark.parametrize("name", MODELS)
     def test_ten_leaf_stacks_hold_one_balanced_split(self, name):
-        psi = PatternTensor(np.zeros(4 ** 10), tuple(range(1, 11)))
         balanced = [s for s in all_bipartitions(10) if len(s.side) == 5]
-        stacks = list(split_stacks(psi, balanced, builtin_model(name)))
+        stacks = list(split_stacks(balanced, builtin_model(name)))
         assert len(stacks) == len(balanced) == 126
 
 
