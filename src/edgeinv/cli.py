@@ -9,6 +9,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -29,6 +31,7 @@ from .simulate import (
 )
 from .tensors import (
     PatternTensor,
+    _read_container,
     pattern_strings,
     save_tensor,
     tensor_from_json,
@@ -109,6 +112,8 @@ def _write_tensor(psi: PatternTensor, out: Optional[str]) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.sites is not None and args.sites < 1:
+        raise ValueError("--sites must be at least 1")
     model = builtin_model(args.model)
     tree, names = from_newick(args.tree)
     pres = random_presentation(model, tree, args.seed,
@@ -128,24 +133,24 @@ def cmd_simulate(args) -> int:
 
 
 def _load_input(path: str, fmt: str, ambiguous: str) -> PatternTensor:
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        data = Path(path).read_bytes()
+    with (open(path, "rb") if path != "-"
+          else contextlib.nullcontext(sys.stdin.buffer)) as stream:
+        head = stream.read(4)
+        if fmt == "tensor" or (fmt == "auto" and head == b"EQPT"):
+            return _read_container(stream, head)
+        if stream.seekable():  # one buffer; read() would join head and rest
+            size = stream.seek(0, io.SEEK_END)
+            stream.seek(0)
+            data = stream.read(size)
+        else:
+            data = head + stream.read()
     if fmt == "auto":
-        if data[:4] == b"EQPT":
-            fmt = "tensor"
-        elif data.lstrip()[:1] in (b"{",):
+        if data.lstrip()[:1] in (b"{",):
             fmt = "json"
         elif data.lstrip()[:1] == b">":
             fmt = "fasta"
         else:
             raise ValueError(f"cannot sniff the format of {path}")
-    if fmt == "tensor":
-        from .tensors import tensor_from_bytes
-        return tensor_from_bytes(data)
-    if fmt not in ("json", "fasta"):
-        raise ValueError(f"unknown input format {fmt!r}")
     text = data.decode()
     del data  # free the bytes before the text is parsed
     if fmt == "json":

@@ -23,13 +23,15 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .groups import EquivariantModel, MultiplicityVector, expected_rank_vector
+from .groups import EquivariantModel, MultiplicityVector, \
+    clifford_reduction, expected_rank_vector, group_average
 from .tensors import (
     PatternTensor,
     RankVector,
     averaged,
     block_spectra,
     character_flattening,
+    character_transform,
     split_stacks,
     stack_ranks,
 )
@@ -108,9 +110,14 @@ class SplitTable:
 
     def __init__(self, psi: PatternTensor, model: EquivariantModel,
                  masks: Iterable[int] = ()):
-        self.psi = averaged(psi, model)
+        average = averaged(psi, model)
         self.model = model
-        self.norm = self.psi.norm()
+        self.norm = average.norm()
+        if average is not psi:  # its transform alone reads it, writing over it
+            average.values.setflags(write=True)
+        self.transform = character_transform(
+            average, clifford_reduction(model).labels)
+        del average
         self.scored: dict[int, SplitScore] = {}
         self.fill(masks)
 
@@ -120,7 +127,7 @@ class SplitTable:
         return self.scored[mask]
 
     def fill(self, masks: Iterable[int]) -> None:
-        n = self.psi.n
+        n = len(self.transform.labels)
         new = [Bipartition.from_side(
                    frozenset(leaf for leaf in range(2, n + 1)
                              if mask >> (leaf - 2) & 1), n)
@@ -132,7 +139,8 @@ class SplitTable:
     def _score(self, stack: list[Bipartition]) -> list[SplitScore]:
         target = self.model.multiplicities(1)
         spectra = [np.empty(0)] * self.model.n_irreps
-        for t, blocks in character_flattening(self.psi, stack, self.model):
+        for t, blocks in character_flattening(self.transform, stack,
+                                              self.model):
             spectra[t] = block_spectra(blocks)
             del blocks  # before the next label is gathered
         tails = [np.sqrt((s[:, m:] ** 2).sum(axis=1)).tolist()
@@ -387,12 +395,16 @@ def model_fit_score(psi: PatternTensor, model: EquivariantModel) -> float:
     """Relative violation of the linear constraints carving out the
     G-invariant tensors: ||psi - avg(psi)|| / ||psi||, zero iff exactly
     invariant.  Nested symmetries give nested scores: a larger group can only
-    increase the residual."""
+    increase the residual.  The trivial group, and an average of ``model``
+    (``averaged``), score exactly 0."""
     norm = psi.norm()
     if norm == 0.0:
         raise ValueError("model fit is undefined for the zero tensor")
-    gap = np.linalg.norm(psi.values - averaged(psi, model).values)
-    return float(gap / norm)
+    if model.order == 1 or psi._averaged_for is model:
+        return 0.0
+    gap = group_average(psi.values, model, psi.n)
+    gap -= psi.values  # in the average's own buffer
+    return float(np.linalg.norm(gap) / norm)
 
 
 # ---------------------------------------------------------------------------

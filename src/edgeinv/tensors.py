@@ -32,6 +32,7 @@ above power 1 is built.
 
 from __future__ import annotations
 
+import io
 import json
 import operator
 import struct
@@ -214,7 +215,7 @@ def averaged(psi: PatternTensor, model: EquivariantModel) -> PatternTensor:
 
 def _sides(psi: PatternTensor, split) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Normalize a Bipartition or an explicit (side1, side2) pair against the
-    tensor's labels; each side comes back sorted ascending."""
+    labels of a tensor or its transform; each side comes back sorted."""
     if isinstance(split, Bipartition):
         side1, side2 = split.sides
     else:
@@ -249,9 +250,12 @@ class CharacterTransform:
         if not model.abelian:
             raise ValueError(f"{model.name} has irreps of dimension > 1")
         self.model = model
+        self.labels = psi.labels
         matrix = symmetry_adapted_basis(model, 1).dense()
         coeffs = psi.values
-        buffers = (np.empty(coeffs.size), np.empty(coeffs.size))
+        # writeable values are an average handed over; pass 2 writes over them
+        buffers = (np.empty(coeffs.size), coeffs if coeffs.flags.writeable
+                   else np.empty(coeffs.size))
         for i in range(psi.n):
             # contract the leading axis; the new one goes last, so after n
             # passes the axes are back in order.  Passes alternate buffers.
@@ -343,17 +347,19 @@ def character_flattening(psi: PatternTensor, splits,
     irreps come grouped by label, and a label's blocks are gathered once,
     for all its irreps, and dropped before the next label's.  A single
     split is a stack of one.  On a tensor that is not group-invariant, K80's
-    E block is another copy of E than the first."""
-    sides = [_sides(psi, split) for split in splits]
+    E block is another copy of E than the first.  ``psi`` may also be the
+    tensor's character transform under that label group."""
     reduction = clifford_reduction(model)
+    transform = psi if isinstance(psi, CharacterTransform) else \
+        character_transform(psi, reduction.labels)
+    sides = [_sides(transform, split) for split in splits]
     l1, l2 = map(len, sides[0])
     if any((len(a), len(b)) != (l1, l2) for a, b in sides):
         raise ValueError("a stack holds splits of one pair of side sizes")
     pieces = tuple(zip(reduction.irrep_labels, reduction.first_copies(l1),
                        reduction.first_copies(l2)))
     wanted = sorted(set(reduction.irrep_labels))
-    gathered = character_transform(psi, reduction.labels).blocks(sides,
-                                                                 wanted)
+    gathered = transform.blocks(sides, wanted)
     for c, blocks in zip(wanted, gathered):
         for t, (label, rows, cols) in enumerate(pieces):
             if label == c:
@@ -412,31 +418,48 @@ _VERSION = 1
 _FLAG_STOCHASTIC = 1
 
 
-def tensor_to_bytes(psi: PatternTensor) -> bytes:
-    canonical = psi.with_canonical_labels()
-    flags = _FLAG_STOCHASTIC if canonical.stochastic else 0
-    header = _MAGIC + struct.pack("<HHHH", _VERSION, canonical.n, K, flags)
-    return header + canonical.values.astype("<f8").tobytes()
-
-
-def tensor_from_bytes(blob: bytes) -> PatternTensor:
-    if blob[:4] != _MAGIC:
+def _read_container(stream, head: bytes) -> PatternTensor:
+    """The tensor in a binary stream's container, ``head`` (a prefix of its
+    12-byte header) read already.  The header, and the byte count where the
+    stream seeks, are checked before the values are read into their array."""
+    head += stream.read(12 - len(head))
+    if head[:4] != _MAGIC:
         raise ValueError("not a pattern-tensor container")
-    if len(blob) < 12:
+    if len(head) < 12:
         raise ValueError("pattern-tensor container is shorter than its header")
-    version, n, k, flags = struct.unpack("<HHHH", blob[4:12])
+    version, n, k, flags = struct.unpack("<HHHH", head[4:])
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
     if k != 4:
         raise ValueError(f"unsupported alphabet size k={k}, expected 4")
-    values = np.frombuffer(blob, dtype="<f8", offset=12)
-    return PatternTensor(values.copy(), tuple(range(1, n + 1)),
+    if n > MAX_LEAVES:
+        raise ValueError(f"{n} positions exceed the dense cap {MAX_LEAVES}")
+    size = nbytes = 8 * K ** n
+    if stream.seekable():
+        at = stream.tell()
+        size = stream.seek(0, io.SEEK_END) - stream.seek(at)
+    if size == nbytes:
+        values = np.empty(K ** n, dtype="<f8")
+        size = stream.readinto(values) + len(stream.read())
+    if size != nbytes:
+        raise ValueError("buffer size must be a multiple of element size"
+                         if size % 8 else f"expected {K ** n} entries for "
+                         f"{n} positions, got ({size // 8},)")
+    return PatternTensor(values, tuple(range(1, n + 1)),
                          bool(flags & _FLAG_STOCHASTIC))
 
 
+def tensor_from_bytes(blob: bytes) -> PatternTensor:
+    return _read_container(io.BytesIO(blob), b"")
+
+
 def save_tensor(psi: PatternTensor, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(psi))
+    canonical = psi.with_canonical_labels()
+    flags = _FLAG_STOCHASTIC if canonical.stochastic else 0
+    header = struct.pack("<HHHH", _VERSION, canonical.n, K, flags)
+    with open(path, "wb") as fh:  # the header, then the values' own bytes
+        fh.write(_MAGIC + header)
+        fh.write(np.asarray(canonical.values, "<f8"))
 
 
 def tensor_to_json(psi: PatternTensor) -> str:

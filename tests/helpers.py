@@ -11,6 +11,7 @@ and the package does not use.  Only the sparse route needs scipy."""
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional
@@ -210,6 +211,13 @@ def per_split_blocks(psi: PatternTensor, split,
                 block = np.matmul(weight[:, None, :], block[index])[:, 0].T
         blocks.append(block)
     return tuple(blocks)
+
+
+def fit_score_oracle(psi: PatternTensor, model: EquivariantModel) -> float:
+    """``model_fit_score`` by its formula, ||psi - avg(psi)|| / ||psi||,
+    with a difference array of its own."""
+    gap = np.linalg.norm(psi.values - averaged(psi, model).values)
+    return float(gap / psi.norm())
 
 
 def per_split_score(psi: PatternTensor, split: Bipartition,
@@ -484,6 +492,15 @@ def fasta_column_counts(seqs: list[str], ambiguous: str) -> dict[str, int]:
     if not counts:
         raise ValueError("no usable columns remain")
     return counts
+
+
+def tensor_to_bytes(psi: PatternTensor) -> bytes:
+    """The binary container of ``psi`` as one bytes object, with a copy of
+    its values: the reference for ``save_tensor``."""
+    canonical = psi.with_canonical_labels()
+    header = b"EQPT" + struct.pack("<HHHH", 1, canonical.n, K,
+                                   int(canonical.stochastic))
+    return header + canonical.values.astype("<f8").tobytes()
 
 
 def character_transform_loop(psi: PatternTensor,

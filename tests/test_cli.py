@@ -3,10 +3,13 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from edgeinv import cli
 from edgeinv.cli import build_parser, main
 from edgeinv.reconstruct import empirical_tensor
 from edgeinv.simulate import read_fasta
-from edgeinv.tensors import save_tensor
+from edgeinv.tensors import PatternTensor, save_tensor
 
 QUARTET_NEWICK = "((1,2),(3,4));"
 
@@ -196,6 +199,18 @@ class TestSimulate:
         assert (code, out, err) == (
             1, "", "error: concentration must be positive\n")
 
+    @pytest.mark.parametrize("sites", ["0", "-1"])
+    def test_sites_below_one_exit_one(self, capsys, tmp_path, sites):
+        # an alignment of no sites is one that fit, score and reconstruct
+        # reject
+        out_path = tmp_path / "empty.fasta"
+        code, out, err = run(capsys, "simulate", "--model", "JC69",
+                             "--tree", QUARTET_NEWICK, "--seed", "1",
+                             "--sites", sites, "--out", str(out_path))
+        assert (code, out, err) == (1, "",
+                                    "error: --sites must be at least 1\n")
+        assert not out_path.exists()
+
     def test_deterministic(self, capsys):
         a = run(capsys, "simulate", "--model", "K80", "--tree",
                 QUARTET_NEWICK, "--seed", "5")
@@ -350,6 +365,56 @@ class TestReconstruct:
                            "--input", str(path), "--all-splits")
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestInput:
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_container_is_read_into_its_array(self, tmp_path, monkeypatch,
+                                              via):
+        # no bytes object and no copy beside the 9-leaf tensor's values
+        n = 9
+        psi = PatternTensor(np.random.default_rng(1).random(4 ** n),
+                            tuple(range(1, n + 1)))
+        path = tmp_path / "t.eqpt"
+        save_tensor(psi, path)
+
+        def load():
+            if via == "file":
+                return cli._load_input(str(path), "auto", "error")
+            with open(path, "rb") as stdin:
+                monkeypatch.setattr(sys, "stdin", SimpleNamespace(
+                    buffer=stdin))
+                return cli._load_input("-", "auto", "error")
+
+        load()
+        tracemalloc.start()
+        try:
+            back = load()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, psi.values)
+        assert peak <= 1.05 * psi.values.nbytes
+
+    @pytest.mark.parametrize("name, text", [
+        ("a.fasta", ">a\nACGT\n>b\nACGA\n>c\nACGC\n>d\nACTT\n"),
+        ("a.json", '{"n": 2, "entries": [["AC", 0.25], ["GT", 0.75]]}'),
+        ("b.json", '      \n{"n": 2, "entries": [["AC", 1.0]]}'),
+    ])
+    def test_text_reads_alike_from_a_file_and_a_pipe(self, tmp_path,
+                                                     monkeypatch, name, text):
+        # the format is sniffed from the whole text, past the first bytes
+        path = tmp_path / name
+        path.write_text(text)
+        from_file = cli._load_input(str(path), "auto", "error")
+        read, write = os.pipe()
+        os.write(write, text.encode())
+        os.close(write)
+        with open(read, "rb") as stdin:
+            monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=stdin))
+            from_pipe = cli._load_input("-", "auto", "error")
+        assert np.array_equal(from_file.values, from_pipe.values)
+        assert from_file.values.any()
 
 
 class TestFit:

@@ -3,24 +3,30 @@
 Valid inputs are mutated by truncation, byte flips and field deletion in
 ``random.Random(seed)`` loops.  Every mutated input must either parse or
 raise ValueError (which the CLI turns into ``error:`` and exit 1); any other
-exception is a parser bug.
+exception is a parser bug.  Container mutants also go through ``cli.main``,
+from a file and from stdin.
 """
 
 import json
+import os
 import random
+import struct
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from edgeinv.cli import main
 from edgeinv.simulate import read_fasta
 from edgeinv.tensors import (
     PatternTensor,
     tensor_from_bytes,
     tensor_from_json,
-    tensor_to_bytes,
     tensor_to_json,
 )
 from edgeinv.trees import from_newick
+from helpers import tensor_to_bytes
 
 CASES = 400
 
@@ -109,6 +115,69 @@ def test_tensor_container(seed):
     for blob in mutations(seed, tensor_to_bytes(valid_tensor()),
                           delete_header_field):
         parses_or_value_error(tensor_from_bytes, blob)
+
+
+def fit_exit(capsys, monkeypatch, tmp_path, blob: bytes, via: str):
+    """(exit code, stdout, stderr) of ``edgeinv fit`` on ``blob``, read from
+    a file or from stdin (a pipe, so not seekable)."""
+    if via == "file":
+        source = tmp_path / "in.eqpt"
+        source.write_bytes(blob)
+        return run_fit(capsys, str(source))
+    read, write = os.pipe()
+    os.write(write, blob)  # every blob here fits in the pipe's buffer
+    os.close(write)
+    with open(read, "rb") as stdin:
+        monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=stdin))
+        return run_fit(capsys, "-")
+
+
+def run_fit(capsys, source: str):
+    code = main(["fit", "--input", source, "--models", "K81"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+@pytest.mark.parametrize("seed", range(3))
+def test_tensor_container_through_the_cli(capsys, monkeypatch, tmp_path,
+                                          seed, via):
+    for blob in mutations(seed, tensor_to_bytes(valid_tensor()),
+                          delete_header_field):
+        code, out, err = fit_exit(capsys, monkeypatch, tmp_path, blob, via)
+        assert code == 0 or (code, out) == (1, "") and \
+            err.startswith("error:"), (blob, err)
+
+
+def header(n: int) -> bytes:
+    return b"EQPT" + struct.pack("<HHHH", 1, n, 4, 1)
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+@pytest.mark.parametrize("blob, message", [
+    (header(3), "expected 64 entries for 3 positions, got (0,)"),
+    (tensor_to_bytes(valid_tensor())[:-8],
+     "expected 64 entries for 3 positions, got (63,)"),
+    (tensor_to_bytes(valid_tensor())[:-3],
+     "buffer size must be a multiple of element size"),
+    (tensor_to_bytes(valid_tensor()) + b"\0",
+     "buffer size must be a multiple of element size"),
+    (header(13) + bytes(8), "13 positions exceed the dense cap 12"),
+    (header(65535), "65535 positions exceed the dense cap 12"),
+], ids=["header-only", "truncated", "ragged", "extra-byte", "n13", "n65535"])
+def test_malformed_container_exit_one(capsys, monkeypatch, tmp_path, blob,
+                                      message, via):
+    # checked before 4^n floats are allocated, never a MemoryError
+    assert fit_exit(capsys, monkeypatch, tmp_path, blob, via) == (
+        1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_valid_container_through_the_cli(capsys, monkeypatch, tmp_path, via):
+    code, out, err = fit_exit(capsys, monkeypatch, tmp_path,
+                              tensor_to_bytes(valid_tensor()), via)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == 3
 
 
 @pytest.mark.parametrize("seed", range(3))

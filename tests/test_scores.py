@@ -28,7 +28,7 @@ from edgeinv.simulate import joint_distribution, random_presentation
 from edgeinv.tensors import STACK_ENTRIES, PatternTensor, averaged, \
     character_transform, split_stacks
 from edgeinv.trees import Bipartition, TreeTopology, from_newick
-from helpers import enumerate_trivalent_topologies, \
+from helpers import enumerate_trivalent_topologies, fit_score_oracle, \
     no_mutation_presentation, per_split_score, thin_flatten, thin_rank
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
@@ -232,6 +232,35 @@ class TestScoreSplits:
                               [Bipartition({2}, 6), Bipartition({3}, 6)])
         assert [s.score for s in scores.values()] == [0.0, 0.0]
         assert not calls
+
+    @pytest.mark.parametrize("name", ["K81", "K80", "JC69"])
+    def test_first_fill_holds_two_tensors(self, name):
+        # the average made by the table is the transform's second buffer
+        model = builtin_model(name)
+        psi = PatternTensor(np.random.default_rng(2).random(4 ** 9),
+                            tuple(range(1, 10)))
+        masks = [0b11, 0b1111, 0b11110000]
+        SplitTable(psi, model, masks)  # the model's tables are built once
+        tracemalloc.start()
+        try:
+            SplitTable(psi, model, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * psi.values.nbytes
+
+    @pytest.mark.parametrize("name", ["GMM", "K81", "JC69"])
+    def test_caller_tensor_is_not_written(self, name):
+        # an input that ``averaged`` hands back keeps its values, and its
+        # transform, for the next table
+        model = builtin_model(name)
+        psi = averaged(PatternTensor(np.random.default_rng(4).random(4 ** 6),
+                                     tuple(range(1, 7))), model)
+        before = psi.values.copy()
+        first = SplitTable(psi, model, [0b11]).scored
+        assert np.array_equal(psi.values, before)
+        assert not psi.values.flags.writeable
+        assert SplitTable(psi, model, [0b11]).scored == first
 
     def test_table_takes_one_norm(self, monkeypatch):
         norms = []
@@ -565,6 +594,37 @@ class TestModelFit:
         psi = PatternTensor(np.zeros(256), (1, 2, 3, 4))
         with pytest.raises(ValueError):
             model_fit_score(psi, builtin_model("K81"))
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_matches_the_difference_oracle(self, name, n):
+        # the difference taken in the average's own buffer; exactly 0.0
+        # for the trivial group and for an average of this model
+        model = builtin_model(name)
+        psi = PatternTensor(np.random.default_rng(n).random(4 ** n),
+                            tuple(range(1, n + 1)))
+        got, want = model_fit_score(psi, model), fit_score_oracle(psi, model)
+        assert abs(got - want) <= 1e-15 * want
+        assert (got == 0.0) == (want == 0.0) == (name == "GMM")
+        avg = averaged(psi, model)
+        assert model_fit_score(avg, model) == fit_score_oracle(avg, model) \
+            == 0.0
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_holds_one_tensor_beyond_its_input(self, name):
+        # the average and its difference share one buffer; the average's
+        # blocks of 4^7 patterns add 0.047 tensors at 10 leaves
+        model = builtin_model(name)
+        psi = PatternTensor(np.random.default_rng(3).random(4 ** 10),
+                            tuple(range(1, 11)))
+        model_fit_score(psi, model)  # the model's tables are built once
+        tracemalloc.start()
+        try:
+            model_fit_score(psi, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * psi.values.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from edgeinv.tensors import (
     state_codes,
     tensor_from_bytes,
     tensor_from_json,
-    tensor_to_bytes,
     tensor_to_json,
 )
 from edgeinv.trees import Bipartition
@@ -40,6 +39,7 @@ from helpers import (
     reassemble_flattening,
     stack_of_one,
     star_contract,
+    tensor_to_bytes,
     thin_flatten,
     thin_rank,
 )
@@ -543,6 +543,24 @@ class TestSerialization:
         assert back.labels == psi.labels
         assert back.stochastic
         assert np.array_equal(back.values, psi.values)
+
+    def test_save_writes_the_values_without_copies(self, tmp_path):
+        # the header, then the array's own bytes, as ``tensor_to_bytes``
+        # gives them; a tensor out of label order is transposed first
+        path = tmp_path / "t.eqpt"
+        shuffled = random_tensor((2, 3, 1), 4)
+        save_tensor(shuffled, path)
+        assert path.read_bytes() == tensor_to_bytes(shuffled)
+        psi = random_tensor(range(1, 10), 4, stochastic=True)
+        save_tensor(psi, path)
+        assert path.read_bytes() == tensor_to_bytes(psi)
+        tracemalloc.start()
+        try:
+            save_tensor(psi, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * psi.values.nbytes
 
     def test_header_fields(self):
         psi = no_mutation_tensor(3)
