@@ -19,20 +19,21 @@ from typing import Optional
 import numpy as np
 
 from .groups import MODEL_NAMES, builtin_model, symmetry_adapted_basis
-from .reconstruct import reconstruct_by_splits, reconstruct_exhaustive
+from .reconstruct import empirical_tensor, reconstruct_by_splits, \
+    reconstruct_exhaustive
 from .scores import all_bipartitions, model_fit_score, score_splits, \
     split_report
 from .simulate import (
-    fasta_codes,
     joint_distribution,
     random_presentation,
+    read_fasta,
     sample_alignment,
     write_fasta,
 )
 from .tensors import (
     PatternTensor,
-    _read_container,
     pattern_strings,
+    read_container,
     save_tensor,
     tensor_from_json,
     tensor_to_json,
@@ -137,7 +138,7 @@ def _load_input(path: str, fmt: str, ambiguous: str) -> PatternTensor:
           else contextlib.nullcontext(sys.stdin.buffer)) as stream:
         head = stream.read(4)
         if fmt == "tensor" or (fmt == "auto" and head == b"EQPT"):
-            return _read_container(stream, head)
+            return read_container(stream, head)
         if stream.seekable():  # one buffer; read() would join head and rest
             size = stream.seek(0, io.SEEK_END)
             stream.seek(0)
@@ -155,8 +156,7 @@ def _load_input(path: str, fmt: str, ambiguous: str) -> PatternTensor:
     del data  # free the bytes before the text is parsed
     if fmt == "json":
         return tensor_from_json(text)
-    # fasta_codes has dropped or rejected every non-ACGT column
-    return PatternTensor.column_frequencies(fasta_codes(text, ambiguous)[1])
+    return empirical_tensor(read_fasta(text, ambiguous))
 
 
 def cmd_score(args) -> int:

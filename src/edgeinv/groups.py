@@ -421,17 +421,6 @@ def _element_row(g, power: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def pattern_maps(model_name: str, power: int) -> np.ndarray:
-    """Array of shape (|G|, k^l): row e sends pattern index p to g_e . p,
-    where elements act diagonally on the l digits of p.  Built afresh on
-    every call and not cached: at 12 leaves the JC69 table is 3.2 GB."""
-    model = builtin_model(model_name)
-    maps = np.empty((model.order, K ** power), dtype=np.int64)
-    for row, g in zip(maps, model.elements):
-        _element_row(g, power, row)
-    return maps
-
-
 @lru_cache(maxsize=None)
 def _cyclic_factors(model: EquivariantModel) -> tuple[tuple[Perm, ...], ...]:
     """Cyclic subgroups C_1, ..., C_k of ``model``, each sorted (identity
@@ -681,7 +670,9 @@ def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
         return SymmetryAdaptedBasis(model, power,
                                     (np.ones(size), steps[:-1], steps), tags)
 
-    n_orbits, shapes = _orbit_shapes(pattern_maps(model.name, power))
+    n_orbits, shapes = _orbit_shapes(_element_row(
+        np.array(model.elements), power,
+        np.empty((model.order, size), dtype=np.int64)))
     nnz, rows, data = [], [], []
     for t, ir in enumerate(model.irreps):
         weights = ir.dim / model.order * ir.matrices[:, :, 0]

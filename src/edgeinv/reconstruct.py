@@ -315,14 +315,8 @@ def _audit(psi: PatternTensor, model: EquivariantModel, tree: TreeTopology,
 
 
 def empirical_tensor(alignment: Alignment) -> PatternTensor:
-    """Relative pattern frequencies of an alignment, flagged stochastic.
-
-    A pattern with a symbol outside ACGT raises; ``read_fasta`` drops or
-    rejects such columns before they get here.
-    """
-    total = alignment.n_sites
-    if total == 0:
+    """Relative pattern frequencies of an alignment, flagged stochastic:
+    each entry is its column count / sites exactly."""
+    if not alignment.n_sites:
         raise ValueError("empty alignment")
-    return PatternTensor.from_pattern_counts(
-        {p: c / total for p, c in alignment.counts.items()},
-        alignment.n_taxa, stochastic=True)
+    return PatternTensor.column_frequencies(alignment.codes)

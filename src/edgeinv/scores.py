@@ -26,12 +26,12 @@ import numpy as np
 from .groups import EquivariantModel, MultiplicityVector, \
     clifford_reduction, expected_rank_vector, group_average
 from .tensors import (
+    CharacterTransform,
     PatternTensor,
     RankVector,
     averaged,
     block_spectra,
     character_flattening,
-    character_transform,
     split_stacks,
     stack_ranks,
 )
@@ -115,7 +115,7 @@ class SplitTable:
         self.norm = average.norm()
         if average is not psi:  # its transform alone reads it, writing over it
             average.values.setflags(write=True)
-        self.transform = character_transform(
+        self.transform = CharacterTransform(
             average, clifford_reduction(model).labels)
         del average
         self.scored: dict[int, SplitScore] = {}

@@ -22,9 +22,9 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .groups import EquivariantModel
-from .tensors import AMBIGUOUS, PatternTensor, pattern_indices, \
-    pattern_strings, state_codes
+from .groups import K, EquivariantModel
+from .tensors import AMBIGUOUS, LETTERS, MAX_LEAVES, PatternTensor, \
+    pattern_digits, pattern_indices, pattern_strings, state_codes
 from .trees import TreeTopology
 
 EQUIVARIANCE_TOL = 1e-12
@@ -194,21 +194,32 @@ def joint_distribution(pres: EvolutionaryPresentation,
 # Alignments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alignment:
-    """Site-pattern counts over named taxa (column order is immaterial)."""
+    """Sites over named taxa: ``codes[i, s]`` is the ACGT state code (0..3)
+    of taxon i at site s, stored read-only.  At most ``MAX_LEAVES`` taxa,
+    as a site-pattern tensor of more does not fit."""
 
     taxa: tuple[str, ...]
-    counts: Mapping[str, int]
+    codes: np.ndarray
 
     def __post_init__(self):
-        n = len(self.taxa)
-        for pattern, count in self.counts.items():
-            if len(pattern) != n:
-                raise ValueError(f"pattern {pattern!r} is not length {n}")
-            if count <= 0:
-                raise ValueError("pattern counts must be positive")
-        object.__setattr__(self, "counts", dict(self.counts))
+        taxa, codes = tuple(self.taxa), np.asarray(self.codes)
+        if codes.ndim != 2 or len(codes) != len(taxa):
+            raise ValueError(f"expected one row of codes per taxon "
+                             f"({len(taxa)}), got shape {codes.shape}")
+        if len(taxa) > MAX_LEAVES:
+            raise ValueError(f"{len(taxa)} positions outside the dense "
+                             f"range 0..{MAX_LEAVES}")
+        if codes.dtype.kind not in "iu":
+            raise ValueError("state codes must be integers")
+        # the range before the cast, which would wrap 256 to A
+        if codes.size and (codes.min() < 0 or codes.max() >= K):
+            raise ValueError("state codes must lie in 0..3")
+        codes = codes.astype(np.uint8, copy=False).view()
+        codes.setflags(write=False)  # the view's flag, not the caller's
+        object.__setattr__(self, "taxa", taxa)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n_taxa(self) -> int:
@@ -216,7 +227,16 @@ class Alignment:
 
     @property
     def n_sites(self) -> int:
-        return sum(self.counts.values())
+        return self.codes.shape[1]
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """The site-pattern counts keyed by ACGT string, in string order:
+        built on every call, for display and checks."""
+        patterns, counts = np.unique(pattern_indices(self.codes),
+                                     return_counts=True)
+        return dict(zip(pattern_strings(patterns, self.n_taxa),
+                        counts.tolist()))
 
 
 def default_taxa(n: int) -> tuple[str, ...]:
@@ -225,7 +245,9 @@ def default_taxa(n: int) -> tuple[str, ...]:
 
 def sample_alignment(psi: PatternTensor, sites: int, seed: int,
                      taxa: Optional[Iterable[str]] = None) -> Alignment:
-    """Multinomial sample of i.i.d. site patterns from a stochastic tensor."""
+    """Multinomial sample of i.i.d. site patterns from a stochastic tensor.
+    The sites come in pattern order, each drawn pattern repeated by its
+    count."""
     if not psi.stochastic:
         raise ValueError("sampling requires a stochastic tensor")
     if sites < 0:
@@ -233,15 +255,13 @@ def sample_alignment(psi: PatternTensor, sites: int, seed: int,
     taxa = tuple(taxa) if taxa is not None else default_taxa(psi.n)
     if len(taxa) != psi.n:
         raise ValueError("taxa count must match the tensor")
-    if sites == 0:
-        return Alignment(taxa, {})
     rng = np.random.default_rng(seed)
     probs = np.clip(psi.values, 0.0, None)
     probs = probs / probs.sum()
     draws = rng.multinomial(sites, probs)
     drawn = np.flatnonzero(draws)
-    return Alignment(taxa, dict(zip(pattern_strings(drawn, psi.n),
-                                    draws[drawn].tolist())))
+    return Alignment(taxa, np.repeat(pattern_digits(drawn, psi.n),
+                                     draws[drawn], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +306,11 @@ def _beside_a_break(text: str, blank: str) -> bool:
     return blank + "\n" in text or "\n" + blank in text
 
 
-def fasta_codes(text: str, ambiguous: str = "error"
-                ) -> tuple[tuple[str, ...], np.ndarray]:
-    """The taxa of FASTA records and the (n, m) state codes of the usable
-    columns.  Sequences must have equal lengths; every character is one
-    column, with ASCII case folded, and whitespace counts only inside a
-    line.  Columns holding symbols outside ACGT are dropped when
+def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
+    """The alignment of FASTA records: their taxa and the state codes of
+    the usable columns.  Sequences must have equal lengths; every character
+    is one column, with ASCII case folded, and whitespace counts only
+    inside a line.  Columns holding symbols outside ACGT are dropped when
     ``ambiguous="drop"`` and rejected otherwise."""
     if ambiguous not in ("error", "drop"):
         raise ValueError("ambiguous must be 'error' or 'drop'")
@@ -334,30 +353,15 @@ def fasta_codes(text: str, ambiguous: str = "error"
         codes = codes[:, ~bad]
     if not codes.shape[1]:
         raise ValueError("no usable columns remain")
-    return tuple(taxa), codes
-
-
-def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
-    """The pattern counts of ``fasta_codes``, for at most 12 taxa."""
-    taxa, codes = fasta_codes(text, ambiguous)
-    indices = pattern_indices(codes)
-    del codes   # before np.unique copies the indices
-    patterns, counts = np.unique(indices, return_counts=True)
-    return Alignment(taxa, dict(zip(pattern_strings(patterns, len(taxa)),
-                                    counts.tolist())))
+    return Alignment(tuple(taxa), codes)
 
 
 def write_fasta(alignment: Alignment, width: int = 70) -> str:
-    """Render an alignment; sites are emitted in sorted pattern order."""
-    patterns = sorted(alignment.counts)
-    # one row of code points per site: each pattern's, repeated by its count
-    chars = np.frombuffer("".join(patterns).encode("utf-32-le"), np.uint32)
-    sites = np.repeat(chars.reshape(len(patterns), alignment.n_taxa),
-                      [alignment.counts[p] for p in patterns], axis=0)
+    """Render an alignment; sites are emitted in the alignment's order."""
     lines = []
-    for row, name in enumerate(alignment.taxa):
+    for name, row in zip(alignment.taxa, alignment.codes):
         lines.append(f">{name}")
-        seq = sites[:, row].tobytes().decode("utf-32-le")
+        seq = LETTERS[row].tobytes().decode("ascii")
         for start in range(0, len(seq), width):
             lines.append(seq[start:start + width])
     return "\n".join(lines) + "\n"

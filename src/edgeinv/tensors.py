@@ -5,8 +5,9 @@ A PatternTensor stores the joint state distribution (or any real tensor) over
 a set of labelled positions, flat in the canonical index order: the first
 label is the most significant base-4 digit, states ordered A < C < G < T, so
 index order is string order.  Text becomes state codes (``state_codes``),
-codes become indices (``pattern_indices``) and indices become strings
-(``pattern_strings``) in array passes; strings exist only at the edges.
+codes become indices (``pattern_indices``), indices become codes again
+(``pattern_digits``) and strings (``pattern_strings``) in array passes;
+strings exist only at the edges.
 
 The thin flattening of a tensor along a bipartition is the family of blocks
 obtained by transforming the plain flattening into the symmetry-adapted bases
@@ -59,7 +60,8 @@ AMBIGUOUS = K    # the state code of every symbol outside ACGT
 # the state code of each latin-1 character, as a bytes.translate table
 _CODES = bytes(STATES.index(ch) if ch in STATES else AMBIGUOUS
                for ch in map(chr, range(256)))
-_LETTERS = np.frombuffer(STATES.encode(), dtype=np.uint8)
+# the ASCII letter of each state code
+LETTERS = np.frombuffer(STATES.encode(), dtype=np.uint8)
 
 STOCHASTIC_NEG_TOL = 1e-12
 STOCHASTIC_SUM_TOL = 1e-9
@@ -78,9 +80,6 @@ class PatternTensor:
     values: np.ndarray
     labels: tuple[int, ...]
     stochastic: bool = False
-    # model name -> CharacterTransform of these values, filled on first use
-    _transforms: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
     # the model whose group average these values are, set by ``averaged``
     _averaged_for: EquivariantModel | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -189,11 +188,20 @@ def pattern_indices(digits: np.ndarray) -> np.ndarray:
     return out
 
 
+def pattern_digits(indices: np.ndarray, n: int) -> np.ndarray:
+    """The (n, m) state codes of m pattern indices of n positions: the
+    inverse of ``pattern_indices``, one uint8 row at a time."""
+    digits = np.empty((n, len(indices)), dtype=np.uint8)
+    for shift, row in zip(range(2 * n - 2, -1, -2), digits):
+        row[...] = indices >> shift & K - 1
+    return digits
+
+
 def pattern_strings(indices: np.ndarray, n: int) -> list[str]:
     """The length-n ACGT strings of int64 pattern indices."""
     if not n:
         return [""] * len(indices)
-    letters = _LETTERS[indices[:, None] >> np.arange(2 * n - 2, -1, -2) & 3]
+    letters = LETTERS[pattern_digits(indices, n).T.copy()]
     return letters.view(f"S{n}").ravel().astype(f"U{n}").tolist()
 
 
@@ -243,7 +251,8 @@ class CharacterTransform:
     its digits' characters (its label), so the label-c block of every split
     is a gather of ``coeffs``: row patterns of side 1 labelled c against
     column patterns of side 2 labelled c.  Holds no reference to the
-    tensor, which keeps it in ``PatternTensor._transforms``.
+    tensor, and the tensor none to it: it lives as long as its caller
+    keeps it.
     """
 
     def __init__(self, psi: PatternTensor, model: EquivariantModel):
@@ -290,16 +299,6 @@ class CharacterTransform:
         for c in labels:
             yield self.coeffs.take(rows[:, members1[c], None]
                                    + cols[:, None, members2[c]])
-
-
-def character_transform(psi: PatternTensor,
-                        model: EquivariantModel) -> CharacterTransform:
-    """The character transform of ``psi`` under an abelian model, computed
-    on first use and kept with the tensor."""
-    found = psi._transforms.get(model.name)
-    if found is None:
-        found = psi._transforms[model.name] = CharacterTransform(psi, model)
-    return found
 
 
 def _first_copy_block(blocks: np.ndarray, rows, cols) -> np.ndarray:
@@ -351,7 +350,7 @@ def character_flattening(psi: PatternTensor, splits,
     tensor's character transform under that label group."""
     reduction = clifford_reduction(model)
     transform = psi if isinstance(psi, CharacterTransform) else \
-        character_transform(psi, reduction.labels)
+        CharacterTransform(psi, reduction.labels)
     sides = [_sides(transform, split) for split in splits]
     l1, l2 = map(len, sides[0])
     if any((len(a), len(b)) != (l1, l2) for a, b in sides):
@@ -418,10 +417,12 @@ _VERSION = 1
 _FLAG_STOCHASTIC = 1
 
 
-def _read_container(stream, head: bytes) -> PatternTensor:
+def read_container(stream, head: bytes = b"") -> PatternTensor:
     """The tensor in a binary stream's container, ``head`` (a prefix of its
     12-byte header) read already.  The header, and the byte count where the
-    stream seeks, are checked before the values are read into their array."""
+    stream seeks, are checked before the values are read into their array,
+    which is the only tensor-sized buffer: ``with open(path, "rb") as fh:
+    read_container(fh)``."""
     head += stream.read(12 - len(head))
     if head[:4] != _MAGIC:
         raise ValueError("not a pattern-tensor container")
@@ -447,10 +448,6 @@ def _read_container(stream, head: bytes) -> PatternTensor:
                          f"{n} positions, got ({size // 8},)")
     return PatternTensor(values, tuple(range(1, n + 1)),
                          bool(flags & _FLAG_STOCHASTIC))
-
-
-def tensor_from_bytes(blob: bytes) -> PatternTensor:
-    return _read_container(io.BytesIO(blob), b"")
 
 
 def save_tensor(psi: PatternTensor, path) -> None:

@@ -3,11 +3,13 @@ flattening of one split with its block ranks, the sparse-basis thin
 flattening with its invariance diagnostics, every trivalent topology and
 the exhaustive decision by scanning them, greedy selection from every
 split, tensors, the gluing contraction, the no-mutation presentation,
-relabellings, dense operators, presentation JSON round-trips, the per-split
-block route, the line-by-line FASTA strip, and the loop forms of the FASTA
-column count and the character transform, the group tables by brute force,
-and table digests, that the tests build their fixtures and oracles from,
-and the package does not use.  Only the sparse route needs scipy."""
+relabellings, dense operators, pattern maps, presentation JSON round-trips,
+the per-split block route, the line-by-line FASTA strip, alignments from
+pattern counts, the string route of sampled FASTA text, and the loop forms
+of the FASTA column count and the character transform, the group tables by
+brute force, and table digests, that the tests build their fixtures and
+oracles from, and the package does not use.  Only the sparse route needs
+scipy."""
 
 import hashlib
 import json
@@ -20,16 +22,17 @@ import numpy as np
 from scipy import sparse
 
 from edgeinv.groups import K, EquivariantModel, MultiplicityVector, \
-    SymmetryAdaptedBasis, builtin_model, clifford_reduction, label_classes, \
-    pattern_maps, symmetry_adapted_basis
+    SymmetryAdaptedBasis, _element_row, builtin_model, clifford_reduction, \
+    label_classes, symmetry_adapted_basis
 from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_RANK_NOT_GENERIC, \
     WARN_TIE, ReconstructionResult, _check_tol, data_driven_tol
 from edgeinv.scores import DEFAULT_RANK_TOL, DEFAULT_SCORE_TOL, SplitScore, \
     all_bipartitions, genericity_check, score_splits
-from edgeinv.simulate import EvolutionaryPresentation, _default_root, \
-    _oriented_edges
-from edgeinv.tensors import PatternTensor, RankVector, _sides, averaged, \
-    block_spectra, character_flattening, character_transform, stack_ranks
+from edgeinv.simulate import Alignment, EvolutionaryPresentation, \
+    _default_root, _oriented_edges, default_taxa
+from edgeinv.tensors import CharacterTransform, PatternTensor, RankVector, \
+    _sides, averaged, block_spectra, character_flattening, pattern_codes, \
+    pattern_strings, stack_ranks
 from edgeinv.trees import Bipartition, TreeTopology, from_newick, \
     splits_compatible, to_newick, tree_from_splits
 
@@ -187,7 +190,7 @@ def per_split_blocks(psi: PatternTensor, split,
     and a compression of each block on its own."""
     side1, side2 = _sides(psi, split)
     reduction = clifford_reduction(model)
-    coeffs = character_transform(psi, reduction.labels).coeffs
+    coeffs = CharacterTransform(psi, reduction.labels).coeffs
     strides = {lab: K ** (psi.n - 1 - i) * np.arange(K)
                for i, lab in enumerate(psi.labels)}
 
@@ -421,13 +424,20 @@ def permute_labels(psi: PatternTensor, mapping: dict[int, int]) -> PatternTensor
     return renamed.with_canonical_labels()
 
 
+def pattern_maps(model: EquivariantModel, power: int) -> np.ndarray:
+    """Array of shape (|G|, k^l): row e sends pattern index p to g_e . p,
+    where elements act diagonally on the l digits of p."""
+    return _element_row(np.array(model.elements), power,
+                        np.empty((model.order, K ** power), dtype=np.int64))
+
+
 def invariant_projector(model: EquivariantModel, power: int) -> np.ndarray:
     """Dense orthogonal projector onto the trivial isotypic component of the
     l-th tensor power; rank equals the trivial-character multiplicity."""
     if not 1 <= power <= MAX_DENSE_POWER:
         raise ValueError(f"dense projector guarded to power <= {MAX_DENSE_POWER}")
     size = 4 ** power
-    maps = pattern_maps(model.name, power)
+    maps = pattern_maps(model, power)
     proj = np.zeros((size, size))
     cols = np.arange(size)
     for row in maps:
@@ -492,6 +502,36 @@ def fasta_column_counts(seqs: list[str], ambiguous: str) -> dict[str, int]:
     if not counts:
         raise ValueError("no usable columns remain")
     return counts
+
+
+def alignment_from_counts(taxa: tuple[str, ...],
+                          counts: Mapping[str, int]) -> Alignment:
+    """The alignment whose sites are each pattern repeated by its count."""
+    codes = pattern_codes(list(counts), len(taxa))
+    repeats = np.fromiter(counts.values(), np.int64, len(counts))
+    return Alignment(taxa, np.repeat(codes, repeats, axis=1))
+
+
+def fasta_by_pattern_strings(psi: PatternTensor, sites: int,
+                             seed: int) -> str:
+    """The FASTA text of a multinomial sample by way of pattern strings:
+    the draws become a string -> count dict, and the sorted patterns,
+    each repeated by its count, become the rows of 70 letters a line.  The
+    oracle of ``write_fasta(sample_alignment(psi, sites, seed))``."""
+    probs = np.clip(psi.values, 0.0, None)
+    draws = np.random.default_rng(seed).multinomial(sites,
+                                                    probs / probs.sum())
+    drawn = np.flatnonzero(draws)
+    counts = dict(zip(pattern_strings(drawn, psi.n), draws[drawn].tolist()))
+    # the sites, one pattern after another: taxon i's letters are every
+    # n-th character from i
+    columns = "".join(p * counts[p] for p in sorted(counts))
+    lines = []
+    for i, name in enumerate(default_taxa(psi.n)):
+        seq = columns[i::psi.n]
+        lines.append(f">{name}")
+        lines.extend(seq[start:start + 70] for start in range(0, len(seq), 70))
+    return "\n".join(lines) + "\n"
 
 
 def tensor_to_bytes(psi: PatternTensor) -> bytes:

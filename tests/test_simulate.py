@@ -18,7 +18,6 @@ from edgeinv.simulate import (
     Alignment,
     EvolutionaryPresentation,
     default_taxa,
-    fasta_codes,
     joint_distribution,
     position_orbits,
     random_presentation,
@@ -29,8 +28,9 @@ from edgeinv.simulate import (
 from edgeinv.tensors import PatternTensor
 from edgeinv.trees import TreeTopology, from_newick
 import edgeinv.simulate
-from helpers import fasta_column_counts, lines_stripped_one_by_one, \
-    no_mutation_presentation, presentation_from_json, presentation_to_json
+from helpers import alignment_from_counts, fasta_by_pattern_strings, \
+    fasta_column_counts, lines_stripped_one_by_one, no_mutation_presentation, \
+    presentation_from_json, presentation_to_json
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -317,10 +317,9 @@ class TestFasta:
             else:
                 assert got == "ValueError: non-ACGT symbol in column 2"
 
-    def test_write_keeps_non_acgt_patterns(self):
-        aln = Alignment(("a", "b"), {"CC": 1, "AN": 2, "G\xe9": 1})
-        assert write_fasta(aln, width=3) == \
-            ">a\nAAC\nG\n>b\nNNC\n\xe9\n"
+    def test_written_in_site_order(self):
+        aln = Alignment(("a", "b"), np.array([[2, 0, 0, 1], [3, 0, 1, 1]]))
+        assert write_fasta(aln, width=3) == ">a\nGAA\nC\n>b\nTAC\nC\n"
 
 
 # symbols of a random FASTA: upper and lower case bases, ambiguity codes and
@@ -380,19 +379,21 @@ class TestFastaColumnCount:
     @pytest.mark.parametrize("ambiguous", ["error", "drop"])
     def test_cli_tensor_matches_the_alignment_route(self, tmp_path, seed,
                                                     ambiguous):
-        # the CLI counts the columns' codes; the library route counts
+        # the CLI's tensor against the frequencies of the column walk's
         # pattern strings: the same bytes, or the same error
         rng = random.Random(seed)
         path = tmp_path / "a.fasta"
         for _ in range(200):
-            text, _ = random_fasta(rng)
+            text, seqs = random_fasta(rng)
             path.write_text(text, encoding="utf-8")
             got = outcome(_load_input, str(path), "fasta", ambiguous)
-            want = outcome(lambda: empirical_tensor(read_fasta(text,
-                                                               ambiguous)))
+            want = outcome(fasta_column_counts, seqs, ambiguous)
             if isinstance(want, str):
                 assert got == want
             else:
+                total = sum(want.values())
+                want = PatternTensor.from_pattern_counts(
+                    {p: c / total for p, c in want.items()}, len(seqs))
                 assert got.stochastic and got.labels == want.labels
                 assert np.array_equal(got.values, want.values)
 
@@ -403,11 +404,13 @@ class TestFastaColumnCount:
         assert traced_peak(lambda: empirical_tensor(read_fasta(text))) \
             <= 4 * len(text)
 
-    def test_cli_peak_memory_bounded_by_the_text(self):
-        # the CLI's count of the codes peaks at 2.8x as well
+    def test_cli_peak_memory_bounded_by_the_text(self, tmp_path):
+        # the CLI frees the file's bytes before the text is parsed
         text = caterpillar_fasta()
-        assert traced_peak(lambda: PatternTensor.column_frequencies(
-            fasta_codes(text)[1])) <= 4 * len(text)
+        path = tmp_path / "a.fasta"
+        path.write_text(text)
+        assert traced_peak(lambda: _load_input(str(path), "auto", "error")) \
+            <= 4 * len(text)
 
 
 # whitespace for ``messy_fasta``: every line break of str.splitlines and
@@ -437,16 +440,16 @@ def messy_fasta(rng: random.Random) -> str:
 
 
 class TestFastaLinePass:
-    """``fasta_codes`` strips whitespace around line breaks only, in place;
+    """``read_fasta`` strips whitespace around line breaks only, in place;
     against the line-by-line strip it replaced."""
 
     @staticmethod
     def both(monkeypatch, text, ambiguous):
-        got = outcome(fasta_codes, text, ambiguous)
+        got = outcome(read_fasta, text, ambiguous)
         with monkeypatch.context() as patch:
             patch.setattr(edgeinv.simulate, "_stripped_lines",
                           lines_stripped_one_by_one)
-            want = outcome(fasta_codes, text, ambiguous)
+            want = outcome(read_fasta, text, ambiguous)
         return got, want
 
     @pytest.mark.parametrize("seed", range(3))
@@ -462,8 +465,8 @@ class TestFastaLinePass:
                 assert got == want
                 kinds.add(want)
             else:
-                assert got[0] == want[0]
-                assert np.array_equal(got[1], want[1])
+                assert got.taxa == want.taxa
+                assert np.array_equal(got.codes, want.codes)
                 kinds.add("codes")
         assert "codes" in kinds and len(kinds) > 2
 
@@ -523,8 +526,54 @@ class TestPresentationJson:
 class TestAlignmentValidation:
     def test_wrong_pattern_length(self):
         with pytest.raises(ValueError):
-            Alignment(("a", "b"), {"ACG": 1})
+            alignment_from_counts(("a", "b"), {"ACG": 1})
 
-    def test_nonpositive_count(self):
+    @pytest.mark.parametrize("codes", [
+        np.zeros((3, 5), dtype=np.uint8), np.zeros(2, dtype=np.uint8),
+        np.zeros((2, 5)), np.array([[0, 4], [0, 0]]),
+        np.array([[0, 256], [0, 0]]), np.array([[0, -1], [0, 0]])],
+        ids=["three-rows", "one-axis", "float", "code-4", "code-256",
+             "code-minus-1"])
+    def test_codes_rejected(self, codes):
         with pytest.raises(ValueError):
-            Alignment(("a", "b"), {"AC": 0})
+            Alignment(("a", "b"), codes)
+
+    def test_more_taxa_than_the_dense_cap_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^13 positions outside the dense range "
+                                 r"0\.\.12$"):
+            Alignment(default_taxa(13), np.zeros((13, 2), dtype=np.uint8))
+
+    def test_codes_read_only_without_touching_the_callers_array(self):
+        codes = np.array([[0, 1], [2, 3]], dtype=np.uint8)
+        aln = Alignment(("a", "b"), codes)
+        assert not aln.codes.flags.writeable
+        assert codes.flags.writeable
+        assert aln.n_sites == 2 and aln.counts == {"AG": 1, "CT": 1}
+
+
+class TestSampledFasta:
+    """``write_fasta(sample_alignment(...))`` against the pattern-string
+    route it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_same_text_as_the_string_route(self, name, n):
+        newick = "t1"
+        for i in range(2, n + 1):
+            newick = f"({newick},t{i})"
+        tree, _ = from_newick(newick + ";")
+        psi = joint_distribution(
+            random_presentation(builtin_model(name), tree, n))
+        for seed in range(3):
+            for sites in (0, 1, 2000):
+                got = write_fasta(sample_alignment(psi, sites, seed))
+                assert got == fasta_by_pattern_strings(psi, sites, seed)
+
+    def test_peak_memory_is_the_codes_and_three_tensors(self):
+        tree, _ = from_newick("(((((((t1,t2),t3),t4),t5),t6),t7),t8);")
+        psi = joint_distribution(
+            random_presentation(builtin_model("K81"), tree, 1))
+        sites = 10 ** 5
+        peak = traced_peak(lambda: sample_alignment(psi, sites, 1))
+        assert peak <= 8 * sites + 3 * psi.values.nbytes

@@ -6,25 +6,26 @@ index construction for single-entry flattenings, and dense matrix products
 for the contraction identities.
 """
 
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from edgeinv.groups import builtin_model, group_average, symmetry_adapted_basis
-from edgeinv.scores import all_bipartitions
+from edgeinv.scores import all_bipartitions, score_splits
 from edgeinv.tensors import (
     AMBIGUOUS,
     CharacterTransform,
     PatternTensor,
     averaged,
-    character_transform,
     pattern_codes,
     pattern_indices,
+    pattern_digits,
     pattern_strings,
+    read_container,
     save_tensor,
     state_codes,
-    tensor_from_bytes,
     tensor_from_json,
     tensor_to_json,
 )
@@ -136,7 +137,7 @@ class TestAlphabet:
         assert codes.shape == (2, 3)
         assert pattern_indices(codes).tolist() == [12, 6, 0]
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", [*range(7), 12])
     def test_strings_invert_indices_in_string_order(self, n):
         indices = np.unique(np.random.default_rng(n).integers(0, 4 ** n, 50))
         patterns = pattern_strings(indices, n)
@@ -144,6 +145,9 @@ class TestAlphabet:
         assert all(len(p) == n and set(p) <= set("ACGT") for p in patterns)
         assert np.array_equal(pattern_indices(pattern_codes(patterns, n)),
                               indices)
+        digits = pattern_digits(indices, n)
+        assert digits.dtype == np.uint8
+        assert np.array_equal(digits, pattern_codes(patterns, n))
 
     @pytest.mark.parametrize("counts, message", [
         ({"AANA": 1.0, "AN": 1.0}, "non-ACGT symbol in pattern 'AANA'"),
@@ -408,18 +412,28 @@ class TestCharacterFlattening:
             for a, b in zip(got.spectra, want.spectra):
                 assert np.allclose(a, b, rtol=0, atol=1e-12)
 
-    def test_one_transform_per_tensor_and_model(self):
-        psi = random_tensor(range(1, 5), 3)
-        k81, ssm = builtin_model("K81"), builtin_model("SSM")
-        assert character_transform(psi, k81) is character_transform(psi, k81)
-        assert character_transform(psi, ssm) is not \
-            character_transform(psi, k81)
+    @pytest.mark.parametrize("name", ["GMM", "K81", "JC69"])
+    def test_scoring_leaves_no_transform_on_the_tensor(self, name):
+        # the split table owns its transform; a tensor that ``averaged``
+        # hands back as it is keeps nothing tensor-sized once it is scored
+        model = builtin_model(name)
+        split = [Bipartition({1, 2, 3, 4}, 8)]
+        score_splits(averaged(random_tensor(range(1, 9), 4), model), model,
+                     split)  # fills the model's caches
+        psi = averaged(random_tensor(range(1, 9), 3), model)
+        tracemalloc.start()
+        try:
+            score_splits(psi, model, split)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.05 * psi.values.nbytes
 
     @pytest.mark.parametrize("name", ["K80", "JC69"])
     def test_non_abelian_model_rejected(self, name):
         psi = random_tensor(range(1, 5), 3)
         with pytest.raises(ValueError):
-            character_transform(psi, builtin_model(name))
+            CharacterTransform(psi, builtin_model(name))
 
 
 class TestThinRank:
@@ -539,7 +553,8 @@ class TestSerialization:
         psi = random_tensor(range(1, 5), 2, stochastic=True)
         path = tmp_path / "t.eqpt"
         save_tensor(psi, path)
-        back = tensor_from_bytes(path.read_bytes())
+        with open(path, "rb") as fh:
+            back = read_container(fh)
         assert back.labels == psi.labels
         assert back.stochastic
         assert np.array_equal(back.values, psi.values)
@@ -562,6 +577,22 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak <= 0.1 * psi.values.nbytes
 
+    def test_read_holds_one_tensor(self, tmp_path):
+        # the values are read into their array, and nothing else of the
+        # tensor's size is allocated on the way
+        path = tmp_path / "t.eqpt"
+        psi = random_tensor(range(1, 10), 5, stochastic=True)
+        save_tensor(psi, path)
+        with open(path, "rb") as fh:
+            tracemalloc.start()
+            try:
+                back = read_container(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(back.values, psi.values)
+        assert peak <= 1.05 * psi.values.nbytes
+
     def test_header_fields(self):
         psi = no_mutation_tensor(3)
         blob = tensor_to_bytes(psi)
@@ -570,17 +601,18 @@ class TestSerialization:
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
-            tensor_from_bytes(b"XXXX" + bytes(16))
+            read_container(io.BytesIO(b"XXXX" + bytes(16)))
 
     def test_ragged_payload_rejected(self):
         blob = tensor_to_bytes(no_mutation_tensor(2))
         with pytest.raises(ValueError, match="^buffer size must be a "
                                              "multiple of element size$"):
-            tensor_from_bytes(blob + b"\0")
+            read_container(io.BytesIO(blob + b"\0"))
 
     def test_truncated_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
-            tensor_from_bytes(tensor_to_bytes(no_mutation_tensor(2))[:10])
+            read_container(io.BytesIO(
+                tensor_to_bytes(no_mutation_tensor(2))[:10]))
 
     @pytest.mark.parametrize("text", [
         '{"n": 2}',
