@@ -12,9 +12,10 @@ Two deliberate routes:
   n-3 joined clusters are the tree's interior splits (also up to 12
   leaves), from O(n^2) scored splits.
 
-Both read one split table (``scores.SplitTable``), which scores a
+Both decide through one split table (``scores.SplitTable``), which scores a
 bipartition the first time a route asks for it, in stacks of the splits
-asked for at once.  Both surface their evidence: per-split scores, warnings
+asked for at once: pass/fail from ``passes`` and joining's order from
+``ranked``.  Both surface their evidence: per-split scores, warnings
 with a stable reason code when no topology passes uniquely, a tie was broken
 by a fixed rule or a chosen split scores above tol, and optional
 rank-achievement audits of the winner, whose flagged splits follow the
@@ -29,21 +30,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-import numpy as np
-
 from .groups import EquivariantModel
 from .scores import (
     DEFAULT_SCORE_TOL,
     MAX_AUDIT_LEAVES,
     SplitScore,
     SplitTable,
+    _check_tol,
     genericity_check,
     side_mask,
     split_report,
 )
 from .simulate import Alignment
 from .tensors import MAX_LEAVES, PatternTensor
-from .trees import TreeTopology, tree_from_splits
+from .trees import TreeTopology, to_newick, tree_from_splits
 
 WARN_NO_UNIQUE_PASS = "no-unique-pass"
 WARN_TIE = "tie"
@@ -67,7 +67,6 @@ class ReconstructionResult:
         return self.tree is not None and not self.warnings
 
     def to_report(self, model: EquivariantModel, n: int) -> dict:
-        from .trees import to_newick
         doc = split_report(model, n, self.chosen_splits + self.rejected_splits,
                            warnings=list(self.warnings)
                            + list(self.genericity_warnings))
@@ -109,12 +108,6 @@ def _double_factorial(k: int) -> int:
     return math.prod(range(k, 0, -2))
 
 
-def _check_tol(tol: Optional[float]) -> None:
-    """A tolerance is None (data driven) or a finite number >= 0."""
-    if tol is not None and not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
-
-
 def _parts(cluster: int) -> Iterator[int]:
     """The part holding the lowest bit of each split of ``cluster`` into two
     nonempty parts, in ascending bitmask order."""
@@ -139,6 +132,31 @@ def _backtrack(root: int, choice: Callable[[int], int]) -> list[int]:
     return found
 
 
+def _least_total(table: SplitTable, nontrivial: list[int],
+                 full: int) -> tuple[list[int], bool]:
+    """Per cluster of ``full``, the part holding its lowest leaf in its
+    least-total tree, and whether another tree on ``full`` ties it."""
+    best = [0.0] * (full + 1)           # least total of a tree on the cluster
+    runner_up = [math.inf] * (full + 1)  # the next total of a distinct tree
+    choice = [0] * (full + 1)           # the part of best's split holding low
+    for cluster in nontrivial + [full]:
+        first = second = math.inf
+        for part in _parts(cluster):
+            other = cluster ^ part
+            total = best[part] + best[other]
+            if total < first:
+                second = min(first, runner_up[part] + best[other],
+                             best[part] + runner_up[other])
+                first = total
+                choice[cluster] = part
+            elif total < second:
+                second = total
+        s = table[cluster].score if cluster != full else 0.0
+        best[cluster] = s + first
+        runner_up[cluster] = s + second
+    return choice, runner_up[full] <= best[full] + 1e-15
+
+
 def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
                            tol: Optional[float] = DEFAULT_SCORE_TOL,
                            check_genericity: bool = True
@@ -146,18 +164,19 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
     """Decide among all trivalent topologies and return the unique edge-test
     passer.
 
-    A topology passes when every interior split scores <= tol, and its total
-    is the sum of those scores; both depend on the tree only through its
-    splits.  Rooted at leaf 1, a tree is a nesting of clusters of {2..n}
-    (bit i-2 of a mask for leaf i), each nontrivial cluster the side of one
-    interior split, so the decision is a dynamic program over clusters:
-    ``best(C) = s(C) + min best(A) + best(C - A)`` over the splits of C into
-    A, which holds C's lowest leaf, and C - A, with s = 0 for singletons and
-    for {2..n}.  The same recursion keeps the runner-up total and counts the
-    passers (a cluster is allowed when s(C) <= tol), in 3^(n-1) steps rather
-    than (2n-5)!! trees; only the winner is built as a ``TreeTopology``.
-    Every nontrivial cluster is scored up front, in one fill of the split
-    table.
+    A topology passes when every interior split passes at tol
+    (``SplitTable.passes``), and its total is the sum of its split scores.
+    Rooted at leaf 1, a tree is a nesting of clusters of {2..n} (bit i-2 of
+    a mask for leaf i), each nontrivial cluster the side of one interior
+    split, so the decision is a dynamic program over the splits of each
+    cluster C into A, which holds C's lowest leaf, and C - A, in 3^(n-1)
+    steps rather than (2n-5)!! trees.  One pass counts the passers:
+    ``passing(C) = pass(C) * sum passing(A) passing(C - A)``.  Only without
+    a unique passer does a second find the least total, ``best(C) = s(C) +
+    min best(A) + best(C - A)``, and its runner-up.  Singletons and {2..n}
+    pass and score 0.  Only the winner is built as a ``TreeTopology``.
+    Every split is scored up front in one fill of the split table, trivial
+    ones only for the audit.
 
     Without a unique passer the minimum-total topology is returned with a
     "no-unique-pass" warning, and with a "tie" warning when the runner-up
@@ -176,7 +195,9 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
                          f"leaves, got {n}")
     full = (1 << (n - 1)) - 1
     nontrivial = [m for m in range(1, full) if 2 <= m.bit_count() <= n - 2]
-    table = SplitTable(psi, model, nontrivial)
+    audited = check_genericity and n <= MAX_AUDIT_LEAVES
+    table = SplitTable(psi, model, range(1, full + 1) if audited
+                       else nontrivial)
     if tol is None:
         tol = data_driven_tol(
             (table[mask].score for mask in nontrivial),
@@ -184,30 +205,11 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
              * _double_factorial(2 * (n - mask.bit_count()) - 3)
              for mask in nontrivial))
 
-    best = [0.0] * (full + 1)           # least total of a tree on the cluster
-    runner_up = [math.inf] * (full + 1)  # the next total of a distinct tree
-    choice = [0] * (full + 1)           # the part of best's split holding low
     passing = [1] * (full + 1)          # trees whose clusters all pass
-    for cluster in range(3, full + 1):
-        if not cluster & (cluster - 1):
-            continue
-        first = second = math.inf
-        count = 0
-        for part in _parts(cluster):
-            other = cluster ^ part
-            total = best[part] + best[other]
-            if total < first:
-                second = min(first, runner_up[part] + best[other],
-                             best[part] + runner_up[other])
-                first = total
-                choice[cluster] = part
-            elif total < second:
-                second = total
-            count += passing[part] * passing[other]
-        s = table[cluster].score if cluster != full else 0.0
-        best[cluster] = s + first
-        runner_up[cluster] = s + second
-        passing[cluster] = count if s <= tol else 0
+    for cluster, ok in zip(nontrivial + [full],
+                           table.passes(nontrivial, tol) + [True]):
+        passing[cluster] = sum(passing[part] * passing[cluster ^ part]
+                               for part in _parts(cluster)) if ok else 0
 
     warnings: list[str] = []
     passers = passing[full]
@@ -218,14 +220,14 @@ def reconstruct_exhaustive(psi: PatternTensor, model: EquivariantModel,
         warnings.append(WARN_NO_UNIQUE_PASS)
         if passers:
             warnings.append(f"{passers} topologies pass at tol {tol:g}")
-        if runner_up[full] <= best[full] + 1e-15:
+        choice, tie = _least_total(table, nontrivial, full)
+        if tie:
             warnings.append(WARN_TIE)
         clusters = _backtrack(full, choice.__getitem__)
     tree = tree_from_splits([table[c].split for c in clusters if c != full],
                             n)
 
-    genericity = (_audit(psi, model, tree, table)
-                  if check_genericity and n <= MAX_AUDIT_LEAVES else ())
+    genericity = _audit(psi, model, tree, table) if audited else ()
     return ReconstructionResult(
         method="exhaustive", tree=tree,
         chosen_splits=tuple(table[side_mask(s)]
@@ -240,21 +242,21 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
                           ) -> ReconstructionResult:
     """Split selection by joining clusters bottom up.
 
-    The clusters start as the n leaves.  At each step the split (X u Y |
-    rest) is scored for every pair of current clusters, and the pair whose
-    split scores least is joined, ties going to the smaller side mask
+    The clusters start as the n leaves.  At each step the pair of current
+    clusters whose split (X u Y | rest) comes first in ``SplitTable.ranked``
+    is joined: least score, ties to the smaller side mask
     (``scores.side_mask``); joining stops at three clusters.  The n-3 joined
-    clusters are nested, so they are the interior splits of one tree.  Each
-    step fills the split table with its pairs' splits at once; the table
-    keeps each score, so a step scores only the new cluster's pairs, and
-    fewer than n^2 splits are scored in all (43 at 8 leaves, 115 at 12)
+    clusters are nested, so they are the interior splits of one tree.  The
+    table keeps each score, so a step scores only the new cluster's pairs,
+    and fewer than n^2 splits are scored in all (43 at 8 leaves, 115 at 12)
     instead of every bipartition.
 
     ``chosen_splits`` are the joined splits in join order.
     ``rejected_splits`` hold each join's runner-up, the least-scoring pair
     of that step whose split the tree does not hold, once each: the margin
-    the joins won by.  A chosen split above ``tol`` gives an "above-tol"
-    warning.  ``tol=None`` selects the median of the scored splits / 100.
+    the joins won by.  A chosen split that fails ``SplitTable.passes`` at
+    ``tol`` gives an "above-tol" warning.  ``tol=None`` selects the median
+    of the scored splits / 100.
     """
     _check_tol(tol)
     n = psi.n
@@ -269,21 +271,16 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
         union = x | y
         return (everyone ^ union if union & 1 else union) >> 1
 
-    def join_key(x: int, y: int) -> tuple[float, int, int, int]:
-        """Joining x and y ranks by its split's score, then side mask."""
-        mask = joined_side(x, y)
-        return table[mask].score, mask, x, y
-
     clusters = [1 << i for i in range(n)]
     joined: list[int] = []
-    steps: list[list[int]] = []     # each step's side masks, least first
+    steps: list[Iterator[int]] = []  # each step's ranked masks after its join
     while len(clusters) > 3:
-        pairs = list(itertools.combinations(clusters, 2))
-        table.fill(itertools.starmap(joined_side, pairs))
-        ranked = sorted(itertools.starmap(join_key, pairs))
-        _, mask, x, y = ranked[0]
-        joined.append(mask)
-        steps.append([r[1] for r in ranked])
+        pairs = {joined_side(x, y): (x, y)
+                 for x, y in itertools.combinations(clusters, 2)}
+        ranked = table.ranked(pairs)
+        joined.append(next(ranked))
+        steps.append(ranked)
+        x, y = pairs[joined[-1]]
         clusters = [c for c in clusters if c not in (x, y)] + [x | y]
     if tol is None:
         tol = data_driven_tol(s.score for s in table.scored.values())
@@ -293,7 +290,8 @@ def reconstruct_by_splits(psi: PatternTensor, model: EquivariantModel,
     rejected = tuple(table[mask] for mask in dict.fromkeys(runners_up))
     tree = tree_from_splits([s.split for s in chosen], n)
     warnings: tuple[str, ...] = ()
-    above = [s.score for s in chosen if s.score > tol]
+    above = [s.score for s, ok in zip(chosen, table.passes(joined, tol))
+             if not ok]
     if above:
         warnings = (WARN_ABOVE_TOL,
                     f"{len(above)} chosen splits score above tol {tol:g} "

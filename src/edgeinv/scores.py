@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -78,15 +78,22 @@ def side_mask(split: Bipartition) -> int:
     return sum(1 << (leaf - 2) for leaf in split.side)
 
 
+def _check_tol(tol: Optional[float]) -> None:
+    """A tolerance is None (data driven) or a finite number >= 0."""
+    if tol is not None and not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 class SplitTable:
     """The split table of one tensor, filled on demand.
 
     ``table[mask]`` is the ``SplitScore`` of the bipartition whose side
-    without leaf 1 is ``mask`` (``side_mask``).  ``fill`` scores every mask
-    of a list that ``scored`` does not hold yet, the table's ``masks`` on
-    creation; ``table[mask]`` fills one.  Trivial splits get their achieved
-    ranks here too.  Every score comes from one group average of the
-    tensor, its one norm and its one character transform.
+    without leaf 1 is ``mask`` (``side_mask``), once scored.  ``fill`` and
+    the decision queries ``passes`` and ``ranked`` score every mask they
+    are given that ``scored`` does not hold yet, the table's ``masks`` on
+    creation.  Trivial splits get their achieved ranks here too.  Every
+    score comes from one group average of the tensor, its one norm and its
+    one character transform.
 
     Every model takes one block route (``tensors.character_flattening``).
     The averaged tensor is transformed once, by a one-site character basis
@@ -122,8 +129,6 @@ class SplitTable:
         self.fill(masks)
 
     def __getitem__(self, mask: int) -> SplitScore:
-        if mask not in self.scored:
-            self.fill([mask])
         return self.scored[mask]
 
     def fill(self, masks: Iterable[int]) -> None:
@@ -135,6 +140,17 @@ class SplitTable:
         for stack in split_stacks(new, self.model):
             for score in self._score(stack):
                 self.scored[side_mask(score.split)] = score
+
+    def passes(self, masks: list[int], tol: float) -> list[bool]:
+        """Per mask, whether its split scores <= tol: its edge test."""
+        self.fill(masks)
+        return [self.scored[mask].score <= tol for mask in masks]
+
+    def ranked(self, masks: Iterable[int]) -> Iterator[int]:
+        """The distinct masks, least score first, ties to the smaller mask."""
+        masks = list(dict.fromkeys(masks))
+        self.fill(masks)
+        return iter(sorted(masks, key=lambda m: (self.scored[m].score, m)))
 
     def _score(self, stack: list[Bipartition]) -> list[SplitScore]:
         target = self.model.multiplicities(1)
@@ -193,12 +209,14 @@ class EdgeTestReport:
 def edge_invariant_test(psi: PatternTensor, tree: TreeTopology,
                         model: EquivariantModel,
                         tol: float = DEFAULT_SCORE_TOL) -> EdgeTestReport:
-    """Pass iff every interior edge split of ``tree`` scores at most ``tol``."""
+    """Pass iff every interior edge split of ``tree`` passes at ``tol``."""
+    _check_tol(tol)
     if psi.n != tree.n_leaves:
         raise ValueError("tensor and tree disagree on the leaf count")
-    scores = tuple(score_splits(psi, model, tree.interior_splits()).values())
-    return EdgeTestReport(tree, all(s.score <= tol for s in scores), scores,
-                          tol)
+    masks = [side_mask(split) for split in tree.interior_splits()]
+    table = SplitTable(psi, model, masks)
+    return EdgeTestReport(tree, all(table.passes(masks, tol)),
+                          tuple(table[mask] for mask in masks), tol)
 
 
 @dataclass(frozen=True)
@@ -244,8 +262,7 @@ def all_bipartitions(n: int, nontrivial_only: bool = False) -> list[Bipartition]
     for r in range(low, n - low + 1):
         for side in itertools.combinations(range(2, n + 1), r):
             out.append(Bipartition(side, n))
-    out = sorted(set(out), key=Bipartition.sort_key)
-    return out
+    return sorted(out, key=Bipartition.sort_key)
 
 
 def genericity_check(psi: PatternTensor, model: EquivariantModel,

@@ -1,20 +1,20 @@
-"""Test-only helpers: the plain flattening and its rank, the thin
-flattening of one split with its block ranks, the sparse-basis thin
-flattening with its invariance diagnostics, every trivalent topology and
-the exhaustive decision by scanning them, greedy selection from every
-split, tensors, the gluing contraction, the no-mutation presentation,
-relabellings, dense operators, pattern maps, presentation JSON round-trips,
-the per-split block route, the line-by-line FASTA strip, alignments from
-pattern counts, the string route of sampled FASTA text, and the loop forms
-of the FASTA column count and the character transform, the group tables by
-brute force, and table digests, that the tests build their fixtures and
-oracles from, and the package does not use.  Only the sparse route needs
-scipy."""
+"""Test-only helpers: the plain flattening and its rank, the thin flattening
+of one split with its block ranks, the sparse-basis thin flattening with
+its invariance diagnostics, every trivalent topology and the exhaustive
+decision by scanning them, greedy selection from every split, split tables
+with made-up scores, tensors, the gluing contraction, the no-mutation
+presentation, relabellings, dense operators, pattern maps, presentation
+JSON round-trips, the per-split block route, the line-by-line FASTA strip,
+alignments from pattern counts, the string route of sampled FASTA text, and
+the loop forms of the FASTA column count and the character transform, the
+group tables by brute force, and table digests, that the tests build their
+fixtures and oracles from, and the package does not use.  Only the sparse
+route needs scipy."""
 
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional
 
@@ -25,9 +25,10 @@ from edgeinv.groups import K, EquivariantModel, MultiplicityVector, \
     SymmetryAdaptedBasis, _element_row, builtin_model, clifford_reduction, \
     label_classes, symmetry_adapted_basis
 from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_RANK_NOT_GENERIC, \
-    WARN_TIE, ReconstructionResult, _check_tol, data_driven_tol
+    WARN_TIE, ReconstructionResult, data_driven_tol
 from edgeinv.scores import DEFAULT_RANK_TOL, DEFAULT_SCORE_TOL, SplitScore, \
-    all_bipartitions, genericity_check, score_splits
+    SplitTable, _check_tol, all_bipartitions, genericity_check, \
+    score_splits, side_mask
 from edgeinv.simulate import Alignment, EvolutionaryPresentation, \
     _default_root, _oriented_edges, default_taxa
 from edgeinv.tensors import CharacterTransform, PatternTensor, RankVector, \
@@ -279,6 +280,18 @@ def enumerated(n: int) -> tuple[TreeTopology, ...]:
     """``enumerate_trivalent_topologies(n)``, built once, so that each tree
     computes its splits once."""
     return tuple(enumerate_trivalent_topologies(n))
+
+
+def rescored_table(psi: PatternTensor, model: EquivariantModel,
+                   scores: Mapping[Bipartition, float]) -> SplitTable:
+    """A split table of ``psi`` holding the splits of ``scores``, each with
+    its score replaced by the one given there, so that its queries answer
+    for made-up scores."""
+    table = SplitTable(psi, model, map(side_mask, scores))
+    for split, score in scores.items():
+        mask = side_mask(split)
+        table.scored[mask] = replace(table[mask], score=score)
+    return table
 
 
 def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,

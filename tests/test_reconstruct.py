@@ -1,7 +1,6 @@
 """Reconstruction pipeline tests: exhaustive decision, split selection,
 empirical tensors, and diagnostic behavior on degenerate inputs."""
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +9,8 @@ import pytest
 import edgeinv.reconstruct
 import edgeinv.scores
 import helpers
-from edgeinv.groups import builtin_model
+from edgeinv.groups import CliffordReduction, EquivariantModel, \
+    builtin_model
 from edgeinv.reconstruct import (
     WARN_ABOVE_TOL,
     WARN_NO_UNIQUE_PASS,
@@ -40,7 +40,7 @@ from edgeinv.trees import (
 )
 from helpers import alignment_from_counts, enumerate_trivalent_topologies, \
     greedy_splits_tree, no_mutation_presentation, permute_labels, \
-    scan_exhaustive
+    rescored_table, scan_exhaustive
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -206,15 +206,13 @@ class TestExhaustive:
         model = builtin_model("K81")
         passer, _ = from_newick("((1,4),(2,5),3);")
         psi = joint_distribution(random_presentation(model, passer, 5))
-        real = score_splits(psi, model, all_bipartitions(5, True))
         # the passer's two splits score 0.9 (total 1.8, both <= tol 1); the
         # tree ((1,5),(2,4),3) totals 1.5 but fails on its 1,5|2,3,4 split
-        scores = dict.fromkeys(real, 2.0)
+        scores = dict.fromkeys(all_bipartitions(5, True), 2.0)
         scores.update(dict.fromkeys(passer.interior_splits(), 0.9))
         scores[Bipartition({2, 4}, 5)] = 0.0
         scores[Bipartition({2, 3, 4}, 5)] = 1.5
-        table = {side_mask(split): replace(s, score=scores[split])
-                 for split, s in real.items()}
+        table = rescored_table(psi, model, scores)
         monkeypatch.setattr(edgeinv.reconstruct, "SplitTable",
                             lambda *args, **kwargs: table)
         result = reconstruct_exhaustive(psi, model, tol=1.0,
@@ -222,6 +220,38 @@ class TestExhaustive:
         assert result.passers == 1
         assert result.tree == passer
         assert result.confident
+
+    def test_unique_passer_skips_the_least_total_pass(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the least-total pass ran")
+
+        monkeypatch.setattr(edgeinv.reconstruct, "_least_total", unreachable)
+        model = builtin_model("K81")
+        psi = joint_distribution(random_presentation(model, caterpillar6(), 3))
+        result = reconstruct_exhaustive(psi, model)
+        assert result.passers == 1
+        assert result.tree == caterpillar6()
+        assert result.confident
+
+    def test_audited_solve_builds_first_copy_rows_once(self, monkeypatch):
+        # a copy of the model has no first-copy rows yet; the audit's
+        # trivial splits are in the first fill, so the rows are built once,
+        # at the power of a side of five leaves
+        jc69 = builtin_model("JC69")
+        model = EquivariantModel("JC69-copy", jc69.elements, jc69.irreps)
+        psi = joint_distribution(random_presentation(jc69, caterpillar6(), 3))
+        powers = []
+        original = CliffordReduction._stabiliser_rows
+
+        def counted(reduction, power):
+            powers.append(power)
+            return original(reduction, power)
+
+        monkeypatch.setattr(CliffordReduction, "_stabiliser_rows", counted)
+        result = reconstruct_exhaustive(psi, model)
+        assert result.tree == caterpillar6()
+        assert result.genericity_warnings == ()
+        assert powers == [5]
 
     def test_leaf_guard(self):
         psi = PatternTensor(np.zeros(4 ** 2), (1, 2))
@@ -297,16 +327,16 @@ class TestAgainstTheScan:
         model = builtin_model("K81")
         psi = joint_distribution(random_presentation(
             model, enumerate_trivalent_topologies(n)[0], n))
-        real = score_splits(psi, model, all_bipartitions(n, True))
         rng = np.random.default_rng(n)
         for _ in range(10):
-            table = {split: replace(s, score=float(rng.integers(3)))
-                     for split, s in real.items()}
-            by_mask = {side_mask(split): s for split, s in table.items()}
+            scores = {split: float(rng.integers(3))
+                      for split in all_bipartitions(n, True)}
+            table = rescored_table(psi, model, scores)
+            by_split = {split: table[side_mask(split)] for split in scores}
             monkeypatch.setattr(edgeinv.reconstruct, "SplitTable",
-                                lambda *args, **kwargs: by_mask)
-            monkeypatch.setattr(helpers, "score_splits",
                                 lambda *args, **kwargs: table)
+            monkeypatch.setattr(helpers, "score_splits",
+                                lambda *args, **kwargs: by_split)
             for tol in (None, 0.0, 1.0):
                 result = reconstruct_exhaustive(psi, model, tol=tol,
                                                 check_genericity=False)

@@ -452,6 +452,37 @@ class TestEdgeInvariantTest:
                 assert edge_invariant_test(psi, tree, builtin_model(name),
                                            tol=1e-8).passed
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_tol_rejected_before_averaging(self, tol, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the tensor was averaged")
+
+        psi = simulated("K81", 0)
+        monkeypatch.setattr(edgeinv.scores, "averaged", unreachable)
+        with pytest.raises(ValueError, match=r"^tol must be finite and "
+                                             r"non-negative, got "):
+            edge_invariant_test(psi, quartet12(), builtin_model("K81"), tol)
+
+
+class TestDecisionQueries:
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_queries_answer_from_full_scores(self, name, n):
+        # trivial splits all score 0, so ``ranked`` breaks ties by mask
+        model = builtin_model(name)
+        raw = PatternTensor(np.random.default_rng(n).random(4 ** n),
+                            tuple(range(1, n + 1)))
+        masks = [side_mask(split) for split in all_bipartitions(n)]
+        for psi in (raw, averaged(raw, model)):
+            table = SplitTable(psi, model)
+            order = list(table.ranked(masks + masks[::-1]))
+            assert order == sorted(masks, key=lambda m: (table[m].score, m))
+            scores = [table[mask].score for mask in masks]
+            for tol in set(scores):
+                assert table.passes(masks, tol) == [s <= tol for s in scores]
+            fresh = SplitTable(psi, model)
+            assert fresh.passes(masks, 0.0) == [s <= 0.0 for s in scores]
+
 
 # ---------------------------------------------------------------------------
 # Genericity audit
