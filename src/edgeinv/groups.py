@@ -22,6 +22,8 @@ for each of them and the vectors are copied onto every orbit of that shape.
 Group averaging never holds the |G| x k^l table of pattern images: it sums
 over G as a product of sums over cyclic subgroups, gathering block by block,
 so its memory is one k^l array besides its input whatever the group order.
+The same sums run over the blocks of one G-orbit of high digits at a time,
+which gives a model fit its averages in a buffer of |G| blocks.
 
 Scoring builds no basis above power 1.  ``CliffordReduction`` places the
 first copy of every irrep on one label class of the Kronecker powers of an
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +49,7 @@ MODEL_NAMES = ("GMM", "SSM", "K81", "K80", "JC69")
 
 MAX_POWER = 12          # k^l capacity guard for multiplicities and bases
 _BLOCK_DIGITS = 7       # group averages gather blocks of k^7 patterns
+_ORBIT_BYTES = 2 ** 20  # an orbit walk's buffer: |G| blocks of floats
 
 Perm = tuple[int, ...]
 
@@ -450,6 +453,40 @@ def _cyclic_factors(model: EquivariantModel) -> tuple[tuple[Perm, ...], ...]:
     raise AssertionError(f"{model.name}: no cyclic factorization")
 
 
+def _sum_images(acc: np.ndarray, blocks: np.ndarray, first, rest,
+                tmp: np.ndarray) -> None:
+    """Add to each block of ``acc`` its images under every non-identity
+    element of G, in place: for the blocks of a G-invariant set of high
+    patterns, copied into ``acc``, this leaves |G| times their average.
+
+    ``first`` has, per non-identity element g of the first cyclic factor,
+    g's row at the low digits and, per block i of ``acc``, the block of
+    ``blocks`` that g brings to block i.  ``rest`` has, per later factor
+    {1, c}, c's row and, per block i, the block of ``acc`` that c brings to
+    it.  c updates block i and that partner j from each other: as c undoes
+    itself, the new block j is c's gather of the new block i, the same sums
+    in the other order, so one block-sized ``tmp`` serves."""
+    # every index is in range, and mode="raise" would buffer the output
+    for row, sources in first:
+        for i, h in enumerate(sources.tolist()):
+            acc[i] += np.take(blocks[h], row, out=tmp, mode="clip")
+    for row, partners in rest:
+        for i, j in enumerate(partners.tolist()):
+            if j >= i:
+                acc[i] += np.take(acc[j], row, out=tmp, mode="clip")
+                if j > i:
+                    np.take(acc[i], row, out=acc[j], mode="clip")
+
+
+def _checked(values, power: int) -> np.ndarray:
+    """``values`` as floats, once checked to hold k^l entries."""
+    values = np.asarray(values, dtype=float)
+    if len(values) != K ** power:
+        raise ValueError(f"expected {K ** power} entries for power {power}, "
+                         f"got {len(values)}")
+    return values
+
+
 def group_average(values: np.ndarray, model: EquivariantModel,
                   power: int) -> np.ndarray:
     """Orthogonal projection of a flat k^l tensor onto the G-invariants.
@@ -458,36 +495,78 @@ def group_average(values: np.ndarray, model: EquivariantModel,
     sum_G T_g = (sum_{C_k} T) ... (sum_{C_1} T): C_1 gathers from ``values``
     and each later C_i = {1, c} adds a gather of the sum to itself, so JC69
     takes 5 gathers, K80 3, K81 2 and SSM 1.  Element g moves the block of
-    k^7 patterns with high digits h to block g . h, so c updates h and c . h
-    from each other in place, with three block-sized buffers."""
-    values = np.asarray(values, dtype=float)
+    k^7 patterns with high digits h to block g . h, so the sums run over
+    all blocks at once (``_sum_images``), one element's rows at a time,
+    with two block-sized buffers."""
     if model.order == 1:
-        return values
-    if len(values) != K ** power:
-        raise ValueError(f"expected {K ** power} entries for power {power}, "
-                         f"got {len(values)}")
+        return np.asarray(values, dtype=float)
+    values = _checked(values, power)
     first, *rest = _cyclic_factors(model)
     low = min(power, _BLOCK_DIGITS)
     blocks = values.reshape(-1, K ** low)
     acc = blocks.copy()
     row, high = np.empty(K ** low, np.int64), np.empty(len(acc), np.int64)
-    tmp = np.empty((2, K ** low))
-    # every index is in range, and mode="raise" would buffer the output
-    for g in first[1:]:
-        _element_row(g, low, row)
-        for h, gh in enumerate(_element_row(g, power - low, high).tolist()):
-            acc[h] += np.take(blocks[gh], row, out=tmp[0], mode="clip")
-    for _, c in rest:
-        _element_row(c, low, row)
-        for h, ch in enumerate(_element_row(c, power - low, high).tolist()):
-            if ch >= h:
-                np.take(acc[ch], row, out=tmp[0], mode="clip")
-                if ch > h:
-                    np.take(acc[h], row, out=tmp[1], mode="clip")
-                    acc[ch] += tmp[1]
-                acc[h] += tmp[0]
+
+    def rows(elements):  # each element's rows in turn, in ``row`` and ``high``
+        for g in elements:
+            yield (_element_row(g, low, row),
+                   _element_row(g, power - low, high))
+
+    _sum_images(acc, blocks, rows(first[1:]), rows(c for _, c in rest),
+                np.empty(K ** low))
     acc /= model.order
     return acc.reshape(-1)
+
+
+def _orbit_digits(model: EquivariantModel) -> int:
+    """The most low digits, up to 7, for which |G| blocks of k^l floats fit
+    in ``_ORBIT_BYTES``: 6 for JC69, 7 for the others."""
+    return max(low for low in range(_BLOCK_DIGITS + 1)
+               if model.order * K ** low * 8 <= _ORBIT_BYTES)
+
+
+def orbit_averages(values: np.ndarray, model: EquivariantModel, power: int
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block of ``values`` beside its group average, one G-orbit of
+    high digits at a time: ``group_average`` bit for bit, without a
+    tensor-sized buffer.  An orbit's blocks are copied into one buffer of
+    |G| blocks (at most 1 MiB, ``_orbit_digits``) and their images summed
+    there (``_sum_images``); each average is a view of that buffer, which
+    the next orbit writes over.  Each factor element's rows are built once;
+    the orbits are the classes of high patterns that those elements join,
+    each labelled by its least member."""
+    values = _checked(values, power)
+    first, *rest = _cyclic_factors(model)
+    low = min(power, _orbit_digits(model))
+    blocks = values.reshape(-1, K ** low)
+
+    def rows(elements):
+        return [(_element_row(g, low, np.empty(K ** low, np.int64)),
+                 _element_row(g, power - low,
+                              np.empty(len(blocks), np.int64)))
+                for g in elements]
+
+    first, rest = rows(first[1:]), rows(c for _, c in rest)
+    label = np.arange(len(blocks))
+    while True:
+        last = label.copy()
+        for _, high in first + rest:
+            np.minimum(label, label[high], out=label)
+        if np.array_equal(label, last):
+            break
+    order = np.argsort(label, kind="stable")  # by orbit, members ascending
+    place = np.empty(len(blocks), np.int64)   # a block's row in the buffer
+    buffer, tmp = np.empty((model.order, K ** low)), np.empty(K ** low)
+    for members in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+        acc = np.take(blocks, members, axis=0, out=buffer[:len(members)],
+                      mode="clip")
+        place[members] = np.arange(len(members))
+        _sum_images(acc, blocks,
+                    ((row, high[members]) for row, high in first),
+                    ((row, place[high[members]]) for row, high in rest), tmp)
+        acc /= model.order
+        for h, average in zip(members.tolist(), acc):
+            yield blocks[h], average
 
 
 # ---------------------------------------------------------------------------

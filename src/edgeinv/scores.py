@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, fsum, sqrt
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .groups import EquivariantModel, MultiplicityVector, \
-    clifford_reduction, expected_rank_vector, group_average
+    clifford_reduction, expected_rank_vector, orbit_averages
 from .tensors import (
     CharacterTransform,
     PatternTensor,
@@ -210,6 +210,8 @@ def edge_invariant_test(psi: PatternTensor, tree: TreeTopology,
                         model: EquivariantModel,
                         tol: float = DEFAULT_SCORE_TOL) -> EdgeTestReport:
     """Pass iff every interior edge split of ``tree`` passes at ``tol``."""
+    if tol is None:  # a test of one tree has no data to drive a tolerance
+        raise ValueError("tol must be finite and non-negative, got None")
     _check_tol(tol)
     if psi.n != tree.n_leaves:
         raise ValueError("tensor and tree disagree on the leaf count")
@@ -364,7 +366,8 @@ class MinorEvaluation:
 
 
 def evaluate_generators(psi: PatternTensor, split: Bipartition,
-                        model: EquivariantModel, budget: int
+                        model: EquivariantModel, budget: int,
+                        table: Optional[SplitTable] = None
                         ) -> MinorEvaluation:
     """Evaluate the determinantal constraints at the tensor, up to ``budget``.
 
@@ -375,10 +378,16 @@ def evaluate_generators(psi: PatternTensor, split: Bipartition,
     bases are orthonormal: another such basis changes the minors but not
     the ideal they generate.  The maximum absolute minor is an exact
     membership witness: all minors vanish iff every block rank bound holds.
+
+    The blocks are read from the character transform of ``table`` (a split
+    table of ``psi`` when given), so walking many splits of one tensor
+    averages and transforms it once; without one, from a transform of its
+    own.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    blocks = dict(character_flattening(averaged(psi, model), [split], model))
+    source = averaged(psi, model) if table is None else table.transform
+    blocks = dict(character_flattening(source, [split], model))
     target = model.multiplicities(1)
     best = 0.0
     evaluated = 0
@@ -413,15 +422,23 @@ def model_fit_score(psi: PatternTensor, model: EquivariantModel) -> float:
     G-invariant tensors: ||psi - avg(psi)|| / ||psi||, zero iff exactly
     invariant.  Nested symmetries give nested scores: a larger group can only
     increase the residual.  The trivial group, and an average of ``model``
-    (``averaged``), score exactly 0."""
-    norm = psi.norm()
-    if norm == 0.0:
+    (``averaged``), score exactly 0.
+
+    The average is made one G-orbit of blocks at a time
+    (``groups.orbit_averages``), and the difference taken block by block in
+    the orbit's buffer, so nothing tensor-sized is allocated."""
+    if psi.norm() == 0.0:
         raise ValueError("model fit is undefined for the zero tensor")
     if model.order == 1 or psi._averaged_for is model:
         return 0.0
-    gap = group_average(psi.values, model, psi.n)
-    gap -= psi.values  # in the average's own buffer
-    return float(np.linalg.norm(gap) / norm)
+    # both norms from per-block sums of squares, summed exactly: one dot
+    # product over a 12-leaf tensor rounds its sum by ~3e-13
+    gaps, squares = [], []
+    for block, average in orbit_averages(psi.values, model, psi.n):
+        squares.append(block @ block)
+        average -= block  # in the orbit's buffer
+        gaps.append(average @ average)
+    return sqrt(fsum(gaps) / fsum(squares))
 
 
 # ---------------------------------------------------------------------------

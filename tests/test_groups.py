@@ -662,9 +662,27 @@ class TestGroupAverage:
             assert np.abs(avg[row] - avg).max() <= tol
         assert np.abs(group_average(avg, model, power) - avg).max() <= tol
 
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("power", [0, 3, 8, 9])
+    def test_orbit_walk_is_the_average_bit_for_bit(self, name, power):
+        # one orbit of high-digit blocks at a time, in a buffer that the
+        # next orbit writes over: every block of the input once, beside
+        # group_average's values for it
+        model = builtin_model(name)
+        values = np.random.default_rng(power).normal(size=4 ** power)
+        got = np.full_like(values, np.nan)
+        for block, average in G.orbit_averages(values, model, power):
+            start = (block.ctypes.data - values.ctypes.data) // 8
+            assert np.shares_memory(block, values)
+            assert np.isnan(got[start:start + len(block)]).all()
+            got[start:start + len(block)] = average
+        assert np.array_equal(got, group_average(values, model, power))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             group_average(np.zeros(15), builtin_model("K81"), 2)
+        with pytest.raises(ValueError):
+            next(G.orbit_averages(np.zeros(15), builtin_model("K81"), 2))
 
     @pytest.mark.parametrize("name", ["K81", "JC69"])
     def test_integer_input_averages_as_float(self, name):
