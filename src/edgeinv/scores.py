@@ -366,8 +366,7 @@ class MinorEvaluation:
 
 
 def evaluate_generators(psi: PatternTensor, split: Bipartition,
-                        model: EquivariantModel, budget: int,
-                        table: Optional[SplitTable] = None
+                        model: EquivariantModel, budget: int
                         ) -> MinorEvaluation:
     """Evaluate the determinantal constraints at the tensor, up to ``budget``.
 
@@ -378,16 +377,10 @@ def evaluate_generators(psi: PatternTensor, split: Bipartition,
     bases are orthonormal: another such basis changes the minors but not
     the ideal they generate.  The maximum absolute minor is an exact
     membership witness: all minors vanish iff every block rank bound holds.
-
-    The blocks are read from the character transform of ``table`` (a split
-    table of ``psi`` when given), so walking many splits of one tensor
-    averages and transforms it once; without one, from a transform of its
-    own.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    source = averaged(psi, model) if table is None else table.transform
-    blocks = dict(character_flattening(source, [split], model))
+    blocks = dict(character_flattening(averaged(psi, model), [split], model))
     target = model.multiplicities(1)
     best = 0.0
     evaluated = 0
@@ -427,9 +420,9 @@ def model_fit_score(psi: PatternTensor, model: EquivariantModel) -> float:
     The average is made one G-orbit of blocks at a time
     (``groups.orbit_averages``), and the difference taken block by block in
     the orbit's buffer, so nothing tensor-sized is allocated."""
-    if psi.norm() == 0.0:
-        raise ValueError("model fit is undefined for the zero tensor")
     if model.order == 1 or psi._averaged_for is model:
+        if psi.norm() == 0.0:
+            raise ValueError("model fit is undefined for the zero tensor")
         return 0.0
     # both norms from per-block sums of squares, summed exactly: one dot
     # product over a 12-leaf tensor rounds its sum by ~3e-13
@@ -438,7 +431,10 @@ def model_fit_score(psi: PatternTensor, model: EquivariantModel) -> float:
         squares.append(block @ block)
         average -= block  # in the orbit's buffer
         gaps.append(average @ average)
-    return sqrt(fsum(gaps) / fsum(squares))
+    norm2 = fsum(squares)
+    if norm2 == 0.0:
+        raise ValueError("model fit is undefined for the zero tensor")
+    return sqrt(fsum(gaps) / norm2)
 
 
 # ---------------------------------------------------------------------------

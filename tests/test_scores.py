@@ -620,30 +620,6 @@ class TestEvaluateGenerators:
                                 builtin_model("GMM"), budget=500)
         assert a == b
 
-    @pytest.mark.parametrize("name", MODELS)
-    def test_one_table_averages_once(self, name, monkeypatch):
-        # every split of one tensor through one split table: one average,
-        # and the evaluations of a table-free call, bit for bit
-        model = builtin_model(name)
-        psi = PatternTensor(np.random.default_rng(2).random(4 ** 5),
-                            tuple(range(1, 6)))
-        splits = all_bipartitions(5, nontrivial_only=True)
-        alone = [evaluate_generators(psi, split, model, budget=200)
-                 for split in splits]
-        calls = []
-        original = edgeinv.tensors.group_average
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(edgeinv.tensors, "group_average", counted)
-        table = SplitTable(psi, model)
-        walked = [evaluate_generators(psi, split, model, budget=200,
-                                      table=table) for split in splits]
-        assert walked == alone
-        assert len(calls) == (model.order > 1)
-
     @pytest.mark.parametrize("name,budget", [("SSM", 6272), ("K81", 144),
                                              ("K80", 56), ("JC69", 12)])
     @pytest.mark.parametrize("seed", range(5))
@@ -689,9 +665,15 @@ class TestModelFit:
         assert chain[-1] == 0.0
 
     def test_zero_tensor_rejected(self):
-        psi = PatternTensor(np.zeros(256), (1, 2, 3, 4))
-        with pytest.raises(ValueError):
-            model_fit_score(psi, builtin_model("K81"))
+        # on the orbit walk (at 9 leaves, several orbits) and on the paths
+        # that skip it: the trivial group and an average of the model
+        for name in MODELS:
+            model = builtin_model(name)
+            for n in (4, 9):
+                psi = PatternTensor(np.zeros(4 ** n), tuple(range(1, n + 1)))
+                for tensor in (psi, averaged(psi, model)):
+                    with pytest.raises(ValueError, match="zero tensor"):
+                        model_fit_score(tensor, model)
 
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("n", range(4, 11))
