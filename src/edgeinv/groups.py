@@ -936,22 +936,69 @@ def _label_table(model: EquivariantModel) -> tuple[np.ndarray, np.ndarray]:
     return digit_labels, same.argmax(axis=-1)
 
 
+def pattern_labels(model: EquivariantModel, power: int) -> np.ndarray:
+    """For an abelian model, the label of each power-l pattern of the
+    Kronecker power of its one-site adapted basis (most significant digit
+    first): the irrep whose character is the product of its digits', one
+    uint8 per pattern."""
+    digit_labels, products = _label_table(model)
+    # row a: the labels of a pattern of label a extended by each digit
+    extend = products[:, digit_labels].astype(np.uint8)
+    labels = np.zeros(1, dtype=np.uint8)
+    for _ in range(power):
+        labels = extend[labels].ravel()
+    return labels
+
+
 @lru_cache(maxsize=None)
 def label_classes(model: EquivariantModel,
                   power: int) -> tuple[np.ndarray, ...]:
     """For an abelian model, per irrep c the power-l patterns of the
     Kronecker power of its one-site adapted basis (most significant digit
     first) whose digits' characters multiply to c, ascending."""
-    digit_labels, products = _label_table(model)
-    # row a: the labels of a pattern of label a extended by each digit
-    extend = products[:, digit_labels]
-    labels = np.zeros(1, dtype=np.int64)
-    for _ in range(power):
-        labels = extend[labels].ravel()
+    labels = pattern_labels(model, power)
     found = tuple(np.flatnonzero(labels == c) for c in range(model.n_irreps))
     for members in found:
         members.setflags(write=False)
     return found
+
+
+def completing_digits(model: EquivariantModel) -> tuple[np.ndarray, ...]:
+    """For an abelian model, per label c its one-site digits, ascending:
+    the digits that complete a pattern of label c to label 0 when every
+    label is its own inverse.  Raises ValueError unless it is, and every
+    label has as many digits: only then does the class of label 0 hold
+    every split block, with k digits closing each of its patterns."""
+    digits = label_classes(model, 1)
+    # the pattern (d, d) has label 0 iff d's label is its own inverse
+    if (pattern_labels(model, 2)[::K + 1].any()
+            or any(len(d) != len(digits[0]) for d in digits)):
+        raise ValueError(f"{model.name}: not every label is its own "
+                         f"inverse and of as many digits as the others")
+    return digits
+
+
+def copy_label_zero(full: np.ndarray, model: EquivariantModel,
+                    kept: np.ndarray, mask: np.ndarray) -> None:
+    """Copy into ``kept``, of ``full``'s shape (K, ..., K) but k long on its
+    last axis (k as in ``completing_digits``), the entries of ``full``
+    whose pattern has label 0: at each pattern of the other axes, the k
+    digits on the last axis that complete it, ascending.  ``mask`` is
+    scratch for as many booleans as there are such patterns."""
+    if not kept.size:  # a tensor over no positions has no split
+        return
+    power = kept.ndim - 1
+    # a pattern's label is its leading digits' times its trailing digits';
+    # heads[:, d] is the leading digits' times d's
+    heads = pattern_labels(model, power // 2 + 1).reshape(-1, K)
+    tails = pattern_labels(model, power - power // 2)
+    for digits in completing_digits(model):
+        # the patterns whose label the digits of ``digits`` undo
+        np.equal(tails, heads[:, digits[0], None],
+                 out=mask.reshape(len(heads), -1))
+        for j, d in enumerate(digits):
+            np.copyto(kept[..., j], full[..., d],
+                      where=mask.reshape(kept.shape[:-1]))
 
 
 def expected_rank_vector(model: EquivariantModel, tree: TreeTopology,

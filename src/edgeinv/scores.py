@@ -97,22 +97,22 @@ class SplitTable:
 
     Every model takes one block route (``tensors.character_flattening``).
     The averaged tensor is transformed once, by a one-site character basis
-    along each axis: the model's own for GMM, SSM and K81, K81's for K80
-    and JC69.  Each split's block of irrep t is then a gather, on both
-    sides, of the patterns whose digit characters multiply to t's label
-    c_t, compressed to the first copy of t by a small change of basis for
-    the stabiliser of c_t.  Both are read off the irrep matrices
-    (``groups.CliffordReduction``): c_t is the first label that D_t(v) e_A
-    touches for v in the label group, and the copy is that of the irrep D_t
-    induces on the stabiliser; for the abelian models c_t is t and the
-    change of basis is the identity.
+    along each axis (the model's own for GMM, SSM and K81, K81's for K80
+    and JC69), and the table keeps the transform's class of label 0 only:
+    a quarter of the tensor, half for SSM, all of it for GMM.  Each split's
+    block of irrep t pairs the patterns of t's label c_t on both sides,
+    compressed to the first copy of t by a small change of basis for the
+    stabiliser of c_t, both read off the irrep matrices
+    (``groups.CliffordReduction``); for the abelian models c_t is t and
+    the change of basis is the identity.
 
     A fill scores its splits in stacks (``tensors.split_stacks``): splits
     with equal side sizes share their label classes and first-copy pieces,
-    so their blocks have one shape, and a stack takes one gather per label,
-    one compression per irrep piece and one SVD call per irrep.  Stacks are
-    capped at ``tensors.STACK_ENTRIES`` entries: at 6 to 8 leaves a shape
-    group is one stack or a few, from 10 leaves on a stack is one split.
+    so their blocks have one shape.  A stack takes one copy of the kept
+    class per split with one row take per label, one compression per irrep
+    piece and one SVD call per irrep.  Stacks are capped at
+    ``tensors.STACK_ENTRIES`` entries: at 6 to 8 leaves a shape group is
+    one stack or a few, from 10 leaves on a stack is one split.
     """
 
     def __init__(self, psi: PatternTensor, model: EquivariantModel,
@@ -158,7 +158,7 @@ class SplitTable:
         for t, blocks in character_flattening(self.transform, stack,
                                               self.model):
             spectra[t] = block_spectra(blocks)
-            del blocks  # before the next label is gathered
+            del blocks  # before the next irrep's are compressed
         tails = [np.sqrt((s[:, m:] ** 2).sum(axis=1)).tolist()
                  for s, m in zip(spectra, target)]
         ranks = stack_ranks(spectra, self.model.dims, DEFAULT_RANK_TOL)

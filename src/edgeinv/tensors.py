@@ -17,18 +17,15 @@ copies, so only the first copy is kept.
 
 One route computes the blocks, ``character_flattening``, for every model
 and every caller, for a stack of splits with equal side sizes at once (a
-single split is a stack of one).  It reads them from the tensor's one
-character transform: the one-site adapted basis of an abelian label group
-applied along every axis (the model's own for GMM, SSM and K81, K81's for
-K80 and JC69).  A
-transformed pattern lies in the isotypic component of the product of its
-digits' characters, its label, so the block of irrep t is a gather of the
-side-1 patterns of label c_t against the side-2 patterns of label c_t,
+single split is a stack of one), from the tensor's one character transform
+(``CharacterTransform``): the one-site adapted basis of an abelian label
+group along every axis (the model's own for GMM, SSM and K81, K81's for
+K80 and JC69), kept on its class of label 0.  The block of irrep t pairs
+the side-1 patterns of label c_t with the side-2 patterns of label c_t,
 compressed on both sides to the first copy of t by a small change of basis
-for the stabiliser of c_t (``groups.CliffordReduction``).  c_t is the first
-label that D_t(v) e_A touches, read off the irrep matrices; for the abelian
-models it is t itself and the change of basis is the identity.  No basis
-above power 1 is built.
+for the stabiliser of c_t (``groups.CliffordReduction``); for the abelian
+models c_t is t and the change of basis is the identity.  No basis above
+power 1 is built.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ import json
 import operator
 import struct
 from dataclasses import dataclass, field, replace
+from math import prod
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -47,6 +45,8 @@ from .groups import (
     STATES,
     EquivariantModel,
     clifford_reduction,
+    completing_digits,
+    copy_label_zero,
     group_average,
     label_classes,
     symmetry_adapted_basis,
@@ -245,21 +245,20 @@ def block_spectra(blocks: np.ndarray) -> np.ndarray:
 
 class CharacterTransform:
     """A tensor's coordinates in the Kronecker power of the one-site adapted
-    basis of an abelian model.
-
-    Such a basis vector lies in the isotypic component of the product of
-    its digits' characters (its label), so the label-c block of every split
-    is a gather of ``coeffs``: row patterns of side 1 labelled c against
-    column patterns of side 2 labelled c.  Holds no reference to the
-    tensor, and the tensor none to it: it lives as long as its caller
-    keeps it.
+    basis of an abelian model, on the class of label 0 (the product of a
+    pattern's digit characters), which holds every split block.  ``kept``
+    has an axis per position in label order, the last holding the k digits
+    there that complete the class: k = 1 for K81, 2 for SSM, 4 for GMM.  It
+    holds no reference to the tensor.
     """
 
     def __init__(self, psi: PatternTensor, model: EquivariantModel):
         if not model.abelian:
             raise ValueError(f"{model.name} has irreps of dimension > 1")
+        k = len(completing_digits(model)[0])
         self.model = model
         self.labels = psi.labels
+        self._axes = dict(zip(sorted(psi.labels), range(psi.n)))
         matrix = symmetry_adapted_basis(model, 1).dense()
         coeffs = psi.values
         # writeable values are an average handed over; pass 2 writes over them
@@ -270,35 +269,43 @@ class CharacterTransform:
             # passes the axes are back in order.  Passes alternate buffers.
             coeffs = np.matmul(coeffs.reshape(K, -1).T, matrix,
                                out=buffers[i % 2].reshape(-1, K))
-        self.coeffs = coeffs.reshape(-1)
-        # per position label, the flat-index step of each of its states
-        self._strides = {lab: K ** (psi.n - 1 - i) * np.arange(K)
-                         for i, lab in enumerate(psi.labels)}
+        # the positions in label order, so the largest label's goes last
+        full = coeffs.reshape((K,) * psi.n).transpose(np.argsort(psi.labels))
+        handed = buffers[psi.n % 2] is psi.values
+        del buffers, coeffs
+        rows = full.size // K  # the other positions' patterns
+        if handed:  # the caller still holds it: the class is made in it
+            kept, mask = np.split(psi.values, [rows * k])
+            mask = mask.view(np.bool_)[:rows]
+        else:  # the spare buffer is ours, and dropped
+            kept, mask = np.empty(rows * k), np.empty(rows, np.bool_)
+        kept = kept.reshape(full.shape[:-1] + (-1,))
+        copy_label_zero(full, model, kept, mask)
+        del full  # before a class made in the average is copied out
+        self.kept = kept.copy() if handed else kept
 
     def blocks(self, sides: list[tuple[tuple[int, ...], tuple[int, ...]]],
-               labels: Iterable[int]) -> Iterator[np.ndarray]:
-        """For each c of ``labels`` in turn, the stack of label-c blocks
-        along the (side1, side2) pairs of ``sides``, sorted as ``_sides``
-        returns them and all of one pair of side sizes: one gather of shape
-        (len(sides), side-1 patterns of label c, side-2 patterns of label
-        c).  Each label is gathered when the next one is asked for."""
-        def offsets(stack):
-            # flat index in coeffs of every pattern of each side's positions
-            strides = np.array([[self._strides[lab] for lab in side]
-                                for side in stack])
-            out = np.zeros((len(stack), 1), dtype=np.int64)
-            for stride in strides.transpose(1, 0, 2):
-                out = (out[:, :, None] + stride[:, None]).reshape(len(stack),
-                                                                  -1)
-            return out
-
-        side1s, side2s = zip(*sides)
-        rows, cols = offsets(side1s), offsets(side2s)
-        members1 = label_classes(self.model, len(side1s[0]))
-        members2 = label_classes(self.model, len(side2s[0]))
-        for c in labels:
-            yield self.coeffs.take(rows[:, members1[c], None]
-                                   + cols[:, None, members2[c]])
+               labels: list[int]) -> list[np.ndarray]:
+        """Per c of ``labels``, the stack of label-c blocks along the
+        (side1, side2) pairs of ``sides`` (sorted as by ``_sides``, of one
+        pair of side sizes), of shape (len(sides), side-1 patterns of label
+        c, side-2 patterns of label c): the patterns of the side without
+        the largest label, taken from one copy of ``kept`` per split."""
+        members1 = label_classes(self.model, len(sides[0][0]))
+        members2 = label_classes(self.model, len(sides[0][1]))
+        stacks = [np.empty((len(sides), len(members1[c]), len(members2[c])))
+                  for c in labels]
+        for i, (side1, side2) in enumerate(sides):
+            # side 2 is taken by label when side 1 holds the largest label
+            axis = int(side1[-1] > side2[-1])
+            copy = np.ascontiguousarray(self.kept.transpose(
+                list(map(self._axes.get, side1 + side2))))
+            copy = copy.reshape(prod(copy.shape[:len(side1)]), -1)
+            for c, stack in zip(labels, stacks):
+                # the members are in range; "raise" would buffer ``out``
+                copy.take((members1, members2)[axis][c], axis=axis,
+                          mode="clip", out=stack[i])
+        return stacks
 
 
 def _first_copy_block(blocks: np.ndarray, rows, cols) -> np.ndarray:
@@ -343,9 +350,9 @@ def character_flattening(psi: PatternTensor, splits,
     of irrep t along ``splits[i]``.  From the character transform of
     ``psi`` under the model's label group (see ``CliffordReduction``): the
     label-c_t block, compressed on both sides to the first copy of t.  The
-    irreps come grouped by label, and a label's blocks are gathered once,
-    for all its irreps, and dropped before the next label's.  A single
-    split is a stack of one.  On a tensor that is not group-invariant, K80's
+    irreps come grouped by label, from the blocks of every label wanted,
+    taken at once (``CharacterTransform.blocks``).  A single split is a
+    stack of one.  On a tensor that is not group-invariant, K80's
     E block is another copy of E than the first.  ``psi`` may also be the
     tensor's character transform under that label group."""
     reduction = clifford_reduction(model)
@@ -358,12 +365,10 @@ def character_flattening(psi: PatternTensor, splits,
     pieces = tuple(zip(reduction.irrep_labels, reduction.first_copies(l1),
                        reduction.first_copies(l2)))
     wanted = sorted(set(reduction.irrep_labels))
-    gathered = transform.blocks(sides, wanted)
-    for c, blocks in zip(wanted, gathered):
+    for c, blocks in zip(wanted, transform.blocks(sides, wanted)):
         for t, (label, rows, cols) in enumerate(pieces):
             if label == c:
                 yield t, _first_copy_block(blocks, rows, cols)
-        del blocks  # before the next label is gathered
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from edgeinv.scores import DEFAULT_RANK_TOL, DEFAULT_SCORE_TOL, SplitScore, \
     score_splits, side_mask
 from edgeinv.simulate import Alignment, EvolutionaryPresentation, \
     _default_root, _oriented_edges, default_taxa
-from edgeinv.tensors import CharacterTransform, PatternTensor, RankVector, \
-    _sides, averaged, block_spectra, character_flattening, pattern_codes, \
+from edgeinv.tensors import PatternTensor, RankVector, _sides, \
+    averaged, block_spectra, character_flattening, pattern_codes, \
     pattern_strings, stack_ranks
 from edgeinv.trees import Bipartition, TreeTopology, from_newick, \
     splits_compatible, to_newick, tree_from_splits
@@ -187,12 +187,13 @@ def stack_of_one(psi: PatternTensor, split,
 
 def per_split_blocks(psi: PatternTensor, split,
                      model: EquivariantModel) -> tuple[np.ndarray, ...]:
-    """The first-copy blocks along one split as the split table built them
-    one split at a time: two-dimensional gathers of the character transform
-    and a compression of each block on its own."""
+    """The first-copy blocks along one split one split at a time: the whole
+    character transform by ``character_transform_loop``, a two-dimensional
+    gather of it by flat pattern indices per block, and a compression of
+    each block on its own."""
     side1, side2 = _sides(psi, split)
     reduction = clifford_reduction(model)
-    coeffs = CharacterTransform(psi, reduction.labels).coeffs
+    coeffs = character_transform_loop(psi, reduction.labels)
     strides = {lab: K ** (psi.n - 1 - i) * np.arange(K)
                for i, lab in enumerate(psi.labels)}
 
@@ -561,8 +562,9 @@ def tensor_to_bytes(psi: PatternTensor) -> bytes:
 
 def character_transform_loop(psi: PatternTensor,
                              model: EquivariantModel) -> np.ndarray:
-    """``CharacterTransform.coeffs`` by n matrix products, each into a fresh
-    array: the oracle of the two-buffer transform."""
+    """The whole character transform by n matrix products, each into a
+    fresh array: the oracle of ``CharacterTransform``, which keeps its
+    class of label 0."""
     matrix = symmetry_adapted_basis(model, 1).dense()
     coeffs = psi.values
     for _ in range(psi.n):

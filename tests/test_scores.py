@@ -26,8 +26,8 @@ from edgeinv.scores import (
     split_score,
 )
 from edgeinv.simulate import joint_distribution, random_presentation
-from edgeinv.tensors import STACK_ENTRIES, CharacterTransform, \
-    PatternTensor, averaged, split_stacks
+from edgeinv.tensors import STACK_ENTRIES, PatternTensor, averaged, \
+    split_stacks
 from edgeinv.trees import Bipartition, TreeTopology, from_newick
 from helpers import enumerate_trivalent_topologies, fit_score_oracle, \
     no_mutation_presentation, per_split_score, thin_flatten, thin_rank
@@ -250,6 +250,28 @@ class TestScoreSplits:
             tracemalloc.stop()
         assert peak <= 2.2 * psi.values.nbytes
 
+    @pytest.mark.parametrize("name,share", [("K81", 0.3), ("K80", 0.3),
+                                            ("JC69", 0.3), ("SSM", 0.55)])
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_built_table_holds_its_kept_class(self, name, share, n):
+        # the class of label 0 of the transform: a quarter of the tensor's
+        # entries, half for SSM.  It is made after the spare buffer is
+        # dropped (8 leaves) or inside it, the average (9 leaves)
+        model = builtin_model(name)
+        psi = PatternTensor(np.random.default_rng(2).random(4 ** n),
+                            tuple(range(1, n + 1)))
+        masks = [0b11, 0b1111, 0b1110000]
+        SplitTable(psi, model, masks)  # the model's tables are built once
+        tracemalloc.start()
+        try:
+            table = SplitTable(psi, model, masks)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.scored) == len(masks)
+        assert held <= share * psi.values.nbytes
+        assert peak <= 2.2 * psi.values.nbytes
+
     @pytest.mark.parametrize("name", ["GMM", "K81", "JC69"])
     def test_caller_tensor_is_not_written(self, name):
         # an input that ``averaged`` hands back keeps its values, and its
@@ -358,26 +380,34 @@ class TestStacks:
                 assert score == per_split_score(psi, score.split, model)
 
     def test_one_gather_per_label_and_one_svd_per_irrep(self, monkeypatch):
+        # each split of a stack takes one copy of the kept class, made
+        # contiguous with side 1's axes first, and from it one take per
+        # wanted label; each stack, one SVD call per irrep
         model = builtin_model("K80")
         psi = averaged_random("K80", 8, 3)
         splits = all_bipartitions(8)
         stacks = list(split_stacks(
             [s for s in splits if not s.is_trivial], model))
         reduction = clifford_reduction(model)
+        copies = []
 
-        class Gathers(np.ndarray):
+        class Takes(np.ndarray):
             calls = 0
 
             def take(self, *args, **kwargs):
-                Gathers.calls += 1
+                Takes.calls += 1
                 return np.asarray(self).take(*args, **kwargs)
 
-        class Counted(CharacterTransform):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.coeffs = self.coeffs.view(Gathers)
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(edgeinv.scores, "CharacterTransform", Counted)
+            @staticmethod
+            def ascontiguousarray(array):
+                copies.append(array.shape)
+                return np.ascontiguousarray(array).view(Takes)
+
+        monkeypatch.setattr(edgeinv.tensors, "np", Numpy())
         shapes = []
         svd = np.linalg.svd
 
@@ -388,7 +418,8 @@ class TestStacks:
         monkeypatch.setattr(np.linalg, "svd", counted)
         score_splits(psi, model, splits)
         assert sum(map(len, stacks)) == 119 and len(stacks) == 32
-        assert Gathers.calls == len(set(reduction.irrep_labels)) * 32
+        assert len(copies) == 119
+        assert Takes.calls == len(set(reduction.irrep_labels)) * 119
         assert len(shapes) == model.n_irreps * 32
         assert [shape[0] for shape in shapes[::model.n_irreps]] == \
             list(map(len, stacks))
@@ -396,10 +427,10 @@ class TestStacks:
     @pytest.mark.parametrize("name,width", [("K81", 1), ("K80", 2),
                                             ("JC69", 6)])
     def test_peak_memory_capped(self, name, width):
-        # a stack scales every array of its blocks by its size: the long
-        # side's offsets, a label block and its gather index hold at most
-        # STACK_ENTRIES entries each, and the compression's gather ``width``
-        # times that (the largest stabiliser orbit of a label)
+        # a stack scales every array of its blocks by its size: the stack
+        # of each label wanted holds at most STACK_ENTRIES entries, and the
+        # compression's gather ``width`` times that (the largest stabiliser
+        # orbit of a label)
         model = builtin_model(name)
         psi = averaged_random(name, 8, 5)
         splits = all_bipartitions(8, nontrivial_only=True)

@@ -7,24 +7,29 @@ for the contraction identities.
 """
 
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from edgeinv.groups import builtin_model, group_average, symmetry_adapted_basis
-from edgeinv.scores import all_bipartitions, score_splits
+import edgeinv.groups
+from edgeinv.groups import EquivariantModel, Irrep, builtin_model, \
+    clifford_reduction, group_average, label_classes, symmetry_adapted_basis
+from edgeinv.scores import SplitTable, all_bipartitions, score_splits
 from edgeinv.tensors import (
     AMBIGUOUS,
     CharacterTransform,
     PatternTensor,
     averaged,
+    character_flattening,
     pattern_codes,
     pattern_indices,
     pattern_digits,
     pattern_strings,
     read_container,
     save_tensor,
+    split_stacks,
     state_codes,
     tensor_from_json,
     tensor_to_json,
@@ -36,6 +41,7 @@ from helpers import (
     flatten,
     flattening_rank,
     identity_link,
+    per_split_blocks,
     permute_labels,
     reassemble_flattening,
     stack_of_one,
@@ -346,6 +352,24 @@ class TestThinFlattenOracle:
         assert peak <= 2.5 * 8 * 4 ** 8
 
 
+def kept_class(psi: PatternTensor, model) -> np.ndarray:
+    """The class of label 0 of ``character_transform_loop``, its axes in
+    label order: ``CharacterTransform.kept``, flat."""
+    full = character_transform_loop(psi, model).reshape((4,) * psi.n)
+    ordered = full.transpose(np.argsort(psi.labels)).reshape(-1)
+    return ordered[label_classes(model, psi.n)[0]]
+
+
+def assert_blocks_match(source, psi: PatternTensor, stack, model) -> None:
+    """``character_flattening`` of ``source`` (``psi`` or its transform)
+    along a stack of splits equals ``per_split_blocks`` byte for byte."""
+    got = dict(character_flattening(source, stack, model))
+    for i, split in enumerate(stack):
+        for t, want in enumerate(per_split_blocks(psi, split, model)):
+            assert got[t][i].shape == want.shape
+            assert got[t][i].tobytes() == want.tobytes()
+
+
 class TestCharacterFlattening:
     """The character route against the sparse-basis route: blocks differ
     by a change of basis, spectra and ranks must not."""
@@ -355,8 +379,99 @@ class TestCharacterFlattening:
     def test_transform_bit_identical_to_fresh_array_loop(self, name, n):
         model = builtin_model(name)
         psi = random_tensor(range(1, n + 1), 30 + n)
-        got = CharacterTransform(psi, model).coeffs
-        assert got.tobytes() == character_transform_loop(psi, model).tobytes()
+        got = CharacterTransform(psi, model).kept
+        k = {"GMM": 4, "SSM": 2, "K81": 1}[name]
+        assert got.shape == (4,) * (n - 1) + (k,)
+        assert got.tobytes() == kept_class(psi, model).tobytes()
+
+    @pytest.mark.parametrize("name", ["GMM", "SSM", "K81"])
+    @pytest.mark.parametrize("labels", [(3, 4, 5, 6), (3, 1, 4, 2, 5),
+                                        (5, 2, 3, 1, 4), (2, 1)])
+    def test_kept_class_in_any_label_order(self, name, labels):
+        # the axes in label order, the largest label's last
+        model = builtin_model(name)
+        psi = random_tensor(labels, sum(labels))
+        got = CharacterTransform(psi, model).kept
+        assert got.tobytes() == kept_class(psi, model).tobytes()
+
+    @pytest.mark.parametrize("name", ["SSM", "K81"])
+    @pytest.mark.parametrize("n", [4, 5, 8, 9])
+    def test_average_handed_over_gives_the_same_class(self, name, n):
+        # writeable values are written over, and for odd n the class is
+        # made in them before it is copied out
+        model = builtin_model(name)
+        psi = random_tensor(range(1, n + 1), 40 + n)
+        handed = PatternTensor(psi.values.copy(), psi.labels)
+        handed.values.setflags(write=True)
+        got = CharacterTransform(handed, model).kept
+        assert got.base is None or got.base.size == got.size
+        assert got.tobytes() == kept_class(psi, model).tobytes()
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("average", [False, True])
+    def test_blocks_bit_identical_to_per_split_blocks(self, name, n,
+                                                      average):
+        # every bipartition, in the table's stacks, against the full
+        # transform gathered by flat indices one split at a time
+        model = builtin_model(name)
+        psi = random_tensor(range(1, n + 1), 50 + n)
+        if average:
+            psi = averaged(psi, model)
+        transform = CharacterTransform(psi, clifford_reduction(model).labels)
+        for stack in split_stacks(all_bipartitions(n), model):
+            assert_blocks_match(transform, psi, stack, model)
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("labels", [(3, 4, 5, 6), (3, 1, 4, 2, 5)])
+    def test_blocks_in_any_label_order(self, name, labels):
+        # both orders of every pair of sides, stacked by side sizes: the
+        # largest label is on either side, and need not be the last axis
+        model = builtin_model(name)
+        psi = random_tensor(labels, len(labels))
+        shapes = {}
+        for r in range(1, len(labels)):
+            for side1 in itertools.combinations(labels, r):
+                side2 = tuple(lab for lab in labels if lab not in side1)
+                shapes.setdefault(r, []).append((side1, side2))
+        for stack in shapes.values():
+            assert_blocks_match(psi, psi, stack, model)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_positions(self, n):
+        # no split, but a table all the same, as for more positions
+        psi = random_tensor(range(1, n + 1), 7)
+        for name in MODELS:
+            table = SplitTable(psi, builtin_model(name))
+            assert table.scored == {} and table.transform.kept.size <= 4
+
+    def test_label_that_is_not_its_own_inverse_rejected(self, monkeypatch):
+        # a label group of order 4 that is cyclic: the label-1 block pairs
+        # label 1 with label 1, which lies in the label-2 class
+        k81 = builtin_model("K81")
+        cyclic = EquivariantModel("K81-cyclic", k81.elements, k81.irreps)
+        table = edgeinv.groups._label_table
+
+        def labels_of(model):
+            if model is not cyclic:
+                return table(model)
+            labels = np.arange(4)
+            return labels, (labels[:, None] + labels) % 4
+
+        monkeypatch.setattr(edgeinv.groups, "_label_table", labels_of)
+        with pytest.raises(ValueError, match="K81-cyclic"):
+            CharacterTransform(random_tensor(range(1, 5), 3), cyclic)
+
+    def test_labels_of_unequal_digit_counts_rejected(self):
+        # the group {id, (AC)}: three digits of the trivial label, one of
+        # the sign, so the class has no last axis of one length
+        ones = np.ones((2, 1, 1))
+        signs = np.array([1.0, -1.0]).reshape(2, 1, 1)
+        swap = EquivariantModel("AC-swap", [(0, 1, 2, 3), (1, 0, 2, 3)],
+                                [Irrep("triv", 1, ones),
+                                 Irrep("sgn", 1, signs)])
+        with pytest.raises(ValueError, match="AC-swap"):
+            CharacterTransform(random_tensor(range(1, 5), 3), swap)
 
     @pytest.mark.parametrize("name", ["GMM", "SSM", "K81"])
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
