@@ -19,18 +19,19 @@ each g sends each member, as positions in the sorted member list) and the
 irrep, and few local actions occur at any power, so it runs once per process
 for each of them and the vectors are copied onto every orbit of that shape.
 
-Group averaging never holds the |G| x k^l table of pattern images: it sums
-over G as a product of sums over cyclic subgroups, gathering block by block,
-so its memory is one k^l array besides its input whatever the group order.
-The same sums run over the blocks of one G-orbit of high digits at a time,
-which gives a model fit its averages in a buffer of |G| blocks.
+A model fit's group average never holds the |G| x k^l table of pattern
+images, nor a k^l array: it sums over G as a product of sums over cyclic
+subgroups, gathering block by block, over the blocks of one G-orbit of high
+digits at a time, in a buffer of |G| blocks.
 
-Scoring builds no basis above power 1.  ``CliffordReduction`` places the
-first copy of every irrep on one label class of the Kronecker powers of an
-abelian label group's one-site basis, where the stabiliser of a state acts
-by permuting digits, and builds that copy orbit by orbit with the same
-machinery as the bases: the orbits once per stabiliser, at the highest
-power asked so far.
+Scoring builds no basis above power 1 and averages by masking.
+``CliffordReduction`` places the first copy of every irrep on one label
+class of the Kronecker powers of an abelian label group's one-site basis,
+where the stabiliser of a state acts by permuting digits, and builds that
+copy orbit by orbit with the same machinery as the bases: the orbits once
+per stabiliser, at the highest power asked so far.  In those coordinates
+the label group's average is the class of label 0, and the model's is that
+class averaged over the stabiliser, one gather per element.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ K = 4
 MODEL_NAMES = ("GMM", "SSM", "K81", "K80", "JC69")
 
 MAX_POWER = 12          # k^l capacity guard for multiplicities and bases
-_BLOCK_DIGITS = 7       # group averages gather blocks of k^7 patterns
+_BLOCK_DIGITS = 7       # orbit averages gather blocks of <= k^7 patterns
 _ORBIT_BYTES = 2 ** 20  # an orbit walk's buffer: |G| blocks of floats
 
 Perm = tuple[int, ...]
@@ -487,37 +488,6 @@ def _checked(values, power: int) -> np.ndarray:
     return values
 
 
-def group_average(values: np.ndarray, model: EquivariantModel,
-                  power: int) -> np.ndarray:
-    """Orthogonal projection of a flat k^l tensor onto the G-invariants.
-
-    With T_g the gather psi -> psi[g . p] and the cyclic factors C_i of G,
-    sum_G T_g = (sum_{C_k} T) ... (sum_{C_1} T): C_1 gathers from ``values``
-    and each later C_i = {1, c} adds a gather of the sum to itself, so JC69
-    takes 5 gathers, K80 3, K81 2 and SSM 1.  Element g moves the block of
-    k^7 patterns with high digits h to block g . h, so the sums run over
-    all blocks at once (``_sum_images``), one element's rows at a time,
-    with two block-sized buffers."""
-    if model.order == 1:
-        return np.asarray(values, dtype=float)
-    values = _checked(values, power)
-    first, *rest = _cyclic_factors(model)
-    low = min(power, _BLOCK_DIGITS)
-    blocks = values.reshape(-1, K ** low)
-    acc = blocks.copy()
-    row, high = np.empty(K ** low, np.int64), np.empty(len(acc), np.int64)
-
-    def rows(elements):  # each element's rows in turn, in ``row`` and ``high``
-        for g in elements:
-            yield (_element_row(g, low, row),
-                   _element_row(g, power - low, high))
-
-    _sum_images(acc, blocks, rows(first[1:]), rows(c for _, c in rest),
-                np.empty(K ** low))
-    acc /= model.order
-    return acc.reshape(-1)
-
-
 def _orbit_digits(model: EquivariantModel) -> int:
     """The most low digits, up to 7, for which |G| blocks of k^l floats fit
     in ``_ORBIT_BYTES``: 6 for JC69, 7 for the others."""
@@ -528,11 +498,11 @@ def _orbit_digits(model: EquivariantModel) -> int:
 def orbit_averages(values: np.ndarray, model: EquivariantModel, power: int
                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each block of ``values`` beside its group average, one G-orbit of
-    high digits at a time: ``group_average`` bit for bit, without a
-    tensor-sized buffer.  An orbit's blocks are copied into one buffer of
-    |G| blocks (at most 1 MiB, ``_orbit_digits``) and their images summed
-    there (``_sum_images``); each average is a view of that buffer, which
-    the next orbit writes over.  Each factor element's rows are built once;
+    high digits at a time, without a tensor-sized buffer.  An orbit's
+    blocks are copied into one buffer of |G| blocks (at most 1 MiB,
+    ``_orbit_digits``) and their images summed there (``_sum_images``);
+    each average is a view of that buffer, which the next orbit writes
+    over.  Each factor element's rows are built once;
     the orbits are the classes of high patterns that those elements join,
     each labelled by its least member."""
     values = _checked(values, power)
@@ -858,6 +828,25 @@ class CliffordReduction:
         self.irrep_labels = tuple(irrep_labels)
         self._first_copies: dict[int, tuple] = {}
         self._top, self._rows = 0, []   # the rows at the highest power
+
+    def stabiliser_average(self, kept: np.ndarray) -> np.ndarray:
+        """The model's average of ``kept``, the label group's: the class of
+        label 0 of a transform, its last axis the one digit completing a
+        pattern (``CharacterTransform``), averaged over the stabiliser H.
+        H permutes all digits alike, so an element is one gather, by its
+        rows at the leading and at the trailing half of the other axes."""
+        if len(self._perms) == 1 or not kept.size:
+            return kept
+        power = kept.ndim - 1
+        lead = power // 2
+        source = kept.reshape(K ** lead, -1)
+        total = source.copy()
+        head, tail = (np.empty(K ** m, np.int64) for m in (lead, power - lead))
+        for perm in self._perms[1:]:
+            total += source[_element_row(perm, lead, head)[:, None],
+                            _element_row(perm, power - lead, tail)]
+        total /= len(self._perms)
+        return total.reshape(kept.shape)
 
     def first_copies(self, power: int) -> tuple:
         """Per irrep t, ``None`` when its first copy at this power is the

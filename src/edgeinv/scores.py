@@ -24,12 +24,11 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .groups import EquivariantModel, MultiplicityVector, \
-    clifford_reduction, expected_rank_vector, orbit_averages
+    expected_rank_vector, orbit_averages
 from .tensors import (
     CharacterTransform,
     PatternTensor,
     RankVector,
-    averaged,
     block_spectra,
     character_flattening,
     split_stacks,
@@ -65,8 +64,8 @@ def split_score(psi: PatternTensor, split: Bipartition,
     (``score_splits`` with this one split).
 
     The score is of the group-averaged tensor, the projection onto the
-    G-invariants whose flattening ranks the edge invariants bound; a tensor
-    that ``averaged`` returned for ``model`` is not averaged again.
+    G-invariants whose flattening ranks the edge invariants bound, which
+    the split table's character transform holds (``CharacterTransform``).
     Trivial splits score 0 by construction: a side of one leaf makes every
     block at most m_t rows tall, so there is no spectral tail to measure.
     """
@@ -92,17 +91,19 @@ class SplitTable:
     the decision queries ``passes`` and ``ranked`` score every mask they
     are given that ``scored`` does not hold yet, the table's ``masks`` on
     creation.  Trivial splits get their achieved ranks here too.  Every
-    score comes from one group average of the tensor, its one norm and its
-    one character transform.
+    score comes from the tensor's one character transform and the norm of
+    the group average that it holds.
 
     Every model takes one block route (``tensors.character_flattening``).
-    The averaged tensor is transformed once, by a one-site character basis
-    along each axis (the model's own for GMM, SSM and K81, K81's for K80
-    and JC69), and the table keeps the transform's class of label 0 only:
-    a quarter of the tensor, half for SSM, all of it for GMM.  Each split's
-    block of irrep t pairs the patterns of t's label c_t on both sides,
-    compressed to the first copy of t by a small change of basis for the
-    stabiliser of c_t, both read off the irrep matrices
+    The tensor is transformed once, by a one-site character basis along
+    each axis (the model's own for GMM, SSM and K81, K81's for K80 and
+    JC69), and the table keeps the transform's class of label 0 only: a
+    quarter of the tensor, half for SSM, all of it for GMM.  That is the
+    label group's average and, averaged over the 2 or 6 digit permutations
+    of the stabiliser of a state, K80's or JC69's (``CharacterTransform``).
+    Each split's block of irrep t pairs the patterns of t's label c_t on
+    both sides, compressed to the first copy of t by a small change of
+    basis for the stabiliser of c_t, both read off the irrep matrices
     (``groups.CliffordReduction``); for the abelian models c_t is t and
     the change of basis is the identity.
 
@@ -117,14 +118,10 @@ class SplitTable:
 
     def __init__(self, psi: PatternTensor, model: EquivariantModel,
                  masks: Iterable[int] = ()):
-        average = averaged(psi, model)
         self.model = model
-        self.norm = average.norm()
-        if average is not psi:  # its transform alone reads it, writing over it
-            average.values.setflags(write=True)
-        self.transform = CharacterTransform(
-            average, clifford_reduction(model).labels)
-        del average
+        self.transform = CharacterTransform(psi, model)
+        # the basis is orthonormal: the average's norm is the kept class's
+        self.norm = float(np.linalg.norm(self.transform.kept))
         self.scored: dict[int, SplitScore] = {}
         self.fill(masks)
 
@@ -372,15 +369,15 @@ def evaluate_generators(psi: PatternTensor, split: Bipartition,
 
     Enumeration order is frozen for reproducibility of budgeted runs:
     blocks in irrep order, row subsets lexicographically major, column
-    subsets lexicographically within each row subset.  The minors are
-    those of the ``character_flattening`` blocks, whose multiplicity-space
-    bases are orthonormal: another such basis changes the minors but not
-    the ideal they generate.  The maximum absolute minor is an exact
-    membership witness: all minors vanish iff every block rank bound holds.
+    subsets lexicographically within each row subset.  The minors are those
+    of the group average's ``character_flattening`` blocks, in orthonormal
+    multiplicity-space bases: others change the minors but not the ideal
+    they generate.  The maximum absolute minor is an exact membership
+    witness: all minors vanish iff every block rank bound holds.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    blocks = dict(character_flattening(averaged(psi, model), [split], model))
+    blocks = dict(character_flattening(psi, [split], model))
     target = model.multiplicities(1)
     best = 0.0
     evaluated = 0
@@ -414,13 +411,12 @@ def model_fit_score(psi: PatternTensor, model: EquivariantModel) -> float:
     """Relative violation of the linear constraints carving out the
     G-invariant tensors: ||psi - avg(psi)|| / ||psi||, zero iff exactly
     invariant.  Nested symmetries give nested scores: a larger group can only
-    increase the residual.  The trivial group, and an average of ``model``
-    (``averaged``), score exactly 0.
+    increase the residual.  The trivial group scores exactly 0.
 
     The average is made one G-orbit of blocks at a time
     (``groups.orbit_averages``), and the difference taken block by block in
     the orbit's buffer, so nothing tensor-sized is allocated."""
-    if model.order == 1 or psi._averaged_for is model:
+    if model.order == 1:
         if psi.norm() == 0.0:
             raise ValueError("model fit is undefined for the zero tensor")
         return 0.0

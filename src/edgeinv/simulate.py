@@ -155,6 +155,9 @@ def joint_distribution(pres: EvolutionaryPresentation,
     independence); matrices along reversed edges are transposed.
     """
     tree = pres.tree
+    if tree.n_leaves > MAX_LEAVES:  # before the table of every pattern
+        raise ValueError(f"{tree.n_leaves} positions exceed the dense cap "
+                         f"{MAX_LEAVES}")
     if tree.n_leaves == 1:
         return PatternTensor(pres.root_distribution.copy(), (1,),
                              stochastic=pres.stochastic)

@@ -20,12 +20,13 @@ and every caller, for a stack of splits with equal side sizes at once (a
 single split is a stack of one), from the tensor's one character transform
 (``CharacterTransform``): the one-site adapted basis of an abelian label
 group along every axis (the model's own for GMM, SSM and K81, K81's for
-K80 and JC69), kept on its class of label 0.  The block of irrep t pairs
-the side-1 patterns of label c_t with the side-2 patterns of label c_t,
-compressed on both sides to the first copy of t by a small change of basis
-for the stabiliser of c_t (``groups.CliffordReduction``); for the abelian
-models c_t is t and the change of basis is the identity.  No basis above
-power 1 is built.
+K80 and JC69), kept on its class of label 0: the transform of the label
+group's average and, once averaged over the stabiliser of a state, of the
+model's.  The block of irrep t pairs the side-1 patterns of label c_t with
+the side-2 patterns of label c_t, compressed on both sides to the first
+copy of t by a small change of basis for the stabiliser of c_t
+(``groups.CliffordReduction``); for the abelian models c_t is t and the
+change of basis is the identity.  No basis above power 1 is built.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import io
 import json
 import operator
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator
 
@@ -47,7 +48,6 @@ from .groups import (
     clifford_reduction,
     completing_digits,
     copy_label_zero,
-    group_average,
     label_classes,
     symmetry_adapted_basis,
 )
@@ -80,9 +80,6 @@ class PatternTensor:
     values: np.ndarray
     labels: tuple[int, ...]
     stochastic: bool = False
-    # the model whose group average these values are, set by ``averaged``
-    _averaged_for: EquivariantModel | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -205,18 +202,6 @@ def pattern_strings(indices: np.ndarray, n: int) -> list[str]:
     return letters.view(f"S{n}").ravel().astype(f"U{n}").tolist()
 
 
-def averaged(psi: PatternTensor, model: EquivariantModel) -> PatternTensor:
-    """Group-average ``psi`` onto the exactly invariant tensors.  The trivial
-    group, and a tensor that is already this function's output for
-    ``model``, come back as they are: the average is a projection, and the
-    values of a ``PatternTensor`` are read-only."""
-    if model.order == 1 or psi._averaged_for is model:
-        return psi
-    out = replace(psi, values=group_average(psi.values, model, psi.n))
-    object.__setattr__(out, "_averaged_for", model)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Flattenings
 # ---------------------------------------------------------------------------
@@ -244,26 +229,25 @@ def block_spectra(blocks: np.ndarray) -> np.ndarray:
 
 
 class CharacterTransform:
-    """A tensor's coordinates in the Kronecker power of the one-site adapted
-    basis of an abelian model, on the class of label 0 (the product of a
-    pattern's digit characters), which holds every split block.  ``kept``
-    has an axis per position in label order, the last holding the k digits
-    there that complete the class: k = 1 for K81, 2 for SSM, 4 for GMM.  It
-    holds no reference to the tensor.
+    """A tensor's group average under ``model`` in the Kronecker power of
+    the one-site adapted basis of its label group (``CliffordReduction``),
+    on the class of label 0 (the product of a pattern's digit characters),
+    which holds every split block and is all that the label group's average
+    keeps; the stabiliser's average of it is the model's.  ``kept`` has an
+    axis per position in label order, the last holding the k digits there
+    that complete the class: k = 1 for K81, K80 and JC69, 2 for SSM, 4 for
+    GMM.  It holds no reference to the tensor.
     """
 
     def __init__(self, psi: PatternTensor, model: EquivariantModel):
-        if not model.abelian:
-            raise ValueError(f"{model.name} has irreps of dimension > 1")
-        k = len(completing_digits(model)[0])
-        self.model = model
+        reduction = clifford_reduction(model)
+        self.label_group = reduction.labels
+        k = len(completing_digits(self.label_group)[0])
         self.labels = psi.labels
         self._axes = dict(zip(sorted(psi.labels), range(psi.n)))
-        matrix = symmetry_adapted_basis(model, 1).dense()
+        matrix = symmetry_adapted_basis(self.label_group, 1).dense()
         coeffs = psi.values
-        # writeable values are an average handed over; pass 2 writes over them
-        buffers = (np.empty(coeffs.size), coeffs if coeffs.flags.writeable
-                   else np.empty(coeffs.size))
+        buffers = np.empty(coeffs.size), np.empty(coeffs.size)
         for i in range(psi.n):
             # contract the leading axis; the new one goes last, so after n
             # passes the axes are back in order.  Passes alternate buffers.
@@ -271,18 +255,12 @@ class CharacterTransform:
                                out=buffers[i % 2].reshape(-1, K))
         # the positions in label order, so the largest label's goes last
         full = coeffs.reshape((K,) * psi.n).transpose(np.argsort(psi.labels))
-        handed = buffers[psi.n % 2] is psi.values
-        del buffers, coeffs
+        del buffers, coeffs  # the spare buffer is dropped
         rows = full.size // K  # the other positions' patterns
-        if handed:  # the caller still holds it: the class is made in it
-            kept, mask = np.split(psi.values, [rows * k])
-            mask = mask.view(np.bool_)[:rows]
-        else:  # the spare buffer is ours, and dropped
-            kept, mask = np.empty(rows * k), np.empty(rows, np.bool_)
-        kept = kept.reshape(full.shape[:-1] + (-1,))
-        copy_label_zero(full, model, kept, mask)
-        del full  # before a class made in the average is copied out
-        self.kept = kept.copy() if handed else kept
+        kept = np.empty(rows * k).reshape(full.shape[:-1] + (-1,))
+        copy_label_zero(full, self.label_group, kept, np.empty(rows, np.bool_))
+        del full  # the last tensor-sized buffer, before the average's
+        self.kept = reduction.stabiliser_average(kept)
 
     def blocks(self, sides: list[tuple[tuple[int, ...], tuple[int, ...]]],
                labels: list[int]) -> list[np.ndarray]:
@@ -291,8 +269,8 @@ class CharacterTransform:
         pair of side sizes), of shape (len(sides), side-1 patterns of label
         c, side-2 patterns of label c): the patterns of the side without
         the largest label, taken from one copy of ``kept`` per split."""
-        members1 = label_classes(self.model, len(sides[0][0]))
-        members2 = label_classes(self.model, len(sides[0][1]))
+        members1 = label_classes(self.label_group, len(sides[0][0]))
+        members2 = label_classes(self.label_group, len(sides[0][1]))
         stacks = [np.empty((len(sides), len(members1[c]), len(members2[c])))
                   for c in labels]
         for i, (side1, side2) in enumerate(sides):
@@ -351,13 +329,13 @@ def character_flattening(psi: PatternTensor, splits,
     ``psi`` under the model's label group (see ``CliffordReduction``): the
     label-c_t block, compressed on both sides to the first copy of t.  The
     irreps come grouped by label, from the blocks of every label wanted,
-    taken at once (``CharacterTransform.blocks``).  A single split is a
-    stack of one.  On a tensor that is not group-invariant, K80's
-    E block is another copy of E than the first.  ``psi`` may also be the
-    tensor's character transform under that label group."""
+    taken at once (``CharacterTransform.blocks``), so they are the blocks
+    of the group average.  A single split is a stack of one.  ``psi`` may
+    also be a character transform: the tensor's under ``model``, or, for
+    the blocks of the tensor itself, under the label group."""
     reduction = clifford_reduction(model)
     transform = psi if isinstance(psi, CharacterTransform) else \
-        CharacterTransform(psi, reduction.labels)
+        CharacterTransform(psi, model)
     sides = [_sides(transform, split) for split in splits]
     l1, l2 = map(len, sides[0])
     if any((len(a), len(b)) != (l1, l2) for a, b in sides):

@@ -5,9 +5,10 @@ decision by scanning them, greedy selection from every split, split tables
 with made-up scores, tensors, the gluing contraction, the no-mutation
 presentation, relabellings, dense operators, pattern maps, presentation
 JSON round-trips, the per-split block route, the line-by-line FASTA strip,
-alignments from pattern counts, the string route of sampled FASTA text, and
-the loop forms of the FASTA column count and the character transform, the
-group tables by brute force, and table digests, that the tests build their
+alignments from pattern counts, the string route of sampled FASTA text, the
+loop forms of the FASTA column count and the character transform, the group
+average over whole tensors, the group tables by brute force, and table
+digests, that the tests build their
 fixtures and oracles from, and the package does not use.  Only the sparse
 route needs scipy."""
 
@@ -22,8 +23,9 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 from scipy import sparse
 
-from edgeinv.groups import K, EquivariantModel, MultiplicityVector, \
-    SymmetryAdaptedBasis, _element_row, builtin_model, clifford_reduction, \
+from edgeinv.groups import _BLOCK_DIGITS, K, EquivariantModel, \
+    MultiplicityVector, SymmetryAdaptedBasis, _checked, _cyclic_factors, \
+    _element_row, _sum_images, builtin_model, clifford_reduction, \
     label_classes, symmetry_adapted_basis
 from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_RANK_NOT_GENERIC, \
     WARN_TIE, ReconstructionResult, data_driven_tol
@@ -33,8 +35,8 @@ from edgeinv.scores import DEFAULT_RANK_TOL, DEFAULT_SCORE_TOL, SplitScore, \
 from edgeinv.simulate import Alignment, EvolutionaryPresentation, \
     _default_root, _oriented_edges, default_taxa
 from edgeinv.tensors import PatternTensor, RankVector, _sides, \
-    averaged, block_spectra, character_flattening, pattern_codes, \
-    pattern_strings, stack_ranks
+    block_spectra, character_flattening, pattern_codes, pattern_strings, \
+    stack_ranks
 from edgeinv.trees import Bipartition, TreeTopology, from_newick, \
     splits_compatible, to_newick, tree_from_splits
 
@@ -152,10 +154,10 @@ def thin_flatten(psi: PatternTensor, split,
                  model: EquivariantModel) -> SparseThinFlattening:
     """Transform the flattening into the symmetry-adapted bases of the two
     sides and return the per-irrep first-copy blocks; only those blocks are
-    computed.  They differ from ``character_flattening``'s by orthogonal
+    computed.  ``character_flattening`` takes the blocks of the group
+    average; on an invariant tensor those differ from these by orthogonal
     changes of basis within each multiplicity space, so their spectra
-    agree; on a tensor that is not group-invariant they agree too, except
-    for K80's E, where ``character_flattening`` holds another copy of E."""
+    agree."""
     side1, side2 = _sides(psi, split)
     basis1 = symmetry_adapted_basis(model, len(side1))
     basis2 = symmetry_adapted_basis(model, len(side2))
@@ -311,9 +313,7 @@ def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
     """
     _check_tol(tol)
     n = psi.n
-    scored_psi = averaged(psi, model)
-    table = score_splits(scored_psi, model,
-                         all_bipartitions(n, nontrivial_only=True))
+    table = score_splits(psi, model, all_bipartitions(n, nontrivial_only=True))
     topologies = enumerated(n)
     tree_scores = [tuple(table[s] for s in tree.interior_splits())
                    for tree in topologies]
@@ -339,8 +339,7 @@ def scan_exhaustive(psi: PatternTensor, model: EquivariantModel,
 
     genericity: tuple[str, ...] = ()
     if check_genericity:
-        lines = genericity_check(scored_psi, model,
-                                 topologies[winner]).warnings()
+        lines = genericity_check(psi, model, topologies[winner]).warnings()
         genericity = (WARN_RANK_NOT_GENERIC, *lines) if lines else ()
     result = ReconstructionResult(
         method="exhaustive", tree=topologies[winner],
@@ -570,6 +569,49 @@ def character_transform_loop(psi: PatternTensor,
     for _ in range(psi.n):
         coeffs = coeffs.reshape(K, -1).T @ matrix
     return coeffs.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# The group average over whole tensors
+# ---------------------------------------------------------------------------
+
+def group_average(values: np.ndarray, model: EquivariantModel,
+                  power: int) -> np.ndarray:
+    """Orthogonal projection of a flat k^l tensor onto the G-invariants.
+
+    With T_g the gather psi -> psi[g . p] and the cyclic factors C_i of G,
+    sum_G T_g = (sum_{C_k} T) ... (sum_{C_1} T): C_1 gathers from ``values``
+    and each later C_i = {1, c} adds a gather of the sum to itself, so JC69
+    takes 5 gathers, K80 3, K81 2 and SSM 1.  Element g moves the block of
+    k^7 patterns with high digits h to block g . h, so the sums run over
+    all blocks at once (``_sum_images``), one element's rows at a time,
+    with two block-sized buffers."""
+    if model.order == 1:
+        return np.asarray(values, dtype=float)
+    values = _checked(values, power)
+    first, *rest = _cyclic_factors(model)
+    low = min(power, _BLOCK_DIGITS)
+    blocks = values.reshape(-1, K ** low)
+    acc = blocks.copy()
+    row, high = np.empty(K ** low, np.int64), np.empty(len(acc), np.int64)
+
+    def rows(elements):  # each element's rows in turn, in ``row`` and ``high``
+        for g in elements:
+            yield (_element_row(g, low, row),
+                   _element_row(g, power - low, high))
+
+    _sum_images(acc, blocks, rows(first[1:]), rows(c for _, c in rest),
+                np.empty(K ** low))
+    acc /= model.order
+    return acc.reshape(-1)
+
+
+def averaged(psi: PatternTensor, model: EquivariantModel) -> PatternTensor:
+    """``psi`` projected onto the G-invariant tensors by ``group_average``;
+    the trivial group gives ``psi`` back."""
+    if model.order == 1:
+        return psi
+    return replace(psi, values=group_average(psi.values, model, psi.n))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from edgeinv.simulate import (
     random_presentation,
     sample_alignment,
 )
-from edgeinv.tensors import PatternTensor, averaged
+from edgeinv.tensors import PatternTensor
 from edgeinv.trees import Bipartition, splits_compatible, tree_from_splits
-from helpers import enumerate_trivalent_topologies, flatten, \
+from helpers import averaged, enumerate_trivalent_topologies, flatten, \
     flattening_rank, no_mutation_presentation, star_contract, thin_flatten, \
     thin_rank
 

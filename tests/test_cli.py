@@ -212,6 +212,27 @@ class TestSimulate:
                                     "error: --sites must be at least 1\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("n", [13, 40])
+    @pytest.mark.parametrize("sites", [[], ["--sites", "10"]])
+    def test_past_the_cap_exit_one_before_the_table(self, capsys, tmp_path,
+                                                    n, sites):
+        # the table of every pattern of 13 leaves would take 2 GiB
+        newick = "(" * (n - 1) + "1,2)" + "".join(
+            f",{leaf})" for leaf in range(3, n + 1)) + ";"
+        out_path = tmp_path / "big.out"
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "simulate", "--model", "JC69",
+                                 "--tree", newick, "--seed", "1", *sites,
+                                 "--out", str(out_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (
+            1, "", f"error: {n} positions exceed the dense cap 12\n")
+        assert not out_path.exists()
+        assert peak < 2 ** 20
+
     def test_deterministic(self, capsys):
         a = run(capsys, "simulate", "--model", "K80", "--tree",
                 QUARTET_NEWICK, "--seed", "5")

@@ -21,12 +21,11 @@ from edgeinv.groups import (
     builtin_model,
     clifford_reduction,
     expected_rank_vector,
-    group_average,
     symmetry_adapted_basis,
 )
 from edgeinv.trees import Bipartition, TreeTopology
-from helpers import conjugation_classes, invariant_projector, \
-    pairwise_closure, pattern_maps, table_digest
+from helpers import conjugation_classes, group_average, \
+    invariant_projector, pairwise_closure, pattern_maps, table_digest
 
 HADAMARD = {
     "Abar": np.array([1.0, 1.0, 1.0, 1.0]),

@@ -26,11 +26,12 @@ from edgeinv.scores import (
     split_score,
 )
 from edgeinv.simulate import joint_distribution, random_presentation
-from edgeinv.tensors import STACK_ENTRIES, PatternTensor, averaged, \
-    split_stacks
+from edgeinv.tensors import STACK_ENTRIES, CharacterTransform, \
+    PatternTensor, split_stacks
 from edgeinv.trees import Bipartition, TreeTopology, from_newick
-from helpers import enumerate_trivalent_topologies, fit_score_oracle, \
-    no_mutation_presentation, per_split_score, thin_flatten, thin_rank
+from helpers import averaged, enumerate_trivalent_topologies, \
+    fit_score_oracle, no_mutation_presentation, per_split_score, \
+    thin_flatten, thin_rank
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -208,14 +209,15 @@ class TestScoreSplits:
         assert max(built, default=1) == 1
 
     def test_table_takes_one_average(self, monkeypatch):
+        # the average is the character transform's, made once per table
         calls = []
-        original = edgeinv.tensors.group_average
+        original = CharacterTransform.__init__
 
-        def counted(*args):
+        def counted(self, *args):
             calls.append(args)
-            return original(*args)
+            original(self, *args)
 
-        monkeypatch.setattr(edgeinv.tensors, "group_average", counted)
+        monkeypatch.setattr(CharacterTransform, "__init__", counted)
         psi = PatternTensor(np.random.default_rng(9).random(4 ** 8),
                             tuple(range(1, 9)))
         table = score_splits(psi, builtin_model("K80"),
@@ -225,8 +227,8 @@ class TestScoreSplits:
     def test_trivial_splits_take_no_average(self, monkeypatch):
         # they score 0 by construction, as a split table would not
         calls = []
-        monkeypatch.setattr(edgeinv.tensors, "group_average",
-                            lambda *args: calls.append(args))
+        monkeypatch.setattr(CharacterTransform, "__init__",
+                            lambda self, *args: calls.append(args))
         psi = PatternTensor(np.random.default_rng(9).random(4 ** 6),
                             tuple(range(1, 7)))
         scores = score_splits(psi, builtin_model("JC69"),
@@ -236,7 +238,8 @@ class TestScoreSplits:
 
     @pytest.mark.parametrize("name", ["K81", "K80", "JC69"])
     def test_first_fill_holds_two_tensors(self, name):
-        # the average made by the table is the transform's second buffer
+        # the transform's two buffers; the kept class and its stabiliser
+        # average are made after the spare one is dropped
         model = builtin_model(name)
         psi = PatternTensor(np.random.default_rng(2).random(4 ** 9),
                             tuple(range(1, 10)))
@@ -256,7 +259,7 @@ class TestScoreSplits:
     def test_built_table_holds_its_kept_class(self, name, share, n):
         # the class of label 0 of the transform: a quarter of the tensor's
         # entries, half for SSM.  It is made after the spare buffer is
-        # dropped (8 leaves) or inside it, the average (9 leaves)
+        # dropped, at 8 and at 9 leaves
         model = builtin_model(name)
         psi = PatternTensor(np.random.default_rng(2).random(4 ** n),
                             tuple(range(1, n + 1)))
@@ -274,8 +277,8 @@ class TestScoreSplits:
 
     @pytest.mark.parametrize("name", ["GMM", "K81", "JC69"])
     def test_caller_tensor_is_not_written(self, name):
-        # an input that ``averaged`` hands back keeps its values, and its
-        # transform, for the next table
+        # an invariant input keeps its values, and its transform, for the
+        # next table
         model = builtin_model(name)
         psi = averaged(PatternTensor(np.random.default_rng(4).random(4 ** 6),
                                      tuple(range(1, 7))), model)
@@ -286,19 +289,25 @@ class TestScoreSplits:
         assert SplitTable(psi, model, [0b11]).scored == first
 
     def test_table_takes_one_norm(self, monkeypatch):
-        norms = []
-        original = PatternTensor.norm
-
-        def counted(psi):
-            norms.append(psi)
-            return original(psi)
-
-        monkeypatch.setattr(PatternTensor, "norm", counted)
+        # the group average's, from the kept class of its transform
+        model = builtin_model("JC69")
         psi = PatternTensor(np.random.default_rng(8).random(4 ** 6),
                             tuple(range(1, 7)))
-        table = score_splits(psi, builtin_model("JC69"),
-                             all_bipartitions(6, True))
-        assert len(table) == 25 and len(norms) == 1
+        score_splits(psi, model, [Bipartition({2, 3}, 6)])  # model tables
+        norms = []
+        original = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            norms.append(np.shape(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        table = SplitTable(psi, model, map(side_mask,
+                                           all_bipartitions(6, True)))
+        assert len(table.scored) == 25
+        assert norms == [table.transform.kept.shape]
+        want = averaged(psi, model).norm()
+        assert abs(table.norm - want) <= 1e-15 * want
 
     def test_edge_test_reads_the_table(self):
         model = builtin_model("K80")
@@ -375,9 +384,15 @@ class TestStacks:
             # bit for bit: floats compare equal only when their bits agree
             # (no score is -0.0 or nan)
             assert table.scored == alone
+        # against the independent per-split route, which averages the
+        # whole tensor first: to rounding
         for mask, score in alone.items():
             if not score.split.is_trivial:
-                assert score == per_split_score(psi, score.split, model)
+                want = per_split_score(psi, score.split, model)
+                assert score.achieved == want.achieved
+                for a, b in zip((score.score, *score.per_block_residuals),
+                                (want.score, *want.per_block_residuals)):
+                    assert abs(a - b) <= max(1e-12 * b, 1e-15)
 
     def test_one_gather_per_label_and_one_svd_per_irrep(self, monkeypatch):
         # each split of a stack takes one copy of the kept class, made
@@ -489,7 +504,7 @@ class TestEdgeInvariantTest:
             raise AssertionError("the tensor was averaged")
 
         psi = simulated("K81", 0)
-        monkeypatch.setattr(edgeinv.scores, "averaged", unreachable)
+        monkeypatch.setattr(CharacterTransform, "__init__", unreachable)
         with pytest.raises(ValueError, match=r"^tol must be finite and "
                                              r"non-negative, got "):
             edge_invariant_test(psi, quartet12(), builtin_model("K81"), tol)
@@ -505,7 +520,7 @@ class TestEdgeInvariantTest:
         n = tree.n_leaves
         psi = PatternTensor(np.random.default_rng(n).random(4 ** n),
                             tuple(range(1, n + 1)))
-        monkeypatch.setattr(edgeinv.scores, "averaged", unreachable)
+        monkeypatch.setattr(CharacterTransform, "__init__", unreachable)
         with pytest.raises(ValueError, match=r"^tol must be finite and "
                                              r"non-negative, got None$"):
             edge_invariant_test(psi, tree, builtin_model("K81"), None)
@@ -696,8 +711,8 @@ class TestModelFit:
         assert chain[-1] == 0.0
 
     def test_zero_tensor_rejected(self):
-        # on the orbit walk (at 9 leaves, several orbits) and on the paths
-        # that skip it: the trivial group and an average of the model
+        # on the orbit walk (at 9 leaves, several orbits), an average of the
+        # model's included, and on the path that skips it, the trivial group
         for name in MODELS:
             model = builtin_model(name)
             for n in (4, 9):
@@ -711,7 +726,8 @@ class TestModelFit:
     def test_matches_the_difference_oracle(self, name, n):
         # the difference taken one orbit of blocks at a time, which from 9
         # leaves on is several orbits of several blocks for every model;
-        # exactly 0.0 for the trivial group and for an average of this model
+        # exactly 0.0 for the trivial group, and rounding for an average
+        # of this model
         model = builtin_model(name)
         psi = PatternTensor(np.random.default_rng(n).random(4 ** n),
                             tuple(range(1, n + 1)))
@@ -719,8 +735,8 @@ class TestModelFit:
         assert abs(got - want) <= 1e-15 * want
         assert (got == 0.0) == (want == 0.0) == (name == "GMM")
         avg = averaged(psi, model)
-        assert model_fit_score(avg, model) == fit_score_oracle(avg, model) \
-            == 0.0
+        assert model_fit_score(avg, model) <= 1e-15
+        assert fit_score_oracle(avg, model) <= 1e-15
 
     @pytest.mark.parametrize("name", MODELS)
     def test_holds_one_tensor_beyond_its_input(self, name):

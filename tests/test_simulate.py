@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from edgeinv.cli import _load_input
-from edgeinv.groups import builtin_model, group_average
+from edgeinv.groups import builtin_model
 from edgeinv.reconstruct import empirical_tensor
 from edgeinv.simulate import (
     Alignment,
@@ -29,8 +29,8 @@ from edgeinv.tensors import PatternTensor
 from edgeinv.trees import TreeTopology, from_newick
 import edgeinv.simulate
 from helpers import alignment_from_counts, fasta_by_pattern_strings, \
-    fasta_column_counts, lines_stripped_one_by_one, no_mutation_presentation, \
-    presentation_from_json, presentation_to_json
+    fasta_column_counts, group_average, lines_stripped_one_by_one, \
+    no_mutation_presentation, presentation_from_json, presentation_to_json
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -207,6 +207,23 @@ class TestJointDistribution:
         expected = np.array([[0.25 * a[x2, x1] for x2 in range(4)]
                              for x1 in range(4)]).reshape(-1)
         assert np.abs(psi.values - expected).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [13, 40])
+    def test_past_the_cap_rejected_before_the_table(self, n):
+        # the table of every pattern of 13 leaves would take 2 GiB
+        newick = "(" * (n - 1) + "1,2)" + "".join(
+            f",{leaf})" for leaf in range(3, n + 1)) + ";"
+        pres = random_presentation(builtin_model("JC69"),
+                                   from_newick(newick)[0], 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{n} positions exceed "
+                                                 f"the dense cap 12$"):
+                joint_distribution(pres)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_six_leaf_stochastic(self):
         tree = TreeTopology(6, [(1, 7), (2, 7), (7, 8), (3, 8), (8, 9),

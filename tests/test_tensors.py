@@ -15,13 +15,12 @@ import pytest
 
 import edgeinv.groups
 from edgeinv.groups import EquivariantModel, Irrep, builtin_model, \
-    clifford_reduction, group_average, label_classes, symmetry_adapted_basis
+    clifford_reduction, label_classes, symmetry_adapted_basis
 from edgeinv.scores import SplitTable, all_bipartitions, score_splits
 from edgeinv.tensors import (
     AMBIGUOUS,
     CharacterTransform,
     PatternTensor,
-    averaged,
     character_flattening,
     pattern_codes,
     pattern_indices,
@@ -36,10 +35,12 @@ from edgeinv.tensors import (
 )
 from edgeinv.trees import Bipartition
 from helpers import (
+    averaged,
     basis_matrix,
     character_transform_loop,
     flatten,
     flattening_rank,
+    group_average,
     identity_link,
     per_split_blocks,
     permute_labels,
@@ -397,8 +398,7 @@ class TestCharacterFlattening:
     @pytest.mark.parametrize("name", ["SSM", "K81"])
     @pytest.mark.parametrize("n", [4, 5, 8, 9])
     def test_average_handed_over_gives_the_same_class(self, name, n):
-        # writeable values are written over, and for odd n the class is
-        # made in them before it is copied out
+        # writeable values are read and not written over
         model = builtin_model(name)
         psi = random_tensor(range(1, n + 1), 40 + n)
         handed = PatternTensor(psi.values.copy(), psi.labels)
@@ -406,6 +406,7 @@ class TestCharacterFlattening:
         got = CharacterTransform(handed, model).kept
         assert got.base is None or got.base.size == got.size
         assert got.tobytes() == kept_class(psi, model).tobytes()
+        assert handed.values.tobytes() == psi.values.tobytes()
 
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -429,13 +430,14 @@ class TestCharacterFlattening:
         # largest label is on either side, and need not be the last axis
         model = builtin_model(name)
         psi = random_tensor(labels, len(labels))
+        transform = CharacterTransform(psi, clifford_reduction(model).labels)
         shapes = {}
         for r in range(1, len(labels)):
             for side1 in itertools.combinations(labels, r):
                 side2 = tuple(lab for lab in labels if lab not in side1)
                 shapes.setdefault(r, []).append((side1, side2))
         for stack in shapes.values():
-            assert_blocks_match(psi, psi, stack, model)
+            assert_blocks_match(transform, psi, stack, model)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_positions(self, n):
@@ -496,25 +498,21 @@ class TestCharacterFlattening:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     @pytest.mark.parametrize("average", [False, True])
     def test_klein_route_spectra_match_thin_flatten(self, name, n, average):
-        # from K81's transform, gathers and a stabiliser change of basis; on
-        # a tensor that is not invariant, K80's E block is another copy of E
-        # than the first, so only invariant tensors must agree there
+        # from K81's transform, averaged over the stabiliser of a state,
+        # gathers and a stabiliser change of basis: the blocks of the group
+        # average, every irrep's, whether or not the tensor is invariant
         model = builtin_model(name)
         psi = random_tensor(range(1, n + 1), 20 + n)
         if average:
             psi = averaged(psi, model)
-        other_copy = [not average and ir.name == "E" for ir in model.irreps]
         for split in all_bipartitions(n):
             got = stack_of_one(psi, split, model)
-            want = thin_flatten(psi, split, model)
+            want = thin_flatten(averaged(psi, model), split, model)
             sigma_max = max(s[0] for s in want.spectra if s.size)
-            for a, b, skip in zip(got.spectra, want.spectra, other_copy):
+            for a, b in zip(got.spectra, want.spectra):
                 assert a.shape == b.shape
-                if not skip:
-                    assert np.abs(a - b).max(initial=0.0) <= 1e-12 * sigma_max
-            ranks = zip(thin_rank(got).entries, thin_rank(want).entries,
-                        other_copy)
-            assert all(a == b for a, b, skip in ranks if not skip)
+                assert np.abs(a - b).max(initial=0.0) <= 1e-12 * sigma_max
+            assert thin_rank(got).entries == thin_rank(want).entries
             assert (got.row_mult, got.col_mult) == (want.row_mult,
                                                     want.col_mult)
 
@@ -529,8 +527,8 @@ class TestCharacterFlattening:
 
     @pytest.mark.parametrize("name", ["GMM", "K81", "JC69"])
     def test_scoring_leaves_no_transform_on_the_tensor(self, name):
-        # the split table owns its transform; a tensor that ``averaged``
-        # hands back as it is keeps nothing tensor-sized once it is scored
+        # the split table owns its transform; an invariant tensor keeps
+        # nothing tensor-sized once it is scored
         model = builtin_model(name)
         split = [Bipartition({1, 2, 3, 4}, 8)]
         score_splits(averaged(random_tensor(range(1, 9), 4), model), model,
@@ -545,10 +543,18 @@ class TestCharacterFlattening:
         assert held <= 0.05 * psi.values.nbytes
 
     @pytest.mark.parametrize("name", ["K80", "JC69"])
-    def test_non_abelian_model_rejected(self, name):
-        psi = random_tensor(range(1, 5), 3)
-        with pytest.raises(ValueError):
-            CharacterTransform(psi, builtin_model(name))
+    def test_stabiliser_average_is_the_group_average(self, name):
+        # on tensors that are not invariant, over 0 to 9 positions and out
+        # of label order: the kept class averaged over the stabiliser of
+        # state A is the K81 kept class of the whole tensor's average
+        model, k81 = builtin_model(name), builtin_model("K81")
+        cases = [tuple(range(1, n + 1)) for n in range(10)]
+        for labels in cases + [(3, 1, 4, 2, 5), (5, 2, 3, 1, 4), (2, 1)]:
+            psi = random_tensor(labels, 60 + len(labels))
+            got = CharacterTransform(psi, model).kept
+            want = CharacterTransform(averaged(psi, model), k81).kept
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestThinRank:
@@ -770,13 +776,6 @@ class TestGroupAveraging:
     def test_trivial_group_returns_input(self):
         psi = random_tensor(range(1, 4), 1)
         assert averaged(psi, builtin_model("GMM")) is psi
-
-    @pytest.mark.parametrize("name", ["K81", "JC69"])
-    def test_average_of_an_average_is_itself(self, name):
-        model = builtin_model(name)
-        avg = averaged(random_tensor(range(1, 4), 2), model)
-        assert averaged(avg, model) is avg
-        assert averaged(avg, builtin_model("SSM")) is not avg
 
     def test_average_preserves_stochastic(self):
         psi = random_tensor(range(1, 4), 1, stochastic=True)
