@@ -18,10 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import MODEL_NAMES, builtin_model, symmetry_adapted_basis
+from .groups import MODEL_NAMES, builtin_model, model_chain, \
+    symmetry_adapted_basis
 from .reconstruct import empirical_tensor, reconstruct_by_splits, \
     reconstruct_exhaustive
-from .scores import all_bipartitions, model_fit_score, score_splits, \
+from .scores import all_bipartitions, fit_scores, score_splits, \
     split_report
 from .simulate import (
     joint_distribution,
@@ -187,9 +188,10 @@ def cmd_fit(args) -> int:
                           if n.strip())
     if not names:
         raise ValueError("--models lists no model name")
+    models = [builtin_model(name) for name in names]
+    model_chain(models)  # names and nesting checked before the input is read
     psi = _load_input(args.input, args.format, args.ambiguous)
-    scores = {name: model_fit_score(psi, builtin_model(name))
-              for name in names}
+    scores = dict(zip(names, fit_scores(psi, models)))
     print(json.dumps({"n": psi.n, "fit_scores": scores}, indent=2))
     return 0
 

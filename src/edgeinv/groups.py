@@ -22,7 +22,10 @@ for each of them and the vectors are copied onto every orbit of that shape.
 A model fit's group average never holds the |G| x k^l table of pattern
 images, nor a k^l array: it sums over G as a product of sums over cyclic
 subgroups, gathering block by block, over the blocks of one G-orbit of high
-digits at a time, in a buffer of |G| blocks.
+digits at a time, in a buffer of |G| blocks.  Nested models share one walk:
+the largest group's factors are ordered so that their running products are
+the smaller groups, and each smaller group's average is read from the
+buffer at the stage where its factors are complete.
 
 Scoring builds no basis above power 1 and averages by masking.
 ``CliffordReduction`` places the first copy of every irrep on one label
@@ -454,8 +457,60 @@ def _cyclic_factors(model: EquivariantModel) -> tuple[tuple[Perm, ...], ...]:
     raise AssertionError(f"{model.name}: no cyclic factorization")
 
 
+def model_chain(models: Iterable[EquivariantModel]
+                ) -> tuple[EquivariantModel, ...]:
+    """The nontrivial groups among ``models``, once each and smallest
+    first; a ValueError unless each lies inside the next.  The built-ins
+    nest: GMM < SSM < K81 < K80 < JC69."""
+    chain = sorted({m for m in models if m.order > 1}, key=lambda m: m.order)
+    for small, large in zip(chain, chain[1:]):
+        if not set(small.elements) <= set(large.elements):
+            raise ValueError(f"models {small.name} and {large.name} do not "
+                             f"nest: {small.name} is not a subgroup of "
+                             f"{large.name}")
+    return tuple(chain)
+
+
+@lru_cache(maxsize=None)
+def _chain_factors(chain: tuple[EquivariantModel, ...]
+                   ) -> tuple[tuple[tuple[Perm, ...], ...], tuple[int, ...]]:
+    """Cyclic factors of the last group of a ``model_chain`` whose running
+    products are its groups, and per group how many factors make it: the
+    first group's ``_cyclic_factors``, then for each larger group subgroups
+    {1, c} or {1, c, c^2} of it (prime orders, which ``_sum_images``
+    applies in place), involutions first, each taken when it multiplies the
+    elements covered so far into as many new ones and their count still
+    divides the group's order.  A chain of one is ``_cyclic_factors``."""
+    top = chain[-1]
+    factors = list(_cyclic_factors(chain[0]))
+    ends = [len(factors)]
+    product, index = top._product, top._index
+    covered = np.zeros(top.order, dtype=bool)
+    covered[[index[g] for g in chain[0].elements]] = True
+    for model in chain[1:]:
+        cycles = []  # c, or c and c^2, of each subgroup of order 2 or 3
+        for g in model.elements:
+            square = _compose(g, g)
+            if g != _IDENTITY and _IDENTITY in (square, _compose(g, square)):
+                cycles.append([g] if square == _IDENTITY else [g, square])
+        cycles.sort(key=len)  # involutions first, stably
+        while covered.sum() < model.order:
+            for cycle in cycles:
+                images = product[covered][:, [index[c] for c in cycle]]
+                size = covered.sum() * (len(cycle) + 1)
+                if (model.order % size == 0 and not covered[images].any()
+                        and len(set(images.flat)) == images.size):
+                    covered[images] = True
+                    factors.append((_IDENTITY, *cycle))
+                    break
+            else:
+                raise AssertionError(f"{model.name}: no chain factorization")
+        ends.append(len(factors))
+    return tuple(factors), tuple(ends)
+
+
 def _sum_images(acc: np.ndarray, blocks: np.ndarray, first, rest,
-                tmp: np.ndarray) -> None:
+                scratch: np.ndarray) -> None:
     """Add to each block of ``acc`` its images under every non-identity
     element of G, in place: for the blocks of a G-invariant set of high
     patterns, copied into ``acc``, this leaves |G| times their average.
@@ -463,20 +518,31 @@ def _sum_images(acc: np.ndarray, blocks: np.ndarray, first, rest,
     ``first`` has, per non-identity element g of the first cyclic factor,
     g's row at the low digits and, per block i of ``acc``, the block of
     ``blocks`` that g brings to block i.  ``rest`` has, per later factor
-    {1, c}, c's row and, per block i, the block of ``acc`` that c brings to
-    it.  c updates block i and that partner j from each other: as c undoes
-    itself, the new block j is c's gather of the new block i, the same sums
-    in the other order, so one block-sized ``tmp`` serves."""
+    {1, c, ..., c^(m-1)} of prime order m, the rows of c, ..., c^(m-1)
+    stacked and, per block i, the blocks of ``acc`` that they bring to i.
+    So c fixes a block or moves it in an m-cycle.  A fixed block adds its
+    m - 1 gathers of itself, made first in ``scratch``.  In a cycle the
+    least block is summed from the old m, and since the sums are invariant
+    under c, the others become c's gathers of it back along the cycle: for
+    an involution, the partner's new block is c's gather of the first's.
+    Every gather into a sum is made in ``scratch[0]``."""
     # every index is in range, and mode="raise" would buffer the output
+    tmp = scratch[0]
     for row, sources in first:
         for i, h in enumerate(sources.tolist()):
             acc[i] += np.take(blocks[h], row, out=tmp, mode="clip")
-    for row, partners in rest:
-        for i, j in enumerate(partners.tolist()):
-            if j >= i:
-                acc[i] += np.take(acc[j], row, out=tmp, mode="clip")
-                if j > i:
-                    np.take(acc[i], row, out=acc[j], mode="clip")
+    for rows, partners in rest:
+        for i, cycle in enumerate(partners.T.tolist()):
+            if cycle[0] == i:
+                for row, out in zip(rows, scratch):
+                    np.take(acc[i], row, out=out, mode="clip")
+                for out in scratch[:len(rows)]:
+                    acc[i] += out
+            elif i < min(cycle):
+                for j, row in zip(cycle, rows):
+                    acc[i] += np.take(acc[j], row, out=tmp, mode="clip")
+                for j, k in zip([i, *cycle[:0:-1]], cycle[::-1]):
+                    np.take(acc[j], rows[0], out=acc[k], mode="clip")
 
 
 def _checked(values, power: int) -> np.ndarray:
@@ -495,48 +561,68 @@ def _orbit_digits(model: EquivariantModel) -> int:
                if model.order * K ** low * 8 <= _ORBIT_BYTES)
 
 
-def orbit_averages(values: np.ndarray, model: EquivariantModel, power: int
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each block of ``values`` beside its group average, one G-orbit of
-    high digits at a time, without a tensor-sized buffer.  An orbit's
-    blocks are copied into one buffer of |G| blocks (at most 1 MiB,
-    ``_orbit_digits``) and their images summed there (``_sum_images``);
-    each average is a view of that buffer, which the next orbit writes
-    over.  Each factor element's rows are built once;
-    the orbits are the classes of high patterns that those elements join,
-    each labelled by its least member."""
+def orbit_stages(values: np.ndarray, chain: tuple[EquivariantModel, ...],
+                 power: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Each block of ``values`` beside its average under each group of a
+    ``model_chain``, as (k, block, average) for ``chain[k]``, from one walk
+    over the orbits of high digits of the last group, without a
+    tensor-sized buffer.  An orbit's blocks are copied into one buffer of
+    |G| blocks (at most 1 MiB, ``_orbit_digits``) and their images summed
+    there (``_sum_images``), one group's factors (``_chain_factors``) at a
+    time; after each group's, every block's average is divided out into a
+    block-sized scratch, which the next block, factor or orbit writes over.
+    Each factor element's rows are built once; the orbits are the classes
+    of high patterns that those elements join, each labelled by its least
+    member."""
     values = _checked(values, power)
-    first, *rest = _cyclic_factors(model)
-    low = min(power, _orbit_digits(model))
+    factors, ends = _chain_factors(chain)
+    top = chain[-1]
+    low = min(power, _orbit_digits(top))
     blocks = values.reshape(-1, K ** low)
 
-    def rows(elements):
-        return [(_element_row(g, low, np.empty(K ** low, np.int64)),
-                 _element_row(g, power - low,
-                              np.empty(len(blocks), np.int64)))
-                for g in elements]
+    def rows_of(g):  # one element's rows, or a stack of elements' rows
+        g = np.asarray(g)
+        return (_element_row(g, low, np.empty(g.shape[:-1] + (K ** low,),
+                                              np.int64)),
+                _element_row(g, power - low, np.empty(
+                    g.shape[:-1] + (len(blocks),), np.int64)))
 
-    first, rest = rows(first[1:]), rows(c for _, c in rest)
+    first = [rows_of(g) for g in factors[0][1:]]
+    rest = [rows_of(f[1:]) for f in factors[1:]]
     label = np.arange(len(blocks))
     while True:
         last = label.copy()
         for _, high in first + rest:
-            np.minimum(label, label[high], out=label)
+            for each in high.reshape(-1, len(blocks)):
+                np.minimum(label, label[each], out=label)
         if np.array_equal(label, last):
             break
     order = np.argsort(label, kind="stable")  # by orbit, members ascending
     place = np.empty(len(blocks), np.int64)   # a block's row in the buffer
-    buffer, tmp = np.empty((model.order, K ** low)), np.empty(K ** low)
+    buffer = np.empty((top.order, K ** low))
+    scratch = np.empty((max(map(len, factors[1:]), default=2) - 1, K ** low))
     for members in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
         acc = np.take(blocks, members, axis=0, out=buffer[:len(members)],
                       mode="clip")
         place[members] = np.arange(len(members))
-        _sum_images(acc, blocks,
-                    ((row, high[members]) for row, high in first),
-                    ((row, place[high[members]]) for row, high in rest), tmp)
-        acc /= model.order
-        for h, average in zip(members.tolist(), acc):
-            yield blocks[h], average
+        done, sources = 0, first  # later factors summed so far
+        for k, end in enumerate(ends):
+            _sum_images(acc, blocks,
+                        ((row, high[members]) for row, high in sources),
+                        ((rows, place[high[:, members]])
+                         for rows, high in rest[done:end - 1]), scratch)
+            done, sources = end - 1, ()
+            for h, total in zip(members.tolist(), acc):
+                yield k, blocks[h], np.divide(total, chain[k].order,
+                                              out=scratch[0])
+
+
+def orbit_averages(values: np.ndarray, model: EquivariantModel, power: int
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block of ``values`` beside its group average: ``orbit_stages``
+    for ``model`` alone, whose factors are ``_cyclic_factors``."""
+    for _, block, average in orbit_stages(values, (model,), power):
+        yield block, average
 
 
 # ---------------------------------------------------------------------------

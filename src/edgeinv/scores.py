@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .groups import EquivariantModel, MultiplicityVector, \
-    expected_rank_vector, orbit_averages
+    expected_rank_vector, model_chain, orbit_stages
 from .tensors import (
     CharacterTransform,
     PatternTensor,
@@ -414,23 +414,32 @@ def model_fit_score(psi: PatternTensor, model: EquivariantModel) -> float:
     increase the residual.  The trivial group scores exactly 0.
 
     The average is made one G-orbit of blocks at a time
-    (``groups.orbit_averages``), and the difference taken block by block in
-    the orbit's buffer, so nothing tensor-sized is allocated."""
-    if model.order == 1:
-        if psi.norm() == 0.0:
-            raise ValueError("model fit is undefined for the zero tensor")
-        return 0.0
+    (``groups.orbit_stages``), and the difference taken block by block in
+    the walk's scratch, so nothing tensor-sized is allocated."""
+    return fit_scores(psi, [model])[0]
+
+
+def fit_scores(psi: PatternTensor, models: list[EquivariantModel]
+               ) -> list[float]:
+    """``model_fit_score`` of each of ``models``, which must nest
+    (``groups.model_chain``), from one orbit walk of the largest group:
+    each smaller group's gaps are taken at the stage of the walk where its
+    average is complete."""
+    chain = model_chain(models)
     # both norms from per-block sums of squares, summed exactly: one dot
     # product over a 12-leaf tensor rounds its sum by ~3e-13
-    gaps, squares = [], []
-    for block, average in orbit_averages(psi.values, model, psi.n):
-        squares.append(block @ block)
-        average -= block  # in the orbit's buffer
-        gaps.append(average @ average)
-    norm2 = fsum(squares)
+    gaps, squares = [[] for _ in chain], []
+    if chain:
+        for k, block, average in orbit_stages(psi.values, chain, psi.n):
+            if k == 0:
+                squares.append(block @ block)
+            average -= block  # in the walk's scratch
+            gaps[k].append(average @ average)
+    norm2 = fsum(squares) if chain else psi.norm()
     if norm2 == 0.0:
         raise ValueError("model fit is undefined for the zero tensor")
-    return sqrt(fsum(gaps) / norm2)
+    score = {m: sqrt(fsum(g) / norm2) for m, g in zip(chain, gaps)}
+    return [score.get(m, 0.0) for m in models]
 
 
 # ---------------------------------------------------------------------------

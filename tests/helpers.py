@@ -230,6 +230,13 @@ def fit_score_oracle(psi: PatternTensor, model: EquivariantModel) -> float:
                      / math.fsum((psi.values * psi.values).tolist()))
 
 
+def transposition_group() -> EquivariantModel:
+    """{1, (AC)}, with SSM's irreps: a group of order 2 that neither SSM,
+    K81 nor K80 holds, for models that do not nest."""
+    return EquivariantModel("AC", [(0, 1, 2, 3), (1, 0, 2, 3)],
+                            builtin_model("SSM").irreps)
+
+
 def per_split_score(psi: PatternTensor, split: Bipartition,
                     model: EquivariantModel) -> SplitScore:
     """``split_score`` one split at a time: trivial splits score 0 by
@@ -600,8 +607,9 @@ def group_average(values: np.ndarray, model: EquivariantModel,
             yield (_element_row(g, low, row),
                    _element_row(g, power - low, high))
 
-    _sum_images(acc, blocks, rows(first[1:]), rows(c for _, c in rest),
-                np.empty(K ** low))
+    _sum_images(acc, blocks, rows(first[1:]),
+                ((r[None], h[None]) for r, h in rows(c for _, c in rest)),
+                np.empty((1, K ** low)))
     acc /= model.order
     return acc.reshape(-1)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -14,11 +15,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from edgeinv import cli
+from edgeinv import cli, groups, scores
 from edgeinv.cli import build_parser, main
 from edgeinv.reconstruct import empirical_tensor
 from edgeinv.simulate import read_fasta
 from edgeinv.tensors import PatternTensor, save_tensor
+from helpers import transposition_group
 
 QUARTET_NEWICK = "((1,2),(3,4));"
 
@@ -469,15 +471,91 @@ class TestFit:
         path = tmp_path / "t.eqpt"
         run(capsys, "simulate", "--model", "K81", "--tree", QUARTET_NEWICK,
             "--seed", "6", "--out", str(path))
-        scored = []
-        real = cli.model_fit_score
-        monkeypatch.setattr(cli, "model_fit_score", lambda psi, model: (
-            scored.append(model.name) or real(psi, model)))
+        # one call scores every model, each named once, in request order
+        calls = []
+        real = cli.fit_scores
+        monkeypatch.setattr(cli, "fit_scores", lambda psi, models: (
+            calls.append([m.name for m in models]) or real(psi, models)))
         code, out, _ = run(capsys, "fit", "--input", str(path),
                            "--models", "K81,jc69,K81, JC69,GMM")
         assert code == 0
-        assert scored == ["K81", "JC69", "GMM"]
+        assert calls == [["K81", "JC69", "GMM"]]
         assert list(json.loads(out)["fit_scores"]) == ["K81", "JC69", "GMM"]
+
+    def test_keys_in_request_order_for_every_subset(self, capsys, tmp_path):
+        # each subset asked in a shuffled order, with a duplicate and mixed
+        # case: one key per model in the order first asked, and the
+        # scores of the forward-order request bit for bit
+        path = tmp_path / "t.eqpt"
+        run(capsys, "simulate", "--model", "K81", "--tree", QUARTET_NEWICK,
+            "--seed", "6", "--out", str(path))
+        names = ["GMM", "SSM", "K81", "K80", "JC69"]
+        rng = np.random.default_rng(0)
+        for size in range(1, 6):
+            for subset in itertools.combinations(names, size):
+                _, out, _ = run(capsys, "fit", "--input", str(path),
+                                "--models", ",".join(subset))
+                forward = json.loads(out)["fit_scores"]
+                asked = [*subset, subset[rng.integers(size)]]
+                rng.shuffle(asked)
+                asked = [m.lower() if rng.random() < 0.5 else m
+                         for m in asked]
+                code, out, _ = run(capsys, "fit", "--input", str(path),
+                                   "--models", ",".join(asked))
+                assert code == 0
+                got = json.loads(out)["fit_scores"]
+                assert list(got) == list(dict.fromkeys(
+                    m.upper() for m in asked))
+                assert got == forward
+
+    def test_one_walk_for_every_model(self, capsys, tmp_path, monkeypatch):
+        # a 9-leaf input, several orbits, walked once for the chain SSM <
+        # K81 < K80 < JC69: the rows of its four factors (SSM's, K81's and
+        # K80's involutions, JC69's order 3 as one stack) at the low and
+        # the high digits; a walk per model would build 2 (1 + 2 + 3 + 5)
+        path = tmp_path / "t.eqpt"
+        run(capsys, "simulate", "--model", "K81", "--tree",
+            "((((((1,2),3),4),5),(6,7)),(8,9));", "--seed", "1",
+            "--out", str(path))
+        walks, builds = [], []
+        walk, build = scores.orbit_stages, groups._element_row
+        monkeypatch.setattr(scores, "orbit_stages", lambda *a: (
+            walks.append([m.name for m in a[1]]) or walk(*a)))
+        monkeypatch.setattr(groups, "_element_row", lambda *a: (
+            builds.append(a[1]) or build(*a)))
+        code, out, _ = run(capsys, "fit", "--input", str(path),
+                           "--models", "JC69,K80,K81,SSM,GMM")
+        assert code == 0
+        assert walks == [["SSM", "K81", "K80", "JC69"]]
+        assert sorted(builds) == [3] * 4 + [6] * 4
+        assert json.loads(out)["fit_scores"]["K81"] <= 1e-12
+
+    def test_models_that_do_not_nest_rejected_before_the_input(
+            self, capsys, tmp_path, monkeypatch):
+        # the built-ins always nest; {1, (AC)} stands in for a model that
+        # K81 does not hold
+        transposition = transposition_group()
+        monkeypatch.setattr(cli, "builtin_model", lambda name: (
+            transposition if name == "AC" else groups.builtin_model(name)))
+        code, out, err = run(capsys, "fit", "--input",
+                             str(tmp_path / "missing.eqpt"),
+                             "--models", "K81,AC")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: models AC and K81 do not nest")
+
+    @pytest.mark.parametrize("models", ["JC69,BOGUS", "bogus", "K81,,K8O"])
+    def test_unknown_model_rejected_before_the_input(self, capsys, tmp_path,
+                                                     models):
+        # the input does not exist: the error names the model, not the file
+        missing = tmp_path / "missing.eqpt"
+        code, out, err = run(capsys, "fit", "--input", str(missing),
+                             "--models", models)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unknown model")
+        assert models.split(",")[-1].upper() in err
+        assert "missing" not in err
 
     @pytest.mark.parametrize("command", ["fit", "score", "reconstruct"])
     def test_no_average_is_not_a_fit_option(self, capsys, tmp_path, command):

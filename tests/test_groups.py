@@ -25,7 +25,8 @@ from edgeinv.groups import (
 )
 from edgeinv.trees import Bipartition, TreeTopology
 from helpers import conjugation_classes, group_average, \
-    invariant_projector, pairwise_closure, pattern_maps, table_digest
+    invariant_projector, pairwise_closure, pattern_maps, table_digest, \
+    transposition_group
 
 HADAMARD = {
     "Abar": np.array([1.0, 1.0, 1.0, 1.0]),
@@ -703,6 +704,108 @@ class TestGroupAverage:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 8 * 4 ** 8
+
+
+NONTRIVIAL = MODEL_NAMES[1:]
+
+
+class TestChainWalk:
+    """One orbit walk of the largest of nested groups: its factors are
+    ordered so that their running products are the smaller groups."""
+
+    def test_chain_sorted_once_each_without_the_trivial_group(self):
+        models = [builtin_model(m) for m in ("JC69", "gmm", "K81", "k81")]
+        assert G.model_chain(models) == (builtin_model("K81"),
+                                         builtin_model("JC69"))
+        assert G.model_chain([builtin_model("GMM")]) == ()
+
+    @pytest.mark.parametrize("other", ["SSM", "K81", "K80"])
+    def test_models_that_do_not_nest_rejected(self, other):
+        # K80 holds the transpositions (AG) and (CT), not (AC); S4 holds all
+        models = [transposition_group(), builtin_model(other)]
+        with pytest.raises(ValueError, match="do not nest"):
+            G.model_chain(models)
+        assert G.model_chain([models[0], builtin_model("JC69")]) == (
+            models[0], builtin_model("JC69"))
+
+    @pytest.mark.parametrize("names", [
+        names for size in range(1, 5)
+        for names in itertools.combinations(NONTRIVIAL, size)])
+    def test_chain_factors_make_each_group_once(self, names):
+        chain = G.model_chain(builtin_model(m) for m in names)
+        factors, ends = G._chain_factors(chain)
+        assert len(ends) == len(chain) and ends[-1] == len(factors)
+        for factor in factors[1:]:  # {1, c} of order 2, or {1, c, c^2}
+            c = factor[1]
+            assert factor in ((G._IDENTITY, c),
+                              (G._IDENTITY, c, G._compose(c, c)))
+            assert G._compose(c, factor[-1]) == G._IDENTITY
+        for model, end in zip(chain, ends):
+            products = []
+            for choice in itertools.product(*factors[:end]):
+                g = choice[0]
+                for c in choice[1:]:
+                    g = G._compose(g, c)
+                products.append(g)
+            assert sorted(products) == sorted(model.elements)
+        if len(chain) == 1:
+            assert factors == G._cyclic_factors(chain[0])
+
+    def test_chain_of_all_four(self):
+        # SSM's involution, then one more for K81 and for K80, then JC69's
+        # order-3 factor: 1 + 1 + 1 + 2 gathers, as JC69 alone takes 5
+        factors, ends = G._chain_factors(G.model_chain(
+            builtin_model(m) for m in NONTRIVIAL))
+        assert [len(f) for f in factors] == [2, 2, 2, 3]
+        assert ends == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize("power, low", [(2, 2), (3, 1), (5, 3), (6, 4)])
+    @pytest.mark.parametrize("kind", ["integer", "random"])
+    def test_order_three_step_matches_a_copy(self, power, low, kind):
+        # (CGT) fixes A, so the high patterns of A alone are fixed blocks
+        # and the rest lie in 3-cycles; the copy-based sum reads only the
+        # old blocks.  Integers add exactly; random floats move by the
+        # order of the three additions only
+        c = (0, 2, 3, 1)
+        cycle = np.array([c, G._compose(c, c)])
+        rows = G._element_row(cycle, low, np.empty((2, 4 ** low), np.int64))
+        partners = G._element_row(cycle, power - low,
+                                  np.empty((2, 4 ** (power - low)), np.int64))
+        rng = np.random.default_rng(power)
+        values = (rng.integers(0, 1000, 4 ** power).astype(float)
+                  if kind == "integer" else rng.normal(size=4 ** power))
+        blocks = values.reshape(-1, 4 ** low)
+        want = (blocks + np.take(blocks[partners[0]], rows[0], axis=1)
+                + np.take(blocks[partners[1]], rows[1], axis=1))
+        fixed = partners[0] == np.arange(len(blocks))
+        assert fixed.any() and (power == low or not fixed.all())
+        acc = blocks.copy()
+        G._sum_images(acc, blocks, (), [(rows, partners)],
+                      np.empty((2, 4 ** low)))
+        if kind == "integer":
+            assert np.array_equal(acc, want)
+        else:
+            assert np.array_equal(acc[fixed], want[fixed])
+            assert np.abs(acc - want).max() <= 4 * EPS * np.abs(want).max()
+        assert np.array_equal(blocks.reshape(-1), values)
+
+    @pytest.mark.parametrize("names", [("K81", "JC69"), ("SSM", "K80"),
+                                       ("SSM", "K81", "K80", "JC69")])
+    @pytest.mark.parametrize("power", [0, 3, 8, 9])
+    def test_each_stage_is_its_groups_average(self, names, power):
+        # every block once per group, smallest group first within an orbit,
+        # beside that group's average to 1e-15 of the largest entry
+        chain = G.model_chain(builtin_model(m) for m in names)
+        values = np.random.default_rng(power).normal(size=4 ** power)
+        got = np.full((len(chain), len(values)), np.nan)
+        for k, block, average in G.orbit_stages(values, chain, power):
+            start = (block.ctypes.data - values.ctypes.data) // 8
+            assert np.isnan(got[k, start:start + len(block)]).all()
+            got[k, start:start + len(block)] = average
+        for k, model in enumerate(chain):
+            want = group_average(values, model, power)
+            assert np.abs(got[k] - want).max() <= 4 * EPS * np.abs(
+                values).max()
 
 
 # ---------------------------------------------------------------------------

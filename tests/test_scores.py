@@ -1,5 +1,6 @@
 """Split scoring, generator counting, minor evaluation, and model fit."""
 
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -17,6 +18,7 @@ from edgeinv.scores import (
     all_bipartitions,
     edge_invariant_test,
     evaluate_generators,
+    fit_scores,
     generator_catalog,
     genericity_check,
     model_fit_score,
@@ -30,8 +32,8 @@ from edgeinv.tensors import STACK_ENTRIES, CharacterTransform, \
     PatternTensor, split_stacks
 from edgeinv.trees import Bipartition, TreeTopology, from_newick
 from helpers import averaged, enumerate_trivalent_topologies, \
-    fit_score_oracle, no_mutation_presentation, per_split_score, \
-    thin_flatten, thin_rank
+    fit_score_oracle, group_average, no_mutation_presentation, \
+    per_split_score, thin_flatten, thin_rank, transposition_group
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -759,6 +761,102 @@ class TestModelFit:
         bound = 1.55 if name == "K80" else 1.2
         assert max(peaks) <= bound * 2 ** 20
         assert peaks[1] - peaks[0] <= psi.values.nbytes / 256
+
+
+def caterpillar(n: int) -> TreeTopology:
+    newick = "(1,2)"
+    for leaf in range(3, n + 1):
+        newick = f"({newick},{leaf})"
+    return from_newick(newick + ";")[0]
+
+
+def chain_input(n: int, kind: str, name: str) -> PatternTensor:
+    """A random tensor, an integer tensor invariant under model ``name``
+    (its group sum of random integers, so every average of it under a
+    subgroup is exact), or that model's tensor on an n-leaf caterpillar."""
+    rng = np.random.default_rng([n, MODELS.index(name)])
+    labels = tuple(range(1, n + 1))
+    if kind == "random":
+        return PatternTensor(rng.random(4 ** n), labels)
+    model = builtin_model(name)
+    if kind == "integer":
+        ints = rng.integers(0, 1000, size=4 ** n).astype(float)
+        return PatternTensor(np.rint(group_average(ints, model, n)
+                                     * model.order), labels)
+    return joint_distribution(random_presentation(model, caterpillar(n), n))
+
+
+class TestChainedFit:
+    """``fit_scores`` walks the orbits of the largest requested group once
+    and reads each smaller group's fit at its stage of the walk."""
+
+    @pytest.mark.parametrize("n, kind, name", [
+        (n, kind, name) for n in (0, 3, 8, 9)
+        for kind, names in (("random", ["GMM"]), ("integer", MODELS),
+                            ("tree", MODELS if n >= 3 else []))
+        for name in names])
+    def test_every_subset_scores_as_each_model_alone(self, n, kind, name):
+        # every subset, shuffled, with a duplicate and names in mixed case;
+        # within 1e-12 relative of the oracle and of the one-model walk
+        # (1e-16 absolute at exact fits), and exactly 0 where both are
+        psi = chain_input(n, kind, name)
+        alone = {m: model_fit_score(psi, builtin_model(m)) for m in MODELS}
+        oracle = {m: fit_score_oracle(psi, builtin_model(m)) for m in MODELS}
+        rng = np.random.default_rng(n)
+        for size in range(1, 6):
+            for subset in itertools.combinations(MODELS, size):
+                names = [*subset, subset[rng.integers(size)]]
+                rng.shuffle(names)
+                names = [m.lower() if rng.random() < 0.5 else m
+                         for m in names]
+                got = fit_scores(psi, [builtin_model(m) for m in names])
+                for m, score in zip(names, got):
+                    for want in (alone[m.upper()], oracle[m.upper()]):
+                        if want <= 1e-12:
+                            assert abs(score - want) <= 1e-16
+                        else:
+                            assert abs(score - want) <= 1e-12 * want
+                        assert (score == 0.0) == (want == 0.0)
+                    if m.upper() == "GMM":
+                        assert score == 0.0
+
+    def test_models_that_do_not_nest_rejected(self):
+        psi = chain_input(3, "random", "GMM")
+        with pytest.raises(ValueError, match="do not nest"):
+            fit_scores(psi, [builtin_model("K81"), transposition_group()])
+
+    @pytest.mark.parametrize("n", [0, 3, 8, 9])
+    def test_zero_tensor_rejected_for_every_subset(self, n):
+        psi = PatternTensor(np.zeros(4 ** n), tuple(range(1, n + 1)))
+        for size in range(1, 6):
+            for subset in itertools.combinations(MODELS, size):
+                with pytest.raises(ValueError, match="zero tensor"):
+                    fit_scores(psi, [builtin_model(m) for m in subset])
+
+    @pytest.mark.parametrize("names, bound", [
+        (("JC69", "K80", "K81", "SSM", "GMM"), 1.2),
+        (("K81", "JC69"), 1.2),
+        (("SSM", "K81", "K80"), 1.55)])
+    def test_holds_one_tensor_beyond_its_input(self, names, bound):
+        # the largest group's walk, with one more block-sized buffer where
+        # a later factor has order 3: test_holds_one_tensor_beyond_its_input
+        # of TestModelFit bounds the walk of that group alone.  With n grow
+        # the orbit tables, a few ints per block, and each group's gaps, a
+        # float per block
+        models = [builtin_model(m) for m in names]
+        peaks = []
+        for n in (9, 10):
+            psi = PatternTensor(np.random.default_rng(3).random(4 ** n),
+                                tuple(range(1, n + 1)))
+            fit_scores(psi, models)  # the chain's tables are built once
+            tracemalloc.start()
+            try:
+                fit_scores(psi, models)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= bound * 2 ** 20
+        assert peaks[1] - peaks[0] <= psi.values.nbytes / 128
 
 
 # ---------------------------------------------------------------------------
