@@ -39,12 +39,12 @@ class averaged over the stabiliser, one gather per element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .records import Record
 from .trees import Bipartition, TreeTopology, min_edge_cut
 
 STATES = "ACGT"        # the state alphabet, in index order
@@ -104,8 +104,7 @@ def _cycle_notation(g: Perm) -> str:
     return "".join(cycles) if cycles else "id"
 
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(Record):
     """One irreducible representation: a name, its dimension, and the matrix
     D(g) for every group element (indexed like the model's element list)."""
 
@@ -114,8 +113,7 @@ class Irrep:
     matrices: np.ndarray  # shape (|G|, dim, dim), read-only
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
+class MultiplicityVector(Record):
     """Per-irrep multiplicities of the l-fold tensor power of the state space."""
 
     entries: tuple[int, ...]
@@ -615,14 +613,6 @@ def orbit_stages(values: np.ndarray, chain: tuple[EquivariantModel, ...],
             for h, total in zip(members.tolist(), acc):
                 yield k, blocks[h], np.divide(total, chain[k].order,
                                               out=scratch[0])
-
-
-def orbit_averages(values: np.ndarray, model: EquivariantModel, power: int
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each block of ``values`` beside its group average: ``orbit_stages``
-    for ``model`` alone, whose factors are ``_cyclic_factors``."""
-    for _, block, average in orbit_stages(values, (model,), power):
-        yield block, average
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .groups import EquivariantModel
+from .records import Record
 from .scores import (
     DEFAULT_SCORE_TOL,
     MAX_AUDIT_LEAVES,
@@ -51,8 +51,7 @@ WARN_ABOVE_TOL = "above-tol"
 WARN_RANK_NOT_GENERIC = "rank-not-generic"
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(Record):
     method: str
     tree: Optional[TreeTopology]
     chosen_splits: tuple[SplitScore, ...]

@@ -17,7 +17,6 @@ budget, since the largest model has ~3.7e7 of them per split.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, fsum, sqrt
 from typing import Iterable, Iterator, Optional
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .groups import EquivariantModel, MultiplicityVector, \
     expected_rank_vector, model_chain, orbit_stages
+from .records import Record
 from .tensors import (
     CharacterTransform,
     PatternTensor,
@@ -41,8 +41,7 @@ DEFAULT_SCORE_TOL = 1e-8
 MAX_AUDIT_LEAVES = 10
 
 
-@dataclass(frozen=True)
-class SplitScore:
+class SplitScore(Record):
     """Rank-deficiency residual of one bipartition against the edge target.
 
     ``per_block_residuals[t]`` is the l2 mass of block t's singular values
@@ -189,8 +188,7 @@ def score_splits(psi: PatternTensor, model: EquivariantModel,
             for split in splits}
 
 
-@dataclass(frozen=True)
-class EdgeTestReport:
+class EdgeTestReport(Record):
     """Outcome of testing a tensor against one topology's interior splits."""
 
     tree: TreeTopology
@@ -218,8 +216,7 @@ def edge_invariant_test(psi: PatternTensor, tree: TreeTopology,
                           tuple(table[mask] for mask in masks), tol)
 
 
-@dataclass(frozen=True)
-class GenericityEntry:
+class GenericityEntry(Record):
     split: Bipartition
     expected: tuple[int, ...]
     achieved: tuple[int, ...]
@@ -229,8 +226,7 @@ class GenericityEntry:
         return self.expected == self.achieved
 
 
-@dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(Record):
     """Rank-achievement audit of a tensor against a candidate topology.
 
     The spectral decision procedure is only guaranteed on tensors whose every
@@ -300,8 +296,7 @@ def genericity_check(psi: PatternTensor, model: EquivariantModel,
 # Generator catalog and exact minor evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockCatalog:
+class BlockCatalog(Record):
     irrep: int
     shape: tuple[int, int]
     target_rank: int
@@ -313,8 +308,7 @@ class BlockCatalog:
         return self.minor_order
 
 
-@dataclass(frozen=True)
-class GeneratorCatalog:
+class GeneratorCatalog(Record):
     """Census of the determinantal constraints cutting out one edge split.
 
     Block t of the thin flattening contributes its (m_t+1)-minors; a block
@@ -354,8 +348,7 @@ def generator_catalog(model: EquivariantModel, row_power: int,
     return GeneratorCatalog(model.name, row_power, col_power, tuple(blocks))
 
 
-@dataclass(frozen=True)
-class MinorEvaluation:
+class MinorEvaluation(Record):
     max_abs_minor: float
     evaluated: int
     exhausted: bool
@@ -427,14 +420,19 @@ def fit_scores(psi: PatternTensor, models: list[EquivariantModel]
     average is complete."""
     chain = model_chain(models)
     # both norms from per-block sums of squares, summed exactly: one dot
-    # product over a 12-leaf tensor rounds its sum by ~3e-13
-    gaps, squares = [[] for _ in chain], []
+    # product over a 12-leaf tensor rounds its sum by ~3e-13.  Row k of
+    # ``gaps`` holds chain[k]'s, one float per block in walk order
+    gaps, filled = (), [0] * len(chain)
     if chain:
         for k, block, average in orbit_stages(psi.values, chain, psi.n):
+            i = filled[k]
             if k == 0:
-                squares.append(block @ block)
+                if i == 0:  # the walk's first block
+                    squares = np.empty(psi.values.size // block.size)
+                    gaps = np.empty((len(chain), len(squares)))
+                squares[i] = block @ block
             average -= block  # in the walk's scratch
-            gaps[k].append(average @ average)
+            gaps[k, i], filled[k] = average @ average, i + 1
     norm2 = fsum(squares) if chain else psi.norm()
     if norm2 == 0.0:
         raise ValueError("model fit is undefined for the zero tensor")

@@ -17,12 +17,12 @@ when an edge is traversed against its stored orientation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .groups import K, EquivariantModel
+from .records import Record
 from .tensors import AMBIGUOUS, LETTERS, MAX_LEAVES, PatternTensor, \
     pattern_digits, pattern_indices, pattern_strings, state_codes
 from .trees import TreeTopology
@@ -58,8 +58,7 @@ def assert_equivariant(matrix: np.ndarray, model: EquivariantModel) -> None:
             raise ValueError("matrix does not commute with the group action")
 
 
-@dataclass(frozen=True)
-class EvolutionaryPresentation:
+class EvolutionaryPresentation(Record):
     """Edge matrices plus a root distribution on a rooted orientation.
 
     ``edge_matrices`` is keyed by the directed pair (parent, child) of the
@@ -197,8 +196,7 @@ def joint_distribution(pres: EvolutionaryPresentation,
 # Alignments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Alignment:
+class Alignment(Record, eq=False):
     """Sites over named taxa: ``codes[i, s]`` is the ACGT state code (0..3)
     of taxon i at site s, stored read-only.  At most ``MAX_LEAVES`` taxa,
     as a site-pattern tensor of more does not fit."""
@@ -221,8 +219,7 @@ class Alignment:
             raise ValueError("state codes must lie in 0..3")
         codes = codes.astype(np.uint8, copy=False).view()
         codes.setflags(write=False)  # the view's flag, not the caller's
-        object.__setattr__(self, "taxa", taxa)
-        object.__setattr__(self, "codes", codes)
+        self.__dict__.update(taxa=taxa, codes=codes)
 
     @property
     def n_taxa(self) -> int:

@@ -35,7 +35,6 @@ import io
 import json
 import operator
 import struct
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator
 
@@ -51,6 +50,7 @@ from .groups import (
     label_classes,
     symmetry_adapted_basis,
 )
+from .records import Record
 from .trees import Bipartition
 
 MAX_LEAVES = 12
@@ -67,8 +67,7 @@ STOCHASTIC_NEG_TOL = 1e-12
 STOCHASTIC_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PatternTensor:
+class PatternTensor(Record):
     """A real tensor over labelled positions, 4 states each.
 
     values : flat array of length 4**n in canonical index order.
@@ -100,8 +99,7 @@ class PatternTensor:
             if abs(total - 1.0) > STOCHASTIC_SUM_TOL:
                 raise ValueError("stochastic tensor does not sum to 1")
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        self.__dict__.update(values=values, labels=tuple(self.labels))
 
     @property
     def n(self) -> int:
@@ -349,8 +347,7 @@ def character_flattening(psi: PatternTensor, splits,
                 yield t, _first_copy_block(blocks, rows, cols)
 
 
-@dataclass(frozen=True)
-class RankVector:
+class RankVector(Record):
     """Numerical ranks of the thin-flattening blocks at a shared relative
     threshold: singular values above tol * (largest singular value across all
     blocks) count.  ``total`` sums the entries; ``weighted`` weights each by

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
+
+from .records import Record
 
 
 class SplitSystemError(ValueError):
@@ -41,8 +42,7 @@ class SplitSystemError(ValueError):
         self.pair = pair
 
 
-@dataclass(frozen=True, init=False)
-class Bipartition:
+class Bipartition(Record):
     """A bipartition of the leaf set {1..n}.
 
     Canonical storage: ``side`` is the block NOT containing leaf 1, so two
@@ -64,16 +64,14 @@ class Bipartition:
             raise ValueError("bipartition side must be a proper subset")
         if 1 in labels:
             labels = universe - labels
-        object.__setattr__(self, "n_leaves", n_leaves)
-        object.__setattr__(self, "side", labels)
+        self.__dict__.update(n_leaves=n_leaves, side=labels)
 
     @classmethod
     def from_side(cls, side: frozenset[int], n_leaves: int) -> "Bipartition":
         """The bipartition with canonical side ``side``, which the caller
         knows to be a nonempty subset of 2..n_leaves; nothing is checked."""
         split = cls.__new__(cls)
-        object.__setattr__(split, "n_leaves", n_leaves)
-        object.__setattr__(split, "side", side)
+        split.__dict__.update(n_leaves=n_leaves, side=side)
         return split
 
     @property

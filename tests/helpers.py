@@ -7,18 +7,18 @@ presentation, relabellings, dense operators, pattern maps, presentation
 JSON round-trips, the per-split block route, the line-by-line FASTA strip,
 alignments from pattern counts, the string route of sampled FASTA text, the
 loop forms of the FASTA column count and the character transform, the group
-average over whole tensors, the group tables by brute force, and table
-digests, that the tests build their
-fixtures and oracles from, and the package does not use.  Only the sparse
-route needs scipy."""
+average over whole tensors and one model's orbit walk, the group tables by
+brute force, and table digests, that the tests build their fixtures and
+oracles from, and the package does not use.  Only the sparse route needs
+scipy."""
 
 import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 from scipy import sparse
@@ -26,7 +26,7 @@ from scipy import sparse
 from edgeinv.groups import _BLOCK_DIGITS, K, EquivariantModel, \
     MultiplicityVector, SymmetryAdaptedBasis, _checked, _cyclic_factors, \
     _element_row, _sum_images, builtin_model, clifford_reduction, \
-    label_classes, symmetry_adapted_basis
+    label_classes, orbit_stages, symmetry_adapted_basis
 from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_RANK_NOT_GENERIC, \
     WARN_TIE, ReconstructionResult, data_driven_tol
 from edgeinv.scores import DEFAULT_RANK_TOL, DEFAULT_SCORE_TOL, SplitScore, \
@@ -303,7 +303,9 @@ def rescored_table(psi: PatternTensor, model: EquivariantModel,
     table = SplitTable(psi, model, map(side_mask, scores))
     for split, score in scores.items():
         mask = side_mask(split)
-        table.scored[mask] = replace(table[mask], score=score)
+        s = table[mask]
+        table.scored[mask] = SplitScore(s.split, s.per_block_residuals, score,
+                                        s.expected, s.achieved)
     return table
 
 
@@ -614,12 +616,21 @@ def group_average(values: np.ndarray, model: EquivariantModel,
     return acc.reshape(-1)
 
 
+def orbit_averages(values: np.ndarray, model: EquivariantModel, power: int
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block of ``values`` beside its group average: ``orbit_stages``
+    for ``model`` alone, whose factors are ``_cyclic_factors``."""
+    for _, block, average in orbit_stages(values, (model,), power):
+        yield block, average
+
+
 def averaged(psi: PatternTensor, model: EquivariantModel) -> PatternTensor:
     """``psi`` projected onto the G-invariant tensors by ``group_average``;
     the trivial group gives ``psi`` back."""
     if model.order == 1:
         return psi
-    return replace(psi, values=group_average(psi.values, model, psi.n))
+    return PatternTensor(group_average(psi.values, model, psi.n), psi.labels,
+                         psi.stochastic)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from edgeinv.groups import (
 )
 from edgeinv.trees import Bipartition, TreeTopology
 from helpers import conjugation_classes, group_average, \
-    invariant_projector, pairwise_closure, pattern_maps, table_digest, \
-    transposition_group
+    invariant_projector, orbit_averages, pairwise_closure, pattern_maps, \
+    table_digest, transposition_group
 
 HADAMARD = {
     "Abar": np.array([1.0, 1.0, 1.0, 1.0]),
@@ -671,7 +671,7 @@ class TestGroupAverage:
         model = builtin_model(name)
         values = np.random.default_rng(power).normal(size=4 ** power)
         got = np.full_like(values, np.nan)
-        for block, average in G.orbit_averages(values, model, power):
+        for block, average in orbit_averages(values, model, power):
             start = (block.ctypes.data - values.ctypes.data) // 8
             assert np.shares_memory(block, values)
             assert np.isnan(got[start:start + len(block)]).all()
@@ -682,7 +682,7 @@ class TestGroupAverage:
         with pytest.raises(ValueError):
             group_average(np.zeros(15), builtin_model("K81"), 2)
         with pytest.raises(ValueError):
-            next(G.orbit_averages(np.zeros(15), builtin_model("K81"), 2))
+            next(orbit_averages(np.zeros(15), builtin_model("K81"), 2))
 
     @pytest.mark.parametrize("name", ["K81", "JC69"])
     def test_integer_input_averages_as_float(self, name):

@@ -1,4 +1,5 @@
-"""The package's public names, and no subcommand imports scipy or numpy.ma.
+"""The package's public names, no subcommand imports scipy or numpy.ma, and
+the package imports no dataclasses.
 
 The package depends on numpy alone; only the tests' sparse-basis oracle
 (``helpers.thin_flatten``) uses scipy.  Some forms of ``np.unique`` and
@@ -83,11 +84,24 @@ def test_benchmark_commands_import_no_scipy(tmp_path):
         ["simulate", "--model", "K80", "--tree", "((a,b),(c,d));",
          "--seed", "3", "--sites", "500", "--out", str(tmp_path / "sim.fa")],
     ]
+    proc = _fresh(CHECK, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+
+
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run in a new interpreter that imports this edgeinv."""
     src = str(Path(ei.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", CHECK, json.dumps(commands)],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def test_import_loads_no_dataclasses():
+    # the value classes are records (edgeinv.records): the dataclass
+    # decorator compiles each class's methods at import, ~15 ms in all
+    proc = _fresh("import sys, edgeinv, edgeinv.cli\n"
+                  "assert 'dataclasses' not in sys.modules")
     assert proc.returncode == 0, proc.stderr

@@ -842,10 +842,11 @@ class TestChainedFit:
         # a later factor has order 3: test_holds_one_tensor_beyond_its_input
         # of TestModelFit bounds the walk of that group alone.  With n grow
         # the orbit tables, a few ints per block, and each group's gaps, a
-        # float per block
+        # float per block in an array; the five gaps per block are the most
+        # any chain holds, so that chain also runs at 11 leaves
         models = [builtin_model(m) for m in names]
-        peaks = []
-        for n in (9, 10):
+        leaves, peaks = (9, 10, 11) if len(models) == 5 else (9, 10), []
+        for n in leaves:
             psi = PatternTensor(np.random.default_rng(3).random(4 ** n),
                                 tuple(range(1, n + 1)))
             fit_scores(psi, models)  # the chain's tables are built once
@@ -856,7 +857,8 @@ class TestChainedFit:
             finally:
                 tracemalloc.stop()
         assert max(peaks) <= bound * 2 ** 20
-        assert peaks[1] - peaks[0] <= psi.values.nbytes / 128
+        for n, low, high in zip(leaves[1:], peaks, peaks[1:]):
+            assert high - low <= 8 * 4 ** n / 128  # n leaves' nbytes / 128
 
 
 # ---------------------------------------------------------------------------
