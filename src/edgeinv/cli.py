@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -134,6 +135,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, dropped from a text
+_SPACE = re.compile(rb"\s*")
+
+
 def _load_input(path: str, fmt: str, ambiguous: str) -> PatternTensor:
     with (open(path, "rb") if path != "-"
           else contextlib.nullcontext(sys.stdin.buffer)) as stream:
@@ -146,14 +151,16 @@ def _load_input(path: str, fmt: str, ambiguous: str) -> PatternTensor:
             data = stream.read(size)
         else:
             data = head + stream.read()
+    start = len(_BOM) if data.startswith(_BOM) else 0
     if fmt == "auto":
-        if data.lstrip()[:1] in (b"{",):
+        at = _SPACE.match(data, start).end()
+        if data[at:at + 1] == b"{":
             fmt = "json"
-        elif data.lstrip()[:1] == b">":
+        elif data[at:at + 1] == b">":
             fmt = "fasta"
         else:
             raise ValueError(f"cannot sniff the format of {path}")
-    text = data.decode()
+    text = str(memoryview(data)[start:], "utf-8")  # the bytes not copied
     del data  # free the bytes before the text is parsed
     if fmt == "json":
         return tensor_from_json(text)

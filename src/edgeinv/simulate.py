@@ -23,8 +23,8 @@ import numpy as np
 
 from .groups import K, EquivariantModel
 from .records import Record
-from .tensors import AMBIGUOUS, LETTERS, MAX_LEAVES, PatternTensor, \
-    pattern_digits, pattern_indices, pattern_strings, state_codes
+from .tensors import AMBIGUOUS, FOLDED_CODES, LETTERS, MAX_LEAVES, \
+    PatternTensor, pattern_digits, pattern_indices, pattern_strings
 from .trees import TreeTopology
 
 EQUIVARIANCE_TOL = 1e-12
@@ -330,7 +330,10 @@ def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
         if not name:
             raise ValueError("empty taxon name in a FASTA header")
         taxa.append(name[0])
-        seqs.append(text[eol:end].replace("\n", ""))
+        # one byte per character, whose code folds ASCII case; line breaks
+        # are dropped
+        seqs.append(text[eol:end].encode("latin-1", "replace").translate(
+            FOLDED_CODES, b"\n"))
     del text
     if not taxa:
         raise ValueError("empty FASTA input")
@@ -341,11 +344,9 @@ def read_fasta(text: str, ambiguous: str = "error") -> Alignment:
         raise ValueError("duplicate taxon names")
     if not lengths[0]:
         raise ValueError("alignment has no sites")
-    codes = np.empty((len(seqs), len(seqs[0])), dtype=np.uint8)
-    for i, seq in enumerate(seqs):
-        # one byte per character, and bytes.upper touches ASCII only
-        codes[i] = state_codes(seq.encode("latin-1", "replace").upper())
-    del seqs, seq  # from here on the codes stand for the text
+    codes = np.frombuffer(b"".join(seqs), dtype=np.uint8).reshape(
+        len(seqs), -1)
+    del seqs  # from here on the codes stand for the text
     bad = (codes == AMBIGUOUS).any(axis=0)
     if bad.any():
         if ambiguous == "error":

@@ -57,9 +57,11 @@ MAX_LEAVES = 12
 # the most entries of the largest label block of a stack of splits
 STACK_ENTRIES = 2 ** 14
 AMBIGUOUS = K    # the state code of every symbol outside ACGT
-# the state code of each latin-1 character, as a bytes.translate table
+# the state code of each latin-1 character, as a bytes.translate table, and
+# with ASCII case folded, as FASTA reads it
 _CODES = bytes(STATES.index(ch) if ch in STATES else AMBIGUOUS
                for ch in map(chr, range(256)))
+FOLDED_CODES = bytes(_CODES[b] for b in bytes(range(256)).upper())
 # the ASCII letter of each state code
 LETTERS = np.frombuffer(STATES.encode(), dtype=np.uint8)
 
@@ -170,16 +172,16 @@ def pattern_codes(patterns: list[str], n: int) -> np.ndarray:
 
 
 def pattern_indices(digits: np.ndarray) -> np.ndarray:
-    """Base-4 indices of the columns of (n, m) state codes, by Horner's rule
-    over the rows, the first most significant.  More than ``MAX_LEAVES``
-    positions index no dense tensor (and past 31 they overflow)."""
+    """Base-4 uint32 indices of the columns of (n, m) state codes, by Horner's
+    rule over the rows in 2-bit shifts, the first most significant.  More
+    than ``MAX_LEAVES`` positions index no dense tensor."""
     if len(digits) > MAX_LEAVES:
         raise ValueError(f"{len(digits)} positions outside the dense range "
                          f"0..{MAX_LEAVES}")
-    out = np.zeros(digits.shape[1], dtype=np.int64)
+    out = np.zeros(digits.shape[1], dtype=np.uint32)
     for row in digits:
-        out *= K
-        out += row
+        out <<= 2
+        out |= row
     return out
 
 
@@ -193,7 +195,7 @@ def pattern_digits(indices: np.ndarray, n: int) -> np.ndarray:
 
 
 def pattern_strings(indices: np.ndarray, n: int) -> list[str]:
-    """The length-n ACGT strings of int64 pattern indices."""
+    """The length-n ACGT strings of pattern indices."""
     if not n:
         return [""] * len(indices)
     letters = LETTERS[pattern_digits(indices, n).T.copy()]
@@ -220,9 +222,12 @@ def _sides(psi: PatternTensor, split) -> tuple[tuple[int, ...], tuple[int, ...]]
 
 def block_spectra(blocks: np.ndarray) -> np.ndarray:
     """The singular values of a block, or of each block of a stack along
-    the leading axis, descending; empty for empty blocks."""
+    the leading axis, descending; empty for empty blocks.  LAPACK takes a
+    wide block faster as its transposed view."""
     if not blocks.size:
         return np.empty(blocks.shape[:-2] + (0,))
+    if blocks.shape[-2] < blocks.shape[-1]:
+        blocks = blocks.swapaxes(-1, -2)
     return np.linalg.svd(blocks, compute_uv=False)
 
 

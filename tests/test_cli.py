@@ -424,12 +424,15 @@ class TestInput:
         ("a.fasta", ">a\nACGT\n>b\nACGA\n>c\nACGC\n>d\nACTT\n"),
         ("a.json", '{"n": 2, "entries": [["AC", 0.25], ["GT", 0.75]]}'),
         ("b.json", '      \n{"n": 2, "entries": [["AC", 1.0]]}'),
+        # a UTF-8 byte-order mark goes before the sniff
+        ("b.fasta", "\ufeff>a\nACGT\n>b\nACGA\n>c\nACGC\n>d\nACTT\n"),
+        ("c.json", '\ufeff  {"n": 2, "entries": [["AC", 1.0]]}'),
     ])
     def test_text_reads_alike_from_a_file_and_a_pipe(self, tmp_path,
                                                      monkeypatch, name, text):
         # the format is sniffed from the whole text, past the first bytes
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         from_file = cli._load_input(str(path), "auto", "error")
         read, write = os.pipe()
         os.write(write, text.encode())
@@ -439,6 +442,19 @@ class TestInput:
             from_pipe = cli._load_input("-", "auto", "error")
         assert np.array_equal(from_file.values, from_pipe.values)
         assert from_file.values.any()
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("fasta", ">a\nACGT\n>b\nACGA\n"),
+        ("json", '{"n": 2, "entries": [["AC", 1.0]]}'),
+    ])
+    def test_byte_order_mark_is_dropped_in_a_given_format(self, tmp_path,
+                                                          fmt, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        want = cli._load_input(str(plain), fmt, "error")
+        got = cli._load_input(str(marked), fmt, "error")
+        assert np.array_equal(got.values, want.values)
 
 
 class TestFit:

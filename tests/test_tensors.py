@@ -21,6 +21,7 @@ from edgeinv.tensors import (
     AMBIGUOUS,
     CharacterTransform,
     PatternTensor,
+    block_spectra,
     character_flattening,
     pattern_codes,
     pattern_indices,
@@ -143,6 +144,28 @@ class TestAlphabet:
         codes = pattern_codes(["TA", "CG", "AA"], 2)
         assert codes.shape == (2, 3)
         assert pattern_indices(codes).tolist() == [12, 6, 0]
+
+    def test_index_of_twelve_positions_is_horner_in_int64(self):
+        codes = np.random.default_rng(12).integers(0, 4, (12, 300), np.uint8)
+        codes[:, 0], codes[:, 1] = 3, 0  # the largest index and the least
+        want = np.zeros(300, np.int64)
+        for row in codes:
+            want = want * 4 + row
+        got = pattern_indices(codes)
+        assert got.dtype == np.uint32
+        assert got[0] == 4 ** 12 - 1 and got[1] == 0
+        assert np.array_equal(got, want)
+
+    def test_thirteen_positions_raise_before_an_array_is_built(self):
+        codes = np.zeros((13, 10 ** 5), np.uint8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="13 positions outside"):
+                pattern_indices(codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 5
 
     @pytest.mark.parametrize("n", [*range(7), 12])
     def test_strings_invert_indices_in_string_order(self, n):
@@ -586,9 +609,34 @@ class TestThinRank:
         tf = thin_flatten(psi, Bipartition({1, 2}, 5), builtin_model(name))
         assert tf.spectra is tf.spectra  # computed once
         for block, spectrum in zip(tf.blocks, tf.spectra):
-            expected = (np.linalg.svd(block, compute_uv=False) if block.size
-                        else np.empty(0))
+            if not block.size:
+                assert spectrum.shape == (0,)
+                continue
+            # a wide block is factored as its transpose: the same singular
+            # values, to rounding
+            tall = np.ascontiguousarray(block.T if len(block) < len(block.T)
+                                        else block)
+            expected = np.linalg.svd(tall, compute_uv=False)
             assert np.array_equal(spectrum, expected)
+            direct = np.linalg.svd(block, compute_uv=False)
+            assert np.abs(spectrum - direct).max() <= 1e-13 * direct[0]
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_stacks_transpose_alike(self, name):
+        # every non-square stack of a 6-leaf table: its spectra do not
+        # depend on which side gives the rows
+        model = builtin_model(name)
+        transform = CharacterTransform(random_tensor(range(1, 7), 6), model)
+        seen = 0
+        for stack in split_stacks(all_bipartitions(6, nontrivial_only=True),
+                                  model):
+            for _, blocks in character_flattening(transform, stack, model):
+                if blocks.shape[1] != blocks.shape[2]:
+                    seen += 1
+                    assert np.array_equal(
+                        block_spectra(blocks),
+                        block_spectra(blocks.swapaxes(-1, -2)))
+        assert seen
 
 
 # ---------------------------------------------------------------------------
