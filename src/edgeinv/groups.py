@@ -34,7 +34,9 @@ where the stabiliser of a state acts by permuting digits, and builds that
 copy orbit by orbit with the same machinery as the bases: the orbits once
 per stabiliser, at the highest power asked so far.  In those coordinates
 the label group's average is the class of label 0, and the model's is that
-class averaged over the stabiliser, one gather per element.
+class averaged over the stabiliser, one gather per element.  On such a
+class, one side's first copy is read off a few seed patterns, the ones
+each copy vector grows from, and a small matrix gamma.
 """
 
 from __future__ import annotations
@@ -903,6 +905,7 @@ class CliffordReduction:
             self._stabilisers.append((keep, weights))
         self.irrep_labels = tuple(irrep_labels)
         self._first_copies: dict[int, tuple] = {}
+        self._cuts: dict[tuple[int, int], tuple] = {}
         self._top, self._rows = 0, []   # the rows at the highest power
 
     def stabiliser_average(self, kept: np.ndarray) -> np.ndarray:
@@ -936,17 +939,91 @@ class CliffordReduction:
         so the power-l positions are the first 4^(l - 1) of any higher power
         and no orbit leaves them; rows are ordered by orbit, numbered by
         least member, so the power-l rows are those whose least member,
-        ``index[:, 0]``, is one of those positions."""
+        ``index[:, 0]``, is one of those positions.
+
+        These rows compress a block L between label-c_t classes on both
+        sides, P1^T L P2; on a class averaged over the stabiliser, side 1
+        needs only their seeds and gamma (``first_copy_seeds``), P1^T L P2
+        = gamma (L P2)[seeds], the same to rounding."""
+        return self._pieces(power)[0]
+
+    def first_copy_seeds(self, power: int) -> tuple:
+        """Per irrep t, ``None`` where ``first_copies`` is, else ``(seeds,
+        gamma)`` of shape (m_t, q), zero-padded: first-copy vector j is the
+        sum over a of gamma[j, a] E_t e_x, x the label-class pattern
+        seeds[j, a], where E_t = (d_t/|H|) sum_h <u_t, D_t(h) u_t> h^(x l)
+        over H_c is a symmetric projector (asserted).  One seed per row for
+        irreps of H_c of dimension 1, up to two for JC69's ``plane``, whose
+        regular orbits hold two first-copy vectors from power 3 on.
+
+        E_t is a sum of stabiliser elements, so it commutes with a block L
+        between label-c_t classes that the stabiliser leaves alone, L[h x,
+        h y] = L[x, y] (a class averaged over it), and fixes the other
+        side's first copy P2: P1^T L P2 = sum_a gamma[:, a] (L P2)[seeds[:,
+        a]]."""
+        return self._pieces(power)[1]
+
+    def cuts(self, l1: int, l2: int) -> tuple:
+        """Per irrep t, ``None`` where ``first_copies`` is, else ``(rows,
+        cols)``: where ``compress`` reads a block L between the label-c_t
+        classes at powers l1 and l2, L[rows, cols] of shape (s, m1 q, m2),
+        indexed as numpy indexes: side 1's seeds, and the s patterns of each
+        of side 2's first-copy vectors."""
+        found = self._cuts.get((l1, l2))
+        if found is None:
+            found = self._cuts.setdefault((l1, l2), tuple(
+                None if seeded is None else
+                (seeded[0].reshape(-1, 1), piece[0].T[:, None, :])
+                for seeded, piece in zip(self.first_copy_seeds(l1),
+                                         self.first_copies(l2))))
+        return found
+
+    def takes(self, l1: int, l2: int, axis: int, width: int) -> list:
+        """Per irrep t, where its blocks lie in a split's copy of the kept
+        class, ``width`` wide, whose axis ``axis`` holds one side's patterns
+        and the other axis the other side's label-class positions: the
+        label-c_t members along ``axis`` where t has no ``cuts``, else the
+        flat positions of the cut."""
+        members1 = label_classes(self.labels, l1)
+        members2 = label_classes(self.labels, l2)
+        found = []
+        for c, cut in zip(self.irrep_labels, self.cuts(l1, l2)):
+            if cut is None:
+                found.append((members1[c], members2[c])[axis])
+            elif axis:
+                found.append(cut[0] * width + members2[c][cut[1]])
+            else:
+                found.append(members1[c][cut[0]] * width + cut[1])
+        return found
+
+    def compress(self, t: int, cut: np.ndarray, l1: int,
+                 l2: int) -> np.ndarray:
+        """The blocks of irrep t, first copies on both sides, from a stack
+        of its ``cuts`` of blocks L of a class averaged over the stabiliser
+        (see ``first_copy_seeds``): the weighed sums of each side-2 vector's
+        patterns, then of each side-1 vector's seed rows."""
+        gamma = self.first_copy_seeds(l1)[t][1]
+        weight = np.ascontiguousarray(self.first_copies(l2)[t][1].T)
+        blocks = np.einsum("skij,kj->sij", cut, weight)
+        if gamma.shape[1] == 1:
+            blocks *= gamma
+            return blocks
+        return np.einsum("siaj,ia->sij", blocks.reshape(
+            blocks.shape[:1] + gamma.shape + blocks.shape[2:]), gamma)
+
+    def _pieces(self, power: int) -> tuple:
+        """``(first_copies(power), first_copy_seeds(power))``."""
         found = self._first_copies.get(power)
         if found is None:
             if power > self._top:
                 self._top, self._rows = power, self._stabiliser_rows(power)
-            pieces = []
+            pieces, seeds = [], []
             for t, rows in enumerate(self._rows):
                 if rows is None:
                     pieces.append(None)
+                    seeds.append(None)
                     continue
-                index, weight = rows
+                (index, weight), (seed, gamma) = rows
                 count = np.searchsorted(index[:, 0], K ** (power - 1))
                 expected = self.model.multiplicities(power)[t]
                 if count != expected:
@@ -955,13 +1032,16 @@ class CliffordReduction:
                         f"!= multiplicity {expected} for irrep "
                         f"{self.model.irreps[t].name}")
                 pieces.append((index[:count], weight[:count]))
-            found = self._first_copies.setdefault(power, tuple(pieces))
+                seeds.append((seed[:count], gamma[:count]))
+            found = self._first_copies.setdefault(
+                power, (tuple(pieces), tuple(seeds)))
         return found
 
     def _stabiliser_rows(self, power: int) -> list:
         """Per irrep, ``None`` or the ``_orbit_rows`` of its stabiliser and
-        weights at this power, with the orbits found once per stabiliser on
-        the positions of any class it fixes (the power-(l - 1) patterns)."""
+        weights at this power, ``(index, weight)``, with those of its seeds,
+        ``(seeds, gamma)``; the orbits found once per stabiliser on the
+        positions of any class it fixes (the power-(l - 1) patterns)."""
         orbits, made, rows = {}, {}, []
         for keep, weights in self._stabilisers:
             if len(keep) == 1:
@@ -974,13 +1054,64 @@ class CliffordReduction:
             key = keep, weights.tobytes()
             if key not in made:
                 n_orbits, shapes = orbits[keep]
-                # no orbit is larger than the stabiliser
-                made[key] = _orbit_rows(
-                    shapes, n_orbits,
-                    [_copy_vectors(local, weights[:, None])[0]
-                     for _, _, local in shapes], len(keep))
+                seeded = [_seeded_copies(local, weights)
+                          for _, _, local in shapes]
+                # no orbit is larger than the stabiliser, and no vector
+                # grows from more seeds than its orbit has vectors
+                made[key] = (
+                    _orbit_rows(shapes, n_orbits,
+                                [vecs for vecs, _, _ in seeded], len(keep)),
+                    _orbit_rows([(o, members[:, seeds], local) for
+                                 (o, members, local), (_, seeds, _)
+                                 in zip(shapes, seeded)], n_orbits,
+                                [gamma for _, _, gamma in seeded],
+                                max(len(seeds) for _, seeds, _ in seeded)
+                                or 1))
             rows.append(made[key])
         return rows
+
+
+_SEEDS: dict[tuple, tuple] = {}
+
+
+def _seeded_copies(local: np.ndarray, weights: np.ndarray) -> tuple:
+    """``(vectors, seeds, gamma)``: the first-copy vectors of one orbit
+    shape, ``_copy_vectors(local, weights[:, None])[0]``, and their
+    ``_seeds``, computed once per process for each distinct input, as the
+    vectors are: an orbit shape recurs at every higher power."""
+    vectors = _copy_vectors(local, weights[:, None])[0]
+    key = local.shape, local.tobytes(), weights.tobytes()
+    found = _SEEDS.get(key)
+    if found is None:
+        found = _SEEDS.setdefault(key, _seeds(local, weights, vectors))
+    return (vectors, *found)
+
+
+def _seeds(local: np.ndarray, weights: np.ndarray,
+           vectors: np.ndarray) -> tuple:
+    """The members that the first-copy ``vectors`` of one orbit shape grow
+    from: ``(seeds, gamma)`` such that vectors[j] is the sum over a of
+    gamma[j, a] times E e_{seeds[a]}, where E = sum_e weights[e] g_e.  Seed
+    j is where ``_orthonormal_copies`` accepts vector j: the members before
+    it have images in the span of the vectors before j, which vector j is
+    orthogonal to, so its first entry of size is there.  E is the
+    symmetric projector V^T V onto the vectors' span (asserted), so E
+    e_{seeds[a]} = V^T V[:, seeds[a]], and gamma is the inverse transpose
+    of the upper triangular V[:, seeds].  Asserted: gamma reproduces the
+    vectors."""
+    size = local.shape[1]
+    proj = np.zeros((size, size))  # column a is E e_a
+    np.add.at(proj, (local, np.arange(size)), weights[:, None])
+    # the accepted norms are above 1e-6, the entries before them zero
+    seeds = (np.abs(vectors) > 1e-9).argmax(axis=1)
+    corner = vectors[:, seeds]
+    gamma = 1 / corner if len(seeds) == 1 else np.linalg.inv(corner).T
+    gaps = np.concatenate([(vectors.T @ vectors - proj).ravel(),
+                           (gamma @ proj[:, seeds].T - vectors).ravel()])
+    if np.abs(gaps).max(initial=0.0) > 1e-12:
+        raise AssertionError("a stabiliser's first copies do not grow from "
+                             "seeds by a symmetric projector")
+    return seeds, gamma
 
 
 @lru_cache(maxsize=None)

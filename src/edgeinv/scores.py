@@ -104,13 +104,18 @@ class SplitTable:
     both sides, compressed to the first copy of t by a small change of
     basis for the stabiliser of c_t, both read off the irrep matrices
     (``groups.CliffordReduction``); for the abelian models c_t is t and
-    the change of basis is the identity.
+    the change of basis is the identity.  As the kept class is averaged
+    over the stabiliser, side 1's compression is gamma times a few seed
+    rows, P1^T L P2 = gamma (L P2)[seeds]
+    (``CliffordReduction.first_copy_seeds``), so only side 2 is compressed
+    and the label block is not built; the scores are the two-sided
+    compression's to rounding.
 
     A fill scores its splits in stacks (``tensors.split_stacks``): splits
     with equal side sizes share their label classes and first-copy pieces,
     so their blocks have one shape.  A stack takes one copy of the kept
-    class per split with one row take per label, one compression per irrep
-    piece and one SVD call per irrep.  Stacks are capped at
+    class per split with one take per irrep, one compression per
+    compressed irrep and one SVD call per irrep.  Stacks are capped at
     ``tensors.STACK_ENTRIES`` entries: at 6 to 8 leaves a shape group is
     one stack or a few, from 10 leaves on a stack is one split.
     """
@@ -136,6 +141,7 @@ class SplitTable:
         for stack in split_stacks(new, self.model):
             for score in self._score(stack):
                 self.scored[side_mask(score.split)] = score
+        self.transform.takes = None  # as large as a stack's blocks
 
     def passes(self, masks: list[int], tol: float) -> list[bool]:
         """Per mask, whether its split scores <= tol: its edge test."""

@@ -275,21 +275,36 @@ _BLANKS = ("\t\x1f \xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
           "\u2007\u2008\u2009\u200a\u202f\u205f\u3000")
 
 
+# rounds of peeling whitespace off the line ends before a text is split
+# into lines instead; the usual trailing blank takes one
+_PEELS = 4
+
+
 def _stripped_lines(text: str) -> str:
     r"""``text`` between two "\n", with every line break a "\n" and each line
     stripped: the lines of ``str.splitlines``, each ``str.strip``-ed, with a
-    blank line more where a break was "\r\n".  Only a text with whitespace
-    beside a line break is split into lines; a text without (the usual one)
-    is copied once, and once more per kind of line break in it."""
+    blank line more where a break was "\r\n".  The text is copied once, and
+    once more per kind of line break in it.  Whitespace beside a line break
+    is peeled off a layer a round, one copy per kind of blank there (at the
+    line ends only in the first round), for up to ``_PEELS`` rounds; a text
+    with more is split into lines."""
     plain = text.isascii()
     text = f"\n{text}\n"
     for mark in _LINE_BREAKS:
         if (mark.isascii() or not plain) and mark in text:
             text = text.replace(mark, "\n")
-    if any(_beside_a_break(text, blank) for blank in _BLANKS
-           if blank.isascii() or not plain):
-        text = "\n".join(map(str.strip, text.split("\n")))
-    return text
+    blanks = [blank for blank in _BLANKS
+              if (blank.isascii() or not plain) and blank in text]
+    for peel in range(_PEELS):
+        beside = [blank for blank in blanks if _beside_a_break(text, blank)]
+        if not beside:
+            return text
+        for blank in beside:
+            # trailing blanks (the usual ones) alone first, which leaves few
+            text = text.replace(blank + "\n", "\n")
+            if peel:
+                text = text.replace("\n" + blank, "\n")
+    return "\n".join(map(str.strip, text.split("\n")))
 
 
 def _beside_a_break(text: str, blank: str) -> bool:

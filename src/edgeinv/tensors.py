@@ -26,7 +26,8 @@ model's.  The block of irrep t pairs the side-1 patterns of label c_t with
 the side-2 patterns of label c_t, compressed on both sides to the first
 copy of t by a small change of basis for the stabiliser of c_t
 (``groups.CliffordReduction``); for the abelian models c_t is t and the
-change of basis is the identity.  No basis above power 1 is built.
+change of basis is the identity; where c_t has a stabiliser, side 1's is
+read off a few seed rows.  No basis above power 1 is built.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .trees import Bipartition
 
 MAX_LEAVES = 12
 # the most entries of the largest label block of a stack of splits
-STACK_ENTRIES = 2 ** 14
+STACK_ENTRIES = 2 ** 15
 AMBIGUOUS = K    # the state code of every symbol outside ACGT
 # the state code of each latin-1 character, as a bytes.translate table, and
 # with ASCII case folded, as FASTA reads it
@@ -239,11 +240,13 @@ class CharacterTransform:
     keeps; the stabiliser's average of it is the model's.  ``kept`` has an
     axis per position in label order, the last holding the k digits there
     that complete the class: k = 1 for K81, K80 and JC69, 2 for SSM, 4 for
-    GMM.  It holds no reference to the tensor.
+    GMM.  It holds no reference to the tensor, but the model averaged
+    over and the take indices ``blocks`` last built (``None`` frees them).
     """
 
     def __init__(self, psi: PatternTensor, model: EquivariantModel):
         reduction = clifford_reduction(model)
+        self.model = model
         self.label_group = reduction.labels
         k = len(completing_digits(self.label_group)[0])
         self.labels = psi.labels
@@ -264,42 +267,40 @@ class CharacterTransform:
         copy_label_zero(full, self.label_group, kept, np.empty(rows, np.bool_))
         del full  # the last tensor-sized buffer, before the average's
         self.kept = reduction.stabiliser_average(kept)
+        self.takes = None  # see ``blocks``
 
-    def blocks(self, sides: list[tuple[tuple[int, ...], tuple[int, ...]]],
-               labels: list[int]) -> list[np.ndarray]:
-        """Per c of ``labels``, the stack of label-c blocks along the
-        (side1, side2) pairs of ``sides`` (sorted as by ``_sides``, of one
-        pair of side sizes), of shape (len(sides), side-1 patterns of label
-        c, side-2 patterns of label c): the patterns of the side without
-        the largest label, taken from one copy of ``kept`` per split."""
-        members1 = label_classes(self.label_group, len(sides[0][0]))
-        members2 = label_classes(self.label_group, len(sides[0][1]))
-        stacks = [np.empty((len(sides), len(members1[c]), len(members2[c])))
-                  for c in labels]
+    def blocks(self, sides: list[tuple[tuple[int, ...], tuple[int, ...]]]
+               ) -> list[np.ndarray]:
+        """Per irrep t, the stack along the (side1, side2) pairs of
+        ``sides`` (sorted as by ``_sides``, of one pair of side sizes) of
+        the blocks L between the sides' label-c_t classes, or of L[rows,
+        cols] for a ``CliffordReduction.cuts`` of t.  From one copy of
+        ``kept`` per split, by ``CliffordReduction.takes``."""
+        l1, l2 = map(len, sides[0])
+        reduction = clifford_reduction(self.model)
+        members1 = label_classes(self.label_group, l1)
+        members2 = label_classes(self.label_group, l2)
+        cuts = reduction.cuts(l1, l2)
+        stacks = [np.empty((len(sides),) + (
+                      (len(members1[c]), len(members2[c])) if cut is None
+                      else np.broadcast(*cut).shape))
+                  for c, cut in zip(reduction.irrep_labels, cuts)]
+        if not self.takes or self.takes[0] != (l1, l2):
+            self.takes = (l1, l2), [None, None]
+        takes = self.takes[1]  # per axis, the indices of each stack
         for i, (side1, side2) in enumerate(sides):
             # side 2 is taken by label when side 1 holds the largest label
             axis = int(side1[-1] > side2[-1])
             copy = np.ascontiguousarray(self.kept.transpose(
                 list(map(self._axes.get, side1 + side2))))
-            copy = copy.reshape(prod(copy.shape[:len(side1)]), -1)
-            for c, stack in zip(labels, stacks):
-                # the members are in range; "raise" would buffer ``out``
-                copy.take((members1, members2)[axis][c], axis=axis,
-                          mode="clip", out=stack[i])
+            copy = copy.reshape(prod(copy.shape[:l1]), -1)
+            if takes[axis] is None:
+                takes[axis] = reduction.takes(l1, l2, axis, copy.shape[1])
+            for cut, index, stack in zip(cuts, takes[axis], stacks):
+                # the indices are in range; "raise" would buffer ``out``
+                copy.take(index, axis=None if cut else axis, mode="clip",
+                          out=stack[i])
         return stacks
-
-
-def _first_copy_block(blocks: np.ndarray, rows, cols) -> np.ndarray:
-    """P1^T B P2 for each block B of a stack, for first-copy pieces
-    ``(index, weight)`` of ``CliffordReduction.first_copies``; ``None``
-    pieces are identities."""
-    if rows is None:
-        return blocks
-    for index, weight in (rows, cols):
-        # compress the first block axis, then turn the other one to it
-        blocks = np.matmul(weight[:, None, :], blocks.take(index, axis=1)
-                           )[:, :, 0].swapaxes(1, 2)
-    return blocks
 
 
 def split_stacks(splits: Iterable[Bipartition],
@@ -328,28 +329,31 @@ def character_flattening(psi: PatternTensor, splits,
                          ) -> Iterator[tuple[int, np.ndarray]]:
     """The thin flattenings along a stack of splits with equal side sizes,
     one irrep at a time: ``(t, blocks)``, where ``blocks[i]`` is the block
-    of irrep t along ``splits[i]``.  From the character transform of
-    ``psi`` under the model's label group (see ``CliffordReduction``): the
-    label-c_t block, compressed on both sides to the first copy of t.  The
-    irreps come grouped by label, from the blocks of every label wanted,
-    taken at once (``CharacterTransform.blocks``), so they are the blocks
-    of the group average.  A single split is a stack of one.  ``psi`` may
-    also be a character transform: the tensor's under ``model``, or, for
-    the blocks of the tensor itself, under the label group."""
+    of irrep t along ``splits[i]``, of the group average of ``psi``.  From
+    the character transform of ``psi`` under ``model`` (``psi`` may be that
+    transform; one under another model raises ValueError): the label-c_t
+    block, compressed on both sides to the first copy of t (see
+    ``CliffordReduction``).  Where c_t has a stabiliser, the transform is
+    averaged over it, so side 1's compression is gamma times seed rows,
+    P1^T L P2 = gamma (L P2)[seeds] (``CliffordReduction.first_copy_seeds``),
+    and only those rows are taken: the two-sided compression to rounding.
+    A single split is a stack of one."""
     reduction = clifford_reduction(model)
     transform = psi if isinstance(psi, CharacterTransform) else \
         CharacterTransform(psi, model)
+    if transform.model != model:
+        raise ValueError(f"a transform averaged under {transform.model.name}"
+                         f" gives no {model.name} blocks")
     sides = [_sides(transform, split) for split in splits]
     l1, l2 = map(len, sides[0])
     if any((len(a), len(b)) != (l1, l2) for a, b in sides):
         raise ValueError("a stack holds splits of one pair of side sizes")
-    pieces = tuple(zip(reduction.irrep_labels, reduction.first_copies(l1),
-                       reduction.first_copies(l2)))
-    wanted = sorted(set(reduction.irrep_labels))
-    for c, blocks in zip(wanted, transform.blocks(sides, wanted)):
-        for t, (label, rows, cols) in enumerate(pieces):
-            if label == c:
-                yield t, _first_copy_block(blocks, rows, cols)
+    cuts = reduction.cuts(l1, l2)
+    stacks = transform.blocks(sides)
+    for t, cut in enumerate(cuts):
+        blocks, stacks[t] = stacks[t], None  # freed once compressed
+        yield t, blocks if cut is None else reduction.compress(t, blocks,
+                                                                l1, l2)
 
 
 class RankVector(Record):

@@ -4,7 +4,8 @@ its invariance diagnostics, every trivalent topology and the exhaustive
 decision by scanning them, greedy selection from every split, split tables
 with made-up scores, tensors, the gluing contraction, the no-mutation
 presentation, relabellings, dense operators, pattern maps, presentation
-JSON round-trips, the per-split block route, the line-by-line FASTA strip,
+JSON round-trips, the per-split block route with its two-sided
+compression, the line-by-line and break-by-break FASTA strips,
 alignments from pattern counts, the string route of sampled FASTA text, the
 loop forms of the FASTA column count and the character transform, the group
 average over whole tensors and one model's orbit walk, the group tables by
@@ -34,9 +35,9 @@ from edgeinv.scores import DEFAULT_RANK_TOL, DEFAULT_SCORE_TOL, SplitScore, \
     score_splits, side_mask
 from edgeinv.simulate import Alignment, EvolutionaryPresentation, \
     _default_root, _oriented_edges, default_taxa
-from edgeinv.tensors import PatternTensor, RankVector, _sides, \
-    block_spectra, character_flattening, pattern_codes, pattern_strings, \
-    stack_ranks
+from edgeinv.tensors import CharacterTransform, PatternTensor, RankVector, \
+    _sides, block_spectra, character_flattening, pattern_codes, \
+    pattern_strings, stack_ranks
 from edgeinv.trees import Bipartition, TreeTopology, from_newick, \
     splits_compatible, to_newick, tree_from_splits
 
@@ -190,14 +191,22 @@ def stack_of_one(psi: PatternTensor, split,
 def per_split_blocks(psi: PatternTensor, split,
                      model: EquivariantModel) -> tuple[np.ndarray, ...]:
     """The first-copy blocks along one split one split at a time: the whole
-    character transform by ``character_transform_loop``, a two-dimensional
-    gather of it by flat pattern indices per block, and a compression of
-    each block on its own."""
+    character transform under the label group by
+    ``character_transform_loop``, its class of label 0 replaced by the
+    model's ``CharacterTransform.kept`` (the same class for the abelian
+    models; averaged over the stabiliser for K80 and JC69), a
+    two-dimensional gather of it by flat pattern indices per block, and a
+    compression of each block on both sides on its own
+    (``first_copy_block``)."""
     side1, side2 = _sides(psi, split)
     reduction = clifford_reduction(model)
-    coeffs = character_transform_loop(psi, reduction.labels)
+    labels = sorted(psi.labels)
+    coeffs = character_transform_loop(psi, reduction.labels).reshape(
+        (K,) * psi.n).transpose(np.argsort(psi.labels)).reshape(-1)
+    coeffs[label_classes(reduction.labels, psi.n)[0]] = \
+        CharacterTransform(psi, model).kept.reshape(-1)
     strides = {lab: K ** (psi.n - 1 - i) * np.arange(K)
-               for i, lab in enumerate(psi.labels)}
+               for i, lab in enumerate(labels)}
 
     def offsets(side):
         out = np.zeros(1, dtype=np.int64)
@@ -208,17 +217,27 @@ def per_split_blocks(psi: PatternTensor, split,
     rows, cols = offsets(side1), offsets(side2)
     members1 = label_classes(reduction.labels, len(side1))
     members2 = label_classes(reduction.labels, len(side2))
-    blocks = []
-    for c, pieces1, pieces2 in zip(reduction.irrep_labels,
-                                   reduction.first_copies(len(side1)),
-                                   reduction.first_copies(len(side2))):
-        block = coeffs.take(np.add.outer(rows[members1[c]],
-                                         cols[members2[c]]))
-        if pieces1 is not None:
-            for index, weight in (pieces1, pieces2):
-                block = np.matmul(weight[:, None, :], block[index])[:, 0].T
-        blocks.append(block)
-    return tuple(blocks)
+    return tuple(
+        first_copy_block(coeffs.take(np.add.outer(rows[members1[c]],
+                                                  cols[members2[c]]))[None],
+                         pieces1, pieces2)[0]
+        for c, pieces1, pieces2 in zip(reduction.irrep_labels,
+                                       reduction.first_copies(len(side1)),
+                                       reduction.first_copies(len(side2))))
+
+
+def first_copy_block(blocks: np.ndarray, rows, cols) -> np.ndarray:
+    """P1^T B P2 for each block B of a stack, for first-copy pieces
+    ``(index, weight)`` of ``CliffordReduction.first_copies``; ``None``
+    pieces are identities.  The two-sided compression, which holds for any
+    block; ``character_flattening`` compresses one side only."""
+    if rows is None:
+        return blocks
+    for index, weight in (rows, cols):
+        # compress the first block axis, then turn the other one to it
+        blocks = np.matmul(weight[:, None, :], blocks.take(index, axis=1)
+                           )[:, :, 0].swapaxes(1, 2)
+    return blocks
 
 
 def fit_score_oracle(psi: PatternTensor, model: EquivariantModel) -> float:
@@ -510,6 +529,14 @@ def lines_stripped_one_by_one(text: str) -> str:
     line of ``str.splitlines`` stripped on its own, joined between two
     "\n"."""
     return "\n".join(["", *map(str.strip, text.splitlines()), ""])
+
+
+def lines_stripped_break_by_break(text: str) -> str:
+    """``simulate._stripped_lines`` by its definition, byte for byte: every
+    line break a "\n" ("\r\n" two), between two "\n", each line stripped."""
+    for mark in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        text = text.replace(mark, "\n")
+    return "\n".join(map(str.strip, f"\n{text}\n".split("\n")))
 
 
 def fasta_column_counts(seqs: list[str], ambiguous: str) -> dict[str, int]:

@@ -11,7 +11,7 @@ import edgeinv.groups
 import edgeinv.scores
 import edgeinv.tensors
 from edgeinv.groups import EquivariantModel, builtin_model, \
-    clifford_reduction, symmetry_adapted_basis
+    symmetry_adapted_basis
 from edgeinv.reconstruct import reconstruct_exhaustive
 from edgeinv.scores import (
     SplitTable,
@@ -396,16 +396,16 @@ class TestStacks:
                                 (want.score, *want.per_block_residuals)):
                     assert abs(a - b) <= max(1e-12 * b, 1e-15)
 
-    def test_one_gather_per_label_and_one_svd_per_irrep(self, monkeypatch):
+    def test_one_gather_and_one_svd_per_irrep(self, monkeypatch):
         # each split of a stack takes one copy of the kept class, made
         # contiguous with side 1's axes first, and from it one take per
-        # wanted label; each stack, one SVD call per irrep
+        # irrep: its label block, or the cut of it that the one-sided
+        # compression reads; each stack, one SVD call per irrep
         model = builtin_model("K80")
         psi = averaged_random("K80", 8, 3)
         splits = all_bipartitions(8)
         stacks = list(split_stacks(
             [s for s in splits if not s.is_trivial], model))
-        reduction = clifford_reduction(model)
         copies = []
 
         class Takes(np.ndarray):
@@ -434,10 +434,10 @@ class TestStacks:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         score_splits(psi, model, splits)
-        assert sum(map(len, stacks)) == 119 and len(stacks) == 32
+        assert sum(map(len, stacks)) == 119 and len(stacks) == 17
         assert len(copies) == 119
-        assert Takes.calls == len(set(reduction.irrep_labels)) * 119
-        assert len(shapes) == model.n_irreps * 32
+        assert Takes.calls == model.n_irreps * 119
+        assert len(shapes) == model.n_irreps * 17
         assert [shape[0] for shape in shapes[::model.n_irreps]] == \
             list(map(len, stacks))
 

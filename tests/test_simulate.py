@@ -29,8 +29,9 @@ from edgeinv.tensors import PatternTensor
 from edgeinv.trees import TreeTopology, from_newick
 import edgeinv.simulate
 from helpers import alignment_from_counts, fasta_by_pattern_strings, \
-    fasta_column_counts, group_average, lines_stripped_one_by_one, \
-    no_mutation_presentation, presentation_from_json, presentation_to_json
+    fasta_column_counts, group_average, lines_stripped_break_by_break, \
+    lines_stripped_one_by_one, no_mutation_presentation, \
+    presentation_from_json, presentation_to_json
 
 MODELS = ["GMM", "SSM", "K81", "K80", "JC69"]
 
@@ -491,22 +492,56 @@ class TestFastaLinePass:
         ">a\r\nAC\r\n>b\r\nGT\r\n", " >a \n AC \n\t>b\u3000\nGT",
         ">a\u2028AC\x85>b\x0bGT", ">a x\nA C\n>b y\nGT\n",
         ">a\nA>C\n>b\nGTA\n", "\xa0\n>a\nAC\x1f\n>b\nGT\xa0\n",
-        "x\n>a\nAC\n", "\u2029>a\x1c\x1dAC\x1e>b\x0cGT\r"])
+        "x\n>a\nAC\n", "\u2029>a\x1c\x1dAC\x1e>b\x0cGT\r",
+        ">a \nAC\t\n>b  \nGT \n", ">a \r\nAC\t\r\n>b  \r\nGT \r\n",
+        ">a \r\nAC\r\r\n>b\n\rGT \r\n\r", " >a\r\nAC\r\n>b\r\nGT\r\n ",
+        " \t >a\n  AC\n\t>b\nGT", ">a \t \t \t\nAC\n>b\n \t \t GT\u3000\n"])
     def test_examples(self, monkeypatch, text):
         got, want = self.both(monkeypatch, text, "drop")
         assert str(got) == str(want)
+        assert edgeinv.simulate._stripped_lines(text) \
+            == lines_stripped_break_by_break(text)
 
-    @pytest.mark.parametrize("form", ["LF", "CRLF", "described"])
-    def test_text_stays_whole(self, form):
-        # without whitespace beside a line break the text is copied, once
-        # per kind of break, and not split into lines (that peaks at 2.8x)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_text_as_break_by_break(self, seed):
+        # byte for byte, with a blank line more per "\r\n", whether or not
+        # the text is split into lines
+        rng = random.Random(seed)
+        for _ in range(300):
+            text = messy_fasta(rng)
+            assert edgeinv.simulate._stripped_lines(text) \
+                == lines_stripped_break_by_break(text)
+
+    @pytest.mark.parametrize("form", ["LF", "CRLF", "spaced LF",
+                                      "spaced CRLF", "spaced CR and LF"])
+    def test_whole_alignment_same_text_as_break_by_break(self, form):
+        # lines that end in whitespace are peeled, whatever their breaks
         text = caterpillar_fasta()
-        if form == "CRLF":
+        if form.startswith("spaced"):
+            text = text.replace("\n", " \n")
+        if form.endswith("CRLF"):
+            text = text.replace("\n", "\r\n")
+        elif form.endswith("CR and LF"):
+            text = text.replace("\n", "\r\n", 3)
+        assert edgeinv.simulate._stripped_lines(text) \
+            == lines_stripped_break_by_break(text)
+
+    @pytest.mark.parametrize("form", ["LF", "CRLF", "described", "spaced",
+                                      "spaced CRLF"])
+    def test_text_stays_whole(self, form):
+        # the text is copied, once per kind of break and once per blank
+        # peeled off the line ends, and not split into lines (that peaks at
+        # 2.8x); two copies at most are alive at once
+        text = caterpillar_fasta()
+        if form.startswith("spaced"):
+            text = text.replace("\n", " \n")
+        if form.endswith("CRLF"):
             text = text.replace("\n", "\r\n")
         elif form == "described":
             text = text.replace(">t", ">taxon t")
         peak = traced_peak(lambda: edgeinv.simulate._stripped_lines(text))
-        assert peak <= (1 + (form == "CRLF")) * len(text) + 1000
+        assert peak <= (1 + (form != "LF" and form != "described")) \
+            * len(text) + 1000
 
 
 def caterpillar_fasta() -> str:
