@@ -33,6 +33,7 @@ from .simulate import (
     write_fasta,
 )
 from .tensors import (
+    OVERFLOW,
     PatternTensor,
     pattern_strings,
     read_container,
@@ -142,6 +143,15 @@ _SPACE = re.compile(rb"\s*")
 
 
 def _load_input(path: str, fmt: str, ambiguous: str) -> PatternTensor:
+    """The tensor to score, refused where its norm overflows: every score
+    divides by it, and the scoring passes would warn before they refuse."""
+    psi = _read_input(path, fmt, ambiguous)
+    if not np.isfinite(psi.norm()):
+        raise ValueError(OVERFLOW)
+    return psi
+
+
+def _read_input(path: str, fmt: str, ambiguous: str) -> PatternTensor:
     with (open(path, "rb") if path != "-"
           else contextlib.nullcontext(sys.stdin.buffer)) as stream:
         head = stream.read(4)

@@ -16,8 +16,8 @@ rho(g)^(x l) permutes patterns within a G-orbit, every basis vector has at
 most |G| nonzero entries and the basis is held sparse, in numpy arrays.
 That arithmetic depends on an orbit only through its local action (where
 each g sends each member, as positions in the sorted member list) and the
-irrep, and few local actions occur at any power, so it runs once per process
-for each of them and the vectors are copied onto every orbit of that shape.
+irrep, and few local actions occur at any power, so it runs once per local
+action of a basis and the vectors are copied onto every orbit of that shape.
 
 A model fit's group average never holds the |G| x k^l table of pattern
 images, nor a k^l array: it sums over G as a product of sums over cyclic
@@ -31,12 +31,12 @@ Scoring builds no basis above power 1 and averages by masking.
 ``CliffordReduction`` places the first copy of every irrep on one label
 class of the Kronecker powers of an abelian label group's one-site basis,
 where the stabiliser of a state acts by permuting digits, and builds that
-copy orbit by orbit with the same machinery as the bases: the orbits once
-per stabiliser, at the highest power asked so far.  In those coordinates
+copy orbit by orbit with the same machinery as the bases: its rows once
+per reduction, at the highest power asked so far.  In those coordinates
 the label group's average is the class of label 0, and the model's is that
 class averaged over the stabiliser, one gather per element.  On such a
-class, one side's first copy is read off a few seed patterns, the ones
-each copy vector grows from, and a small matrix gamma.
+class, one side's first copy is read off a few seed patterns, the members
+at which Gram-Schmidt accepts each copy vector, and a small matrix gamma.
 """
 
 from __future__ import annotations
@@ -677,23 +677,8 @@ def symmetry_adapted_basis(model: EquivariantModel,
     return _build_basis(model, power)
 
 
-_COPY_VECTORS: dict[tuple, np.ndarray] = {}
-
-
-def _copy_vectors(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``_orthonormal_copies(local, weights)``, computed once per process for
-    each distinct input and shared, read-only, by every basis and first-copy
-    table whose orbits have that local action and irrep weights."""
-    key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (local, weights))
-    found = _COPY_VECTORS.get(key)
-    if found is None:
-        found = _orthonormal_copies(local, weights)
-        found.setflags(write=False)
-        found = _COPY_VECTORS.setdefault(key, found)
-    return found
-
-
-def _orthonormal_copies(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _orthonormal_copies(local: np.ndarray, weights: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Adapted vectors of one orbit shape for one irrep.  ``local[e, a]`` is
     the position, among the orbit's sorted members, of element e applied to
     member a; ``weights[e, r]`` is the coefficient of element e in the
@@ -701,7 +686,7 @@ def _orthonormal_copies(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
     members in order, projected by E[0][0] and orthonormalized twice
     through; E[r][0] carries each accepted vector to copy r.  Returns an
     array of shape (d, accepted, size) whose [r, j] is copy r of the j-th
-    accepted vector.
+    accepted vector, and the member at which each was accepted.
     """
     d = weights.shape[1]
     m_size = local.shape[1]
@@ -710,6 +695,7 @@ def _orthonormal_copies(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
     np.add.at(e_ops, (slice(None), local, np.arange(m_size)),
               weights.T[:, :, None])
     accepted: list[np.ndarray] = []
+    seeds: list[int] = []
     for seed in range(m_size):
         w = e_ops[0, :, seed].copy()
         for _ in range(2):
@@ -718,11 +704,13 @@ def _orthonormal_copies(local: np.ndarray, weights: np.ndarray) -> np.ndarray:
         norm = np.sqrt(w.dot(w))  # as np.linalg.norm, without its checks
         if norm > 1e-6:
             accepted.append(w / norm)
+            seeds.append(seed)
     copies = [accepted]
     for r in range(1, d):
         moved = [e_ops[r] @ v1 for v1 in accepted]
         copies.append([v / np.sqrt(v.dot(v)) for v in moved])
-    return np.array(copies).reshape(d, len(accepted), m_size)
+    return (np.array(copies).reshape(d, len(accepted), m_size),
+            np.array(seeds, dtype=np.int64))
 
 
 def _orbit_shapes(maps: np.ndarray):
@@ -805,7 +793,8 @@ def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
     nnz, rows, data = [], [], []
     for t, ir in enumerate(model.irreps):
         weights = ir.dim / model.order * ir.matrices[:, :, 0]
-        vectors = [_copy_vectors(local, weights) for _, _, local in shapes]
+        vectors = [_orthonormal_copies(local, weights)[0]
+                   for _, _, local in shapes]
         for r in range(ir.dim):
             # no orbit is larger than the group
             index, weight = _orbit_rows(shapes, n_orbits,
@@ -1056,56 +1045,39 @@ class CliffordReduction:
             key = keep, weights.tobytes()
             if key not in made:
                 n_orbits, shapes = orbits[keep]
-                seeded = [_seeded_copies(local, weights)
-                          for _, _, local in shapes]
+                vectors, seeds, gammas = [], [], []
+                for _, _, local in shapes:
+                    copies, accepted = _orthonormal_copies(local,
+                                                           weights[:, None])
+                    vectors.append(copies[0])
+                    seeds.append(accepted)
+                    gammas.append(_gamma(local, weights, copies[0], accepted))
                 # no orbit is larger than the stabiliser, and no vector
                 # grows from more seeds than its orbit has vectors
                 made[key] = (
-                    _orbit_rows(shapes, n_orbits,
-                                [vecs for vecs, _, _ in seeded], len(keep)),
-                    _orbit_rows([(o, members[:, seeds], local) for
-                                 (o, members, local), (_, seeds, _)
-                                 in zip(shapes, seeded)], n_orbits,
-                                [gamma for _, _, gamma in seeded],
-                                max(len(seeds) for _, seeds, _ in seeded)
-                                or 1))
+                    _orbit_rows(shapes, n_orbits, vectors, len(keep)),
+                    _orbit_rows([(o, members[:, at], local) for
+                                 (o, members, local), at
+                                 in zip(shapes, seeds)], n_orbits, gammas,
+                                max(map(len, seeds)) or 1))
             rows.append(made[key])
         return rows
 
 
-_SEEDS: dict[tuple, tuple] = {}
-
-
-def _seeded_copies(local: np.ndarray, weights: np.ndarray) -> tuple:
-    """``(vectors, seeds, gamma)``: the first-copy vectors of one orbit
-    shape, ``_copy_vectors(local, weights[:, None])[0]``, and their
-    ``_seeds``, computed once per process for each distinct input, as the
-    vectors are: an orbit shape recurs at every higher power."""
-    vectors = _copy_vectors(local, weights[:, None])[0]
-    key = local.shape, local.tobytes(), weights.tobytes()
-    found = _SEEDS.get(key)
-    if found is None:
-        found = _SEEDS.setdefault(key, _seeds(local, weights, vectors))
-    return (vectors, *found)
-
-
-def _seeds(local: np.ndarray, weights: np.ndarray,
-           vectors: np.ndarray) -> tuple:
-    """The members that the first-copy ``vectors`` of one orbit shape grow
-    from: ``(seeds, gamma)`` such that vectors[j] is the sum over a of
-    gamma[j, a] times E e_{seeds[a]}, where E = sum_e weights[e] g_e.  Seed
-    j is where ``_orthonormal_copies`` accepts vector j: the members before
-    it have images in the span of the vectors before j, which vector j is
-    orthogonal to, so its first entry of size is there.  E is the
-    symmetric projector V^T V onto the vectors' span (asserted), so E
-    e_{seeds[a]} = V^T V[:, seeds[a]], and gamma is the inverse transpose
-    of the upper triangular V[:, seeds].  Asserted: gamma reproduces the
+def _gamma(local: np.ndarray, weights: np.ndarray, vectors: np.ndarray,
+           seeds: np.ndarray) -> np.ndarray:
+    """The matrix gamma such that the first-copy ``vectors`` of one orbit
+    shape, accepted by ``_orthonormal_copies`` at members ``seeds``, are
+    vectors[j] = sum over a of gamma[j, a] E e_{seeds[a]}, where E = sum_e
+    weights[e] g_e.  The members before seed j have images in the span of
+    the vectors before j, which vector j is orthogonal to, so V[:, seeds] is
+    upper triangular.  E is the symmetric projector V^T V onto the vectors'
+    span (asserted), so E e_{seeds[a]} = V^T V[:, seeds[a]], and gamma is
+    the inverse transpose of V[:, seeds].  Asserted: gamma reproduces the
     vectors."""
     size = local.shape[1]
     proj = np.zeros((size, size))  # column a is E e_a
     np.add.at(proj, (local, np.arange(size)), weights[:, None])
-    # the accepted norms are above 1e-6, the entries before them zero
-    seeds = (np.abs(vectors) > 1e-9).argmax(axis=1)
     corner = vectors[:, seeds]
     gamma = 1 / corner if len(seeds) == 1 else np.linalg.inv(corner).T
     gaps = np.concatenate([(vectors.T @ vectors - proj).ravel(),
@@ -1113,7 +1085,7 @@ def _seeds(local: np.ndarray, weights: np.ndarray,
     if np.abs(gaps).max(initial=0.0) > 1e-12:
         raise AssertionError("a stabiliser's first copies do not grow from "
                              "seeds by a symmetric projector")
-    return seeds, gamma
+    return gamma
 
 
 @lru_cache(maxsize=None)

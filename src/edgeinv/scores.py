@@ -26,6 +26,7 @@ from .groups import EquivariantModel, MultiplicityVector, \
     expected_rank_vector, model_chain, orbit_stages
 from .records import Record
 from .tensors import (
+    OVERFLOW,
     CharacterTransform,
     PatternTensor,
     RankVector,
@@ -39,8 +40,6 @@ from .trees import Bipartition, TreeTopology
 DEFAULT_RANK_TOL = 1e-7
 DEFAULT_SCORE_TOL = 1e-8
 MAX_AUDIT_LEAVES = 10
-# the norm divides every score: where it overflows, each would be NaN
-_OVERFLOW = "the tensor's sum of squares overflows float64; rescale it"
 
 
 class SplitScore(Record):
@@ -129,7 +128,7 @@ class SplitTable:
         # the basis is orthonormal: the average's norm is the kept class's
         self.norm = float(np.linalg.norm(self.transform.kept))
         if not isfinite(self.norm):
-            raise ValueError(_OVERFLOW)
+            raise ValueError(OVERFLOW)
         self.scored: dict[int, SplitScore] = {}
         self.fill(masks)
 
@@ -446,11 +445,11 @@ def fit_scores(psi: PatternTensor, models: list[EquivariantModel]
     try:
         norm2 = fsum(squares) if chain else psi.norm()
     except OverflowError:  # fsum's, for a partial sum past the largest float
-        raise ValueError(_OVERFLOW) from None
+        raise ValueError(OVERFLOW) from None
     if norm2 == 0.0:
         raise ValueError("model fit is undefined for the zero tensor")
     if not isfinite(norm2):
-        raise ValueError(_OVERFLOW)
+        raise ValueError(OVERFLOW)
     score = {m: sqrt(fsum(g) / norm2) for m, g in zip(chain, gaps)}
     return [score.get(m, 0.0) for m in models]
 

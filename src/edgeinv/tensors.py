@@ -36,6 +36,7 @@ import io
 import json
 import operator
 import struct
+from collections import Counter
 from math import prod
 from typing import Iterable, Iterator
 
@@ -68,6 +69,8 @@ LETTERS = np.frombuffer(STATES.encode(), dtype=np.uint8)
 
 STOCHASTIC_NEG_TOL = 1e-12
 STOCHASTIC_SUM_TOL = 1e-9
+# the norm divides every score: where it overflows, each would be NaN
+OVERFLOW = "the tensor's sum of squares overflows float64; rescale it"
 
 
 class PatternTensor(Record):
@@ -91,7 +94,8 @@ class PatternTensor(Record):
         if values.shape != (K ** n,):
             raise ValueError(f"expected {K ** n} entries for {n} positions,"
                              f" got {values.shape}")
-        total = values.sum()  # an inf or nan entry makes it non-finite
+        with np.errstate(over="ignore"):  # finite entries may overflow it
+            total = values.sum()  # an inf or nan entry makes it non-finite
         if not (np.isfinite(total) or np.isfinite(values).all()):
             raise ValueError("tensor entries must be finite")
         if len(set(self.labels)) != n:
@@ -112,7 +116,9 @@ class PatternTensor(Record):
         return self.values.reshape((K,) * self.n)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        """The Euclidean norm, inf without a warning where it overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.values))
 
     def with_canonical_labels(self) -> "PatternTensor":
         """Reorder axes so labels are ascending."""
@@ -462,11 +468,16 @@ def tensor_to_json(psi: PatternTensor) -> str:
 def tensor_from_json(text: str) -> PatternTensor:
     try:
         doc = json.loads(text)
-        counts = {str(pattern): float(value)
-                  for pattern, value in doc["entries"]}
+        entries = doc["entries"]
+        counts = {str(pattern): float(value) for pattern, value in entries}
         n = operator.index(doc["n"])
     except (KeyError, TypeError, OverflowError, RecursionError) as err:
         raise ValueError(f"malformed tensor JSON: {err!r}") from None
+    if len(counts) < len(entries):  # a dict keeps a pattern's last value
+        twice = next(p for p, k in Counter(str(p) for p, _ in entries).items()
+                     if k > 1)
+        raise ValueError(f"malformed tensor JSON: pattern {twice!r} "
+                         f"listed twice")
     stochastic = doc.get("stochastic", False)
     if not isinstance(stochastic, bool):
         raise ValueError(f"malformed tensor JSON: stochastic is "

@@ -371,6 +371,17 @@ class TestReconstruct:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_pattern_listed_twice_exit_one(self, capsys, tmp_path):
+        # kept as a dict, the second "AA" overwrote the first, and the
+        # stochastic check then reported a sum that the file does not have
+        path = tmp_path / "twice.json"
+        path.write_text('{"n": 2, "entries": [["AA", 0.5], ["AC", 0.25], '
+                        '["AA", 0.25]], "stochastic": true}')
+        code, out, err = run(capsys, "score", "--model", "K81",
+                             "--input", str(path), "--all-splits")
+        assert (code, out) == (1, "")
+        assert err == "error: malformed tensor JSON: pattern 'AA' listed twice\n"
+
     def test_empty_fasta_taxon_name_exit_one(self, capsys, tmp_path):
         path = tmp_path / "noname.fasta"
         path.write_text(">\nACGT\n>b\nACGT\n>c\nACGA\n>d\nACGC\n")
@@ -648,9 +659,10 @@ class TestOverflow:
         path.write_text(json.dumps(OVERFLOWING[tensor]))
         proc = fresh(CAPPED_MAIN, *argv, "--input", str(path))
         assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
-        assert proc.stderr.splitlines()[-1] == (
+        # checked once on load, before any numpy overflow warning
+        assert proc.stderr == (
             "error: the tensor's sum of squares overflows float64; "
-            "rescale it")
+            "rescale it\n")
 
     @pytest.mark.parametrize("command, name, stub", [
         ("score", "split_report", lambda *args: {"score": math.nan}),

@@ -136,6 +136,12 @@ TABLE_DIGESTS = {
              "cf95b0fd4e5af41c7bf162ff61a0948c87b73c70ec25a72ee90a48df6aae0116"),
 }
 
+# sha256 of ``first_copy_seeds(p)``, p = 1..7: seeds and gamma, bit for bit
+SEED_DIGESTS = {
+    "K80": "341dfa02a266f3fc9fc6e6d8a935f19fda9fede543a0572dce232086c2365f96",
+    "JC69": "269f434ab2b25a8ba9618a391bc7986f4d3b79b6547a0c34e0d6c5a7382e2f39",
+}
+
 
 class TestTables:
     @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -179,30 +185,11 @@ class TestTables:
                                   for p in range(1, 8))) \
             == TABLE_DIGESTS[name][1]
 
-    def test_kept_copy_vectors_are_read_only(self):
-        G.CliffordReduction(builtin_model("JC69")).first_copies(3)
-        assert G._COPY_VECTORS
-        for vectors in G._COPY_VECTORS.values():
-            with pytest.raises(ValueError):
-                vectors[...] = 0.0
-
-    @pytest.mark.parametrize("name, top, most", [("JC69", 5, 13),
-                                                 ("K80", 7, 4)])
-    def test_copy_vectors_computed_once_per_input(self, monkeypatch, name,
-                                                  top, most):
-        computed = []
-        orthonormal_copies = G._orthonormal_copies
-
-        def counting(local, weights):
-            computed.append(1)
-            return orthonormal_copies(local, weights)
-
-        monkeypatch.setattr(G, "_COPY_VECTORS", {})
-        monkeypatch.setattr(G, "_orthonormal_copies", counting)
+    @pytest.mark.parametrize("name", ["K80", "JC69"])
+    def test_first_copy_seeds_match_pinned_digests(self, name):
         reduction = G.CliffordReduction(builtin_model(name))
-        for power in range(1, top + 1):
-            reduction.first_copies(power)
-        assert 0 < len(computed) <= most
+        assert table_digest(tuple(reduction.first_copy_seeds(p)
+                                  for p in range(1, 8))) == SEED_DIGESTS[name]
 
 
 def jc69_irreps_with(name: str, matrices: np.ndarray) -> list[Irrep]:

@@ -861,6 +861,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             tensor_from_json(text)
 
+    @pytest.mark.parametrize("stochastic", ["true", "false"])
+    def test_pattern_listed_twice_rejected(self, stochastic):
+        text = ('{"n": 2, "entries": [["AA", 0.5], ["AC", 0.25], '
+                f'["GT", 0.0], ["AA", 0.25]], "stochastic": {stochastic}}}')
+        with pytest.raises(ValueError, match="^malformed tensor JSON: "
+                           "pattern 'AA' listed twice$"):
+            tensor_from_json(text)
+
     def test_json_roundtrip(self):
         psi = no_mutation_tensor(2)
         back = tensor_from_json(tensor_to_json(psi))
