@@ -321,6 +321,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:  # numpy's names the array it could not make
+        print(f"error: out of memory: {err}".removesuffix(": "),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

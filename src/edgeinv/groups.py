@@ -6,7 +6,7 @@ representation.  Everything downstream (multiplicity vectors, symmetry-adapted
 bases of tensor powers, group averages) is computed from these, with
 character arithmetic done in exact integers.  Once per model, one product
 table of the group serves its verification, its conjugacy classes and the
-cyclic factors of its average.
+factors of its average.
 
 Basis vectors of the l-fold tensor power are built per G-orbit with the
 matrix-element projectors E[t][r] = (d_t/|G|) sum_g D_t(g)[r,0] rho(g)^(x l):
@@ -20,12 +20,13 @@ irrep, and few local actions occur at any power, so it runs once per local
 action of a basis and the vectors are copied onto every orbit of that shape.
 
 A model fit's group average never holds the |G| x k^l table of pattern
-images, nor a k^l array: it sums over G as a product of sums over cyclic
-subgroups, gathering block by block, over the blocks of one G-orbit of high
-digits at a time, in a buffer of |G| blocks.  Nested models share one walk:
-the largest group's factors are ordered so that their running products are
-the smaller groups, and each smaller group's average is read from the
-buffer at the stage where its factors are complete.
+images, nor a k^l array: it sums over G as a product of sums over
+subgroups of order 2 or 3, gathering block by block, over the blocks of one
+G-orbit of high digits at a time, in a buffer of |G| blocks.  The factors
+are found from the trivial group up, so that their running products are
+subgroups; nested models share one walk, whose running products pass
+through the smaller groups, and each smaller group's average is read from
+the buffer at the stage where its factors are complete.
 
 Scoring builds no basis above power 1 and averages by masking.
 ``CliffordReduction`` places the first copy of every irrep on one label
@@ -430,35 +431,6 @@ def _element_row(g, power: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _cyclic_factors(model: EquivariantModel) -> tuple[tuple[Perm, ...], ...]:
-    """Cyclic subgroups C_1, ..., C_k of ``model``, each sorted (identity
-    first), whose products run over every element once: C_1 of order d and
-    the rest of order 2, greedily, for (d - 1) + log2(|G| / d) gathers."""
-    def gathers(c):  # fewest first, then larger C_1; |G| / d a power of 2
-        rest = model.order // len(c)
-        return rest & (rest - 1), len(c) - 1 + np.log2(rest), -len(c)
-
-    product = model._product
-    # column i lists g_i^0, g_i^1, ... up to the exponent of the group
-    powers = [np.zeros(model.order, dtype=np.int64), np.arange(model.order)]
-    while powers[-1].any():
-        powers.append(product[powers[1], powers[-1]])
-    cycles = [sorted(set(col)) for col in np.array(powers).T.tolist()]
-    for first in sorted(cycles, key=gathers):
-        covered = np.zeros(model.order, dtype=bool)
-        covered[first] = True
-        factors = [tuple(sorted(model.elements[i] for i in first))]
-        for c in (p[1] for p in cycles if len(p) == 2):
-            shifted = product[covered, c]
-            if not covered[shifted].any():
-                covered[shifted] = True
-                factors.append((_IDENTITY, model.elements[c]))
-        if covered.all():
-            return tuple(factors)
-    raise AssertionError(f"{model.name}: no cyclic factorization")
-
-
 def model_chain(models: Iterable[EquivariantModel]
                 ) -> tuple[EquivariantModel, ...]:
     """The nontrivial groups among ``models``, once each and smallest
@@ -476,20 +448,19 @@ def model_chain(models: Iterable[EquivariantModel]
 @lru_cache(maxsize=None)
 def _chain_factors(chain: tuple[EquivariantModel, ...]
                    ) -> tuple[tuple[tuple[Perm, ...], ...], tuple[int, ...]]:
-    """Cyclic factors of the last group of a ``model_chain`` whose running
-    products are its groups, and per group how many factors make it: the
-    first group's ``_cyclic_factors``, then for each larger group subgroups
-    {1, c} or {1, c, c^2} of it (prime orders, which ``_sum_images``
-    applies in place), involutions first, each taken when it multiplies the
-    elements covered so far into as many new ones and their count still
-    divides the group's order.  A chain of one is ``_cyclic_factors``."""
+    """Factors of the last group of a ``model_chain`` whose running products
+    are its groups, and per group how many factors make it.  Each factor is
+    a subgroup {1, c} or {1, c, c^2} of prime order (which ``_sum_images``
+    applies in place), found greedily from the trivial group up, each
+    group's involutions first, in element order, then its elements of
+    order 3: one is taken when it multiplies the elements covered so far
+    into as many new ones and the union is still a subgroup."""
     top = chain[-1]
-    factors = list(_cyclic_factors(chain[0]))
-    ends = [len(factors)]
     product, index = top._product, top._index
     covered = np.zeros(top.order, dtype=bool)
-    covered[[index[g] for g in chain[0].elements]] = True
-    for model in chain[1:]:
+    covered[0] = True
+    factors, ends = [], []
+    for model in chain:
         cycles = []  # c, or c and c^2, of each subgroup of order 2 or 3
         for g in model.elements:
             square = _compose(g, g)
@@ -498,11 +469,11 @@ def _chain_factors(chain: tuple[EquivariantModel, ...]
         cycles.sort(key=len)  # involutions first, stably
         while covered.sum() < model.order:
             for cycle in cycles:
-                images = product[covered][:, [index[c] for c in cycle]]
-                size = covered.sum() * (len(cycle) + 1)
-                if (model.order % size == 0 and not covered[images].any()
-                        and len(set(images.flat)) == images.size):
-                    covered[images] = True
+                grown = covered.copy()
+                grown[product[covered][:, [index[c] for c in cycle]]] = True
+                if (grown.sum() == covered.sum() * (len(cycle) + 1)
+                        and grown[product[grown][:, grown]].all()):
+                    covered = grown
                     factors.append((_IDENTITY, *cycle))
                     break
             else:
@@ -511,29 +482,22 @@ def _chain_factors(chain: tuple[EquivariantModel, ...]
     return tuple(factors), tuple(ends)
 
 
-def _sum_images(acc: np.ndarray, blocks: np.ndarray, first, rest,
-                scratch: np.ndarray) -> None:
+def _sum_images(acc: np.ndarray, factors, scratch: np.ndarray) -> None:
     """Add to each block of ``acc`` its images under every non-identity
     element of G, in place: for the blocks of a G-invariant set of high
     patterns, copied into ``acc``, this leaves |G| times their average.
 
-    ``first`` has, per non-identity element g of the first cyclic factor,
-    g's row at the low digits and, per block i of ``acc``, the block of
-    ``blocks`` that g brings to block i.  ``rest`` has, per later factor
-    {1, c, ..., c^(m-1)} of prime order m, the rows of c, ..., c^(m-1)
-    stacked and, per block i, the blocks of ``acc`` that they bring to i.
-    So c fixes a block or moves it in an m-cycle.  A fixed block adds its
-    m - 1 gathers of itself, made first in ``scratch``.  In a cycle the
-    least block is summed from the old m, and since the sums are invariant
-    under c, the others become c's gathers of it back along the cycle: for
-    an involution, the partner's new block is c's gather of the first's.
-    Every gather into a sum is made in ``scratch[0]``."""
+    ``factors`` has, per factor {1, c, ..., c^(m-1)} of prime order m, the
+    rows of c, ..., c^(m-1) stacked and, per block i, the blocks of ``acc``
+    that they bring to i.  So c fixes a block or moves it in an m-cycle.  A
+    fixed block adds its m - 1 gathers of itself, made first in ``scratch``.
+    In a cycle the least block is summed from the old m, and since the sums
+    are invariant under c, the others become c's gathers of it back along
+    the cycle: for an involution, the partner's new block is c's gather of
+    the first's.  Every gather into a sum is made in ``scratch[0]``."""
     # every index is in range, and mode="raise" would buffer the output
     tmp = scratch[0]
-    for row, sources in first:
-        for i, h in enumerate(sources.tolist()):
-            acc[i] += np.take(blocks[h], row, out=tmp, mode="clip")
-    for rows, partners in rest:
+    for rows, partners in factors:
         for i, cycle in enumerate(partners.T.tolist()):
             if cycle[0] == i:
                 for row, out in zip(rows, scratch):
@@ -582,38 +546,32 @@ def orbit_stages(values: np.ndarray, chain: tuple[EquivariantModel, ...],
     low = min(power, _orbit_digits(top))
     blocks = values.reshape(-1, K ** low)
 
-    def rows_of(g):  # one element's rows, or a stack of elements' rows
-        g = np.asarray(g)
-        return (_element_row(g, low, np.empty(g.shape[:-1] + (K ** low,),
-                                              np.int64)),
-                _element_row(g, power - low, np.empty(
-                    g.shape[:-1] + (len(blocks),), np.int64)))
+    def rows_of(factor):  # the rows of c, ..., c^(m-1), stacked
+        g = np.array(factor[1:])
+        return (_element_row(g, low, np.empty((len(g), K ** low), np.int64)),
+                _element_row(g, power - low,
+                             np.empty((len(g), len(blocks)), np.int64)))
 
-    first = [rows_of(g) for g in factors[0][1:]]
-    rest = [rows_of(f[1:]) for f in factors[1:]]
+    rows = [rows_of(f) for f in factors]
     label = np.arange(len(blocks))
     while True:
         last = label.copy()
-        for _, high in first + rest:
-            for each in high.reshape(-1, len(blocks)):
+        for _, high in rows:
+            for each in high:
                 np.minimum(label, label[each], out=label)
         if np.array_equal(label, last):
             break
     order = np.argsort(label, kind="stable")  # by orbit, members ascending
     place = np.empty(len(blocks), np.int64)   # a block's row in the buffer
     buffer = np.empty((top.order, K ** low))
-    scratch = np.empty((max(map(len, factors[1:]), default=2) - 1, K ** low))
+    scratch = np.empty((max(map(len, factors), default=2) - 1, K ** low))
     for members in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
         acc = np.take(blocks, members, axis=0, out=buffer[:len(members)],
                       mode="clip")
         place[members] = np.arange(len(members))
-        done, sources = 0, first  # later factors summed so far
-        for k, end in enumerate(ends):
-            _sum_images(acc, blocks,
-                        ((row, high[members]) for row, high in sources),
-                        ((rows, place[high[:, members]])
-                         for rows, high in rest[done:end - 1]), scratch)
-            done, sources = end - 1, ()
+        for k, (done, end) in enumerate(zip((0, *ends), ends)):
+            _sum_images(acc, ((r, place[high[:, members]])
+                              for r, high in rows[done:end]), scratch)
             for h, total in zip(members.tolist(), acc):
                 yield k, blocks[h], np.divide(total, chain[k].order,
                                               out=scratch[0])

@@ -126,6 +126,9 @@ def random_presentation(model: EquivariantModel, tree: TreeTopology,
     """
     if not concentration > 0:  # NaN included
         raise ValueError("concentration must be positive")
+    if not np.isfinite(K / concentration):  # a column's sum of weights
+        raise ValueError(f"concentration {concentration!r} is too small: "
+                         f"the off-diagonal weights overflow float64")
     rng = np.random.default_rng(seed)
     orbits = position_orbits(model)
     matrices = {}

@@ -478,6 +478,9 @@ def tensor_from_json(text: str) -> PatternTensor:
                      if k > 1)
         raise ValueError(f"malformed tensor JSON: pattern {twice!r} "
                          f"listed twice")
+    if isinstance(doc["n"], bool):  # operator.index(True) is 1
+        raise ValueError(f"malformed tensor JSON: n is "
+                         f"{json.dumps(doc['n'])}, not an integer")
     stochastic = doc.get("stochastic", False)
     if not isinstance(stochastic, bool):
         raise ValueError(f"malformed tensor JSON: stochastic is "

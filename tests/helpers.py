@@ -29,9 +29,9 @@ import numpy as np
 from scipy import sparse
 
 import edgeinv
-from edgeinv.groups import _BLOCK_DIGITS, K, EquivariantModel, \
-    MultiplicityVector, SymmetryAdaptedBasis, _checked, _cyclic_factors, \
-    _element_row, _sum_images, builtin_model, clifford_reduction, \
+from edgeinv.groups import K, EquivariantModel, MultiplicityVector, \
+    SymmetryAdaptedBasis, _chain_factors, _checked, _element_row, \
+    _orbit_digits, _sum_images, builtin_model, clifford_reduction, \
     label_classes, orbit_stages, symmetry_adapted_basis
 from edgeinv.reconstruct import WARN_NO_UNIQUE_PASS, WARN_RANK_NOT_GENERIC, \
     WARN_TIE, ReconstructionResult, data_driven_tol
@@ -620,30 +620,30 @@ def group_average(values: np.ndarray, model: EquivariantModel,
                   power: int) -> np.ndarray:
     """Orthogonal projection of a flat k^l tensor onto the G-invariants.
 
-    With T_g the gather psi -> psi[g . p] and the cyclic factors C_i of G,
-    sum_G T_g = (sum_{C_k} T) ... (sum_{C_1} T): C_1 gathers from ``values``
-    and each later C_i = {1, c} adds a gather of the sum to itself, so JC69
-    takes 5 gathers, K80 3, K81 2 and SSM 1.  Element g moves the block of
-    k^7 patterns with high digits h to block g . h, so the sums run over
-    all blocks at once (``_sum_images``), one element's rows at a time,
-    with two block-sized buffers."""
+    With T_g the gather psi -> psi[g . p] and the factors C_i of G, each
+    {1, c} or {1, c, c^2} (``_chain_factors``), sum_G T_g = (sum_{C_k} T)
+    ... (sum_{C_1} T): each C_i adds its gathers of the sum to itself, so
+    JC69 takes 5 gathers, K80 3, K81 2 and SSM 1.  Element g moves the
+    block of patterns with high digits h to block g . h, so the sums run
+    over all blocks at once (``_sum_images``), with the blocks of
+    ``_orbit_digits`` low digits that ``orbit_stages`` uses: an order-3
+    step sums each 3-cycle of blocks from its least block, which depends
+    on that split."""
     if model.order == 1:
         return np.asarray(values, dtype=float)
     values = _checked(values, power)
-    first, *rest = _cyclic_factors(model)
-    low = min(power, _BLOCK_DIGITS)
-    blocks = values.reshape(-1, K ** low)
-    acc = blocks.copy()
-    row, high = np.empty(K ** low, np.int64), np.empty(len(acc), np.int64)
+    factors, _ = _chain_factors((model,))
+    low = min(power, _orbit_digits(model))
+    acc = values.reshape(-1, K ** low).copy()
 
-    def rows(elements):  # each element's rows in turn, in ``row`` and ``high``
-        for g in elements:
-            yield (_element_row(g, low, row),
-                   _element_row(g, power - low, high))
+    def rows(factor):  # the rows of c, ..., c^(m-1), stacked
+        g = np.array(factor[1:])
+        return (_element_row(g, low, np.empty((len(g), K ** low), np.int64)),
+                _element_row(g, power - low,
+                             np.empty((len(g), len(acc)), np.int64)))
 
-    _sum_images(acc, blocks, rows(first[1:]),
-                ((r[None], h[None]) for r, h in rows(c for _, c in rest)),
-                np.empty((1, K ** low)))
+    _sum_images(acc, map(rows, factors),
+                np.empty((max(map(len, factors)) - 1, K ** low)))
     acc /= model.order
     return acc.reshape(-1)
 
@@ -651,7 +651,7 @@ def group_average(values: np.ndarray, model: EquivariantModel,
 def orbit_averages(values: np.ndarray, model: EquivariantModel, power: int
                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each block of ``values`` beside its group average: ``orbit_stages``
-    for ``model`` alone, whose factors are ``_cyclic_factors``."""
+    for ``model`` alone, whose factors are ``_chain_factors((model,))``."""
     for _, block, average in orbit_stages(values, (model,), power):
         yield block, average
 

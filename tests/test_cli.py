@@ -203,6 +203,26 @@ class TestSimulate:
         assert (code, out, err) == (
             1, "", "error: concentration must be positive\n")
 
+    @pytest.mark.parametrize("value", ["1e-320", "2.2e-308"])
+    def test_concentration_too_small_exit_one(self, value):
+        # positive, but U(0, 1) / concentration overflows a column's sum:
+        # the columns came out NaN, with a numpy warning and an error about
+        # the tensor.  A fresh interpreter, whose stderr holds any warning
+        proc = fresh(CAPPED_MAIN, "simulate", "--model", "JC69", "--tree",
+                     QUARTET_NEWICK, "--seed", "1", "--concentration", value)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: concentration {value} is too small: the "
+                   f"off-diagonal weights overflow float64\n")
+
+    def test_sites_beyond_memory_exit_one(self):
+        # 4 x 10^11 bytes of states: numpy's MemoryError was a traceback.
+        # Capped at 1 GiB, so that the refusal comes at once
+        proc = fresh(CAPPED_MAIN, "simulate", "--model", "JC69", "--tree",
+                     QUARTET_NEWICK, "--seed", "1", "--sites", "100000000000")
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith("error: out of memory: ")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("sites", ["0", "-1"])
     def test_sites_below_one_exit_one(self, capsys, tmp_path, sites):
         # an alignment of no sites is one that fit, score and reconstruct
@@ -370,6 +390,16 @@ class TestReconstruct:
                            "--input", str(path))
         assert code == 1
         assert err.startswith("error:")
+
+    def test_boolean_n_exit_one(self, capsys, tmp_path):
+        # operator.index(True) is 1: read as a tensor of one position, which
+        # score reported with exit 0
+        path = tmp_path / "boolean.json"
+        path.write_text('{"n": true, "entries": []}')
+        code, out, err = run(capsys, "score", "--model", "K81",
+                             "--input", str(path), "--all-splits")
+        assert (code, out, err) == (1, "", "error: malformed tensor JSON: "
+                                           "n is true, not an integer\n")
 
     def test_pattern_listed_twice_exit_one(self, capsys, tmp_path):
         # kept as a dict, the second "AA" overwrote the first, and the

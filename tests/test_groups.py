@@ -5,6 +5,7 @@ substitution symmetries; basis fixtures are the explicit Fourier/Hadamard
 vectors those tables induce on the one-site state space.
 """
 
+import functools
 import itertools
 import tracemalloc
 from types import SimpleNamespace
@@ -119,7 +120,7 @@ GENERATORS = {
 # sha256 (helpers.table_digest) of the tables as the loop-by-loop
 # construction built them: every entry, bit for bit
 TABLE_DIGESTS = {
-    "GMM": ("678eedaa9651c95c7039a265e6763a65039f1003acfb9e7cb1729a8c63bb41ea",
+    "GMM": ("03ea2408abaa672c9d9bb9f7403ff81bfd3584ab83d62d0557de3a75a23158db",
             "fd29102a20a05c69e1e8805b964b54ba3d0aa862f038e81298616cf90acc4727",
             "1cc4c542ea009721fa4367871d17a802eb95b4094d4507366434272320db77a6"),
     "SSM": ("a1cf096ecb34deffb04d36acc47bed822264ef3f46ff2717a9644a7c1913a602",
@@ -128,10 +129,10 @@ TABLE_DIGESTS = {
     "K81": ("bcb4f87bff458c6e34fcba450608ca7d376d036f55c42d11cb3da63d19a66150",
             "93b1a7011777247f54577300ea82ee20272a336dafe126383dbfedda0021205c",
             "2156aec89c4c7b5223454c76080827ce8846ffa2f8b6f9d7fb4b2dc5a9eb7b23"),
-    "K80": ("17ceafd5d844c734a0fb27a6a69113680a51e597e7a7c702cee5eaa16f24f64c",
+    "K80": ("4437a5aef62c82ef1430c0b4fc2895c1f3301c991ac1ea59b057d5b679fcafc1",
             "64f4ad4fc5b804011a15386104e94e452ef74d9084fb621745ba459b7f63053a",
             "f4da6fd5565fe2c4c08fd7ca82f3485de94a6bd6b6b4db040e22c882eac2d85d"),
-    "JC69": ("5c599b50ddf62a461eeaf1cb868396471f4b19143f2561ef38e3ad00297ae5e2",
+    "JC69": ("13221424a5bfec2af8b891da066437137b3cf4f1504dc3f1a3275a97f7d4e901",
              "0e070a3abd3c6b417dc7c7773b454a36be3c687b34562e22fdff56a2c70be973",
              "cf95b0fd4e5af41c7bf162ff61a0948c87b73c70ec25a72ee90a48df6aae0116"),
 }
@@ -163,8 +164,8 @@ class TestTables:
     def test_tables_match_pinned_digests(self, name):
         model = builtin_model(name)
         reduction = clifford_reduction(model)
-        cyclic, first, bases = TABLE_DIGESTS[name]
-        assert table_digest(G._cyclic_factors(model)) == cyclic
+        factors, first, bases = TABLE_DIGESTS[name]
+        assert table_digest(G._chain_factors((model,))[0]) == factors
         assert table_digest(tuple(reduction.first_copies(p)
                                   for p in range(1, 8))) == first
         assert table_digest(tuple(
@@ -604,7 +605,7 @@ class TestGroupAverage:
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_bit_identical_to_table_average(self, name):
-        # the trivial group returns its input; elsewhere the cyclic factors
+        # the trivial group returns its input; elsewhere the factors
         # reorder the additions, which moves the result by rounding only
         model = builtin_model(name)
         rng = np.random.default_rng(3)
@@ -620,13 +621,14 @@ class TestGroupAverage:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_cyclic_factors_cover_the_group_once(self, name):
         model = builtin_model(name)
-        factors = G._cyclic_factors(model)
+        factors, ends = G._chain_factors((model,))
+        assert ends == (len(factors),)
         assert np.prod([len(f) for f in factors]) == model.order
-        assert all(len(f) == 2 for f in factors[1:])
+        assert all(len(f) in (2, 3) for f in factors)
         products = set()
         for choice in itertools.product(*factors):
-            g = choice[0]
-            for c in choice[1:]:
+            g = G._IDENTITY
+            for c in choice:
                 g = G._compose(g, c)
             products.add(g)
         assert products == set(model.elements)
@@ -634,7 +636,7 @@ class TestGroupAverage:
     @pytest.mark.parametrize("name, gathers", [
         ("GMM", 0), ("SSM", 1), ("K81", 2), ("K80", 3), ("JC69", 5)])
     def test_gather_count(self, name, gathers):
-        factors = G._cyclic_factors(builtin_model(name))
+        factors, _ = G._chain_factors((builtin_model(name),))
         assert sum(len(f) - 1 for f in factors) == gathers
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -694,6 +696,8 @@ class TestGroupAverage:
 
 
 NONTRIVIAL = MODEL_NAMES[1:]
+CHAINS = [names for size in range(1, 5)
+          for names in itertools.combinations(NONTRIVIAL, size)]
 
 
 class TestChainWalk:
@@ -715,14 +719,12 @@ class TestChainWalk:
         assert G.model_chain([models[0], builtin_model("JC69")]) == (
             models[0], builtin_model("JC69"))
 
-    @pytest.mark.parametrize("names", [
-        names for size in range(1, 5)
-        for names in itertools.combinations(NONTRIVIAL, size)])
+    @pytest.mark.parametrize("names", CHAINS)
     def test_chain_factors_make_each_group_once(self, names):
         chain = G.model_chain(builtin_model(m) for m in names)
         factors, ends = G._chain_factors(chain)
         assert len(ends) == len(chain) and ends[-1] == len(factors)
-        for factor in factors[1:]:  # {1, c} of order 2, or {1, c, c^2}
+        for factor in factors:  # {1, c} of order 2, or {1, c, c^2}
             c = factor[1]
             assert factor in ((G._IDENTITY, c),
                               (G._IDENTITY, c, G._compose(c, c)))
@@ -735,8 +737,24 @@ class TestChainWalk:
                     g = G._compose(g, c)
                 products.append(g)
             assert sorted(products) == sorted(model.elements)
-        if len(chain) == 1:
-            assert factors == G._cyclic_factors(chain[0])
+        # a shorter chain's walk is this one's first stages: the smallest
+        # group's factors are its own, as when it is fitted alone
+        for k in range(len(chain)):
+            assert G._chain_factors(chain[:k + 1]) == (factors[:ends[k]],
+                                                       ends[:k + 1])
+
+    @pytest.mark.parametrize("names", CHAINS)
+    def test_every_prefix_of_the_factors_is_a_subgroup(self, names):
+        # what lets the greedy finish: a factor is taken only when the
+        # running product stays a subgroup, and then covers it once
+        factors, _ = G._chain_factors(G.model_chain(
+            builtin_model(m) for m in names))
+        for end in range(len(factors) + 1):
+            products = [functools.reduce(G._compose, choice, G._IDENTITY)
+                        for choice in itertools.product(*factors[:end])]
+            assert len(set(products)) == len(products)
+            assert {G._compose(g, h) for g in products
+                    for h in products} == set(products)
 
     def test_chain_of_all_four(self):
         # SSM's involution, then one more for K81 and for K80, then JC69's
@@ -767,8 +785,7 @@ class TestChainWalk:
         fixed = partners[0] == np.arange(len(blocks))
         assert fixed.any() and (power == low or not fixed.all())
         acc = blocks.copy()
-        G._sum_images(acc, blocks, (), [(rows, partners)],
-                      np.empty((2, 4 ** low)))
+        G._sum_images(acc, [(rows, partners)], np.empty((2, 4 ** low)))
         if kind == "integer":
             assert np.array_equal(acc, want)
         else:

@@ -850,6 +850,8 @@ class TestSerialization:
         '{"n": 2, "entries": [["AC", null]]}',
         '{"n": 2, "entries": [["AC"]]}',
         '{"n": "2", "entries": [["AC", 1.0]]}',
+        '{"n": true, "entries": []}',
+        '{"n": false, "entries": []}',
         '{"n": 20, "entries": []}',
         pytest.param('{"n": 1, "entries": [["A", 1' + '0' * 400 + ']]}',
                      id="huge-integer"),
