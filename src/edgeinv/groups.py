@@ -43,6 +43,8 @@ at which Gram-Schmidt accepts each copy vector, and a small matrix gamma.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import sqrt
+from itertools import combinations, permutations
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,7 +69,7 @@ _IDENTITY: Perm = (0, 1, 2, 3)
 
 def _compose(g: Perm, h: Perm) -> Perm:
     """g after h."""
-    return tuple(g[h[i]] for i in range(len(h)))
+    return tuple(map(g.__getitem__, h))
 
 
 def _closure(generators: Iterable[Perm]) -> tuple[Perm, ...]:
@@ -156,16 +158,17 @@ class EquivariantModel:
         perms = np.array(self.elements, dtype=np.int64)
         self.fixed_counts = (perms == np.arange(K)).sum(axis=1)
         # the irreps of each dimension in one stack, so that every check is
-        # one array pass per dimension
+        # one contiguous pass per dimension: rows[t, a, e] = D_t(g_e)[a, :]
         by_dim: dict[int, list[int]] = {}
         for t, d in enumerate(self.dims):
             by_dim.setdefault(d, []).append(t)
-        stacks = [(which, np.stack([self.irreps[t].matrices for t in which]))
+        stacks = [(which, np.array([self.irreps[t].matrices.transpose(1, 0, 2)
+                                    for t in which]))
                   for which in by_dim.values()]
         # integral character values per element, exactness asserted
         traces = np.empty((self.n_irreps, self.order))
-        for which, mats in stacks:
-            traces[which] = np.trace(mats, axis1=2, axis2=3)
+        for which, rows in stacks:
+            traces[which] = rows.diagonal(axis1=1, axis2=3).sum(axis=2)
         rounded = np.rint(traces)
         bad = np.flatnonzero(~_close(traces, rounded, 1e-9).all(axis=1))
         if bad.size:
@@ -185,10 +188,11 @@ class EquivariantModel:
         product = self._product
         # least[j]: least index of any h g_j h^-1, which names g_j's class
         least = product[product, inverses[:, None]].min(axis=0)
-        classes = [tuple(np.flatnonzero(least == i).tolist())
-                   for i in np.flatnonzero(least == np.arange(self.order))]
-        classes.sort(key=lambda c: (len(c), self.elements[c[0]]))
-        return tuple(classes)
+        classes: dict[int, list[int]] = {}
+        for j, i in enumerate(least.tolist()):
+            classes.setdefault(i, []).append(j)
+        return tuple(sorted(map(tuple, classes.values()),
+                            key=lambda c: (len(c), self.elements[c[0]])))
 
     @property
     def conjugacy_classes(self) -> tuple[tuple[Perm, ...], ...]:
@@ -219,7 +223,7 @@ class EquivariantModel:
     def _verify(self, perms: np.ndarray, stacks: list
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Assert the axioms; returns the product table and the inverses.
-        ``stacks`` holds ``(irrep indices, their matrices)`` per dimension."""
+        ``stacks`` holds ``(irrep indices, their rows)`` per dimension."""
         assert self.elements[0] == _IDENTITY
         weights = K ** np.arange(K - 1, -1, -1)
         # element index of each permutation, by its base-K code; -1 if absent
@@ -232,19 +236,17 @@ class EquivariantModel:
         assert sum(d * d for d in self.dims) == self.order
         # per irrep: D(id) = 1, orthogonal, a homomorphism
         holds = np.empty((self.n_irreps, 3), dtype=bool)
-        for which, mats in stacks:
-            count, n, d = mats.shape[:3]
+        for which, rows in stacks:
+            count, d, n = rows.shape[:3]
             eye = np.eye(d)
-            # block (i, j) of one product of stacked matrices is D(g_i) D(g_j)
-            pairs = (mats.reshape(count, n * d, d)
-                     @ mats.transpose(0, 2, 1, 3).reshape(count, d, n * d))
-            holds[which] = np.column_stack((
-                _close(mats[:, 0], eye, 1e-12).all(axis=(1, 2)),
-                _close(mats @ mats.transpose(0, 1, 3, 2), eye,
-                       1e-12).all(axis=(1, 2, 3)),
-                _close(pairs.reshape(count, n, d, n, d),
-                       mats[:, product].transpose(0, 1, 3, 2, 4),
-                       1e-12).all(axis=(1, 2, 3, 4))))
+            # entry ((a, i), (j, b)) of one product is (D(g_i) D(g_j))[a, b]
+            pairs = rows.reshape(count, d * n, d) @ rows.reshape(count, d, -1)
+            holds[which, 0] = _close(rows[:, :, 0], eye, 1e-12).all(
+                axis=(1, 2))
+            holds[which, 1] = _close((rows[:, :, None] * rows[:, None]).sum(
+                axis=4), eye[:, :, None], 1e-12).all(axis=(1, 2, 3))
+            holds[which, 2] = _close(pairs, rows.take(product, axis=2).reshape(
+                pairs.shape), 1e-12).all(axis=(1, 2))
         for ir, row in zip(self.irreps, holds):
             for ok, fault in zip(row, ("D(id) is not the identity",
                                        "not orthogonal", "not a homomorphism")):
@@ -252,11 +254,11 @@ class EquivariantModel:
                     raise AssertionError(f"{self.name}:{ir.name} {fault}")
         # exact first orthogonality relation
         gram = self.characters @ self.characters.T
-        assert np.array_equal(gram, self.order * np.eye(self.n_irreps,
-                                                        dtype=np.int64))
+        assert (gram == self.order * np.eye(self.n_irreps,
+                                            dtype=np.int64)).all()
         # the permutation character decomposes with non-negative multiplicities
         recomposed = np.array(self.multiplicities(1).entries) @ self.characters
-        assert np.array_equal(recomposed, self.fixed_counts)
+        assert (recomposed == self.fixed_counts).all()
         product.setflags(write=False)
         return product, inverses
 
@@ -324,20 +326,13 @@ def _build_ssm() -> EquivariantModel:
     ])
 
 
-_HADAMARD_SIGNS = {
-    # eigenvalue of each Hadamard vector under each Klein-group element
-    "Abar": {(0, 1, 2, 3): 1, (1, 0, 3, 2): 1, (2, 3, 0, 1): 1, (3, 2, 1, 0): 1},
-    "Cbar": {(0, 1, 2, 3): 1, (1, 0, 3, 2): 1, (2, 3, 0, 1): -1, (3, 2, 1, 0): -1},
-    "Gbar": {(0, 1, 2, 3): 1, (1, 0, 3, 2): -1, (2, 3, 0, 1): 1, (3, 2, 1, 0): -1},
-    "Tbar": {(0, 1, 2, 3): 1, (1, 0, 3, 2): -1, (2, 3, 0, 1): -1, (3, 2, 1, 0): 1},
-}
-
-
 def _build_k81() -> EquivariantModel:
     elements = _closure([(1, 0, 3, 2), (2, 3, 0, 1)])  # (AC)(GT), (AG)(CT)
-    irreps = [Irrep(nm, 1, _one_dim([_HADAMARD_SIGNS[nm][g] for g in elements]))
-              for nm in ("Abar", "Cbar", "Gbar", "Tbar")]
-    return EquivariantModel("K81", elements, irreps)
+    # the eigenvalue of each Hadamard vector under each element, in order
+    hadamard = [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
+    return EquivariantModel("K81", elements, [
+        Irrep(nm, 1, _one_dim(row))
+        for nm, row in zip(("Abar", "Cbar", "Gbar", "Tbar"), hadamard)])
 
 
 def _build_k80() -> EquivariantModel:
@@ -367,23 +362,22 @@ def _build_k80() -> EquivariantModel:
 
 
 def _build_jc69() -> EquivariantModel:
-    elements = _closure([(1, 0, 2, 3), (1, 2, 3, 0)])  # (AC), (ACGT): all of S4
-    assert len(elements) == 24
+    elements = tuple(permutations(range(K)))  # all of S4, sorted
     perms = np.array(elements)
     # the pairings AC|GT, AG|CT, AT|CG of the states are numbered 0, 1, 2,
     # so the one holding {x, y} is (x XOR y) - 1; pairings[e, i] is where
     # g_e sends pairing i, read off the image of its pair holding A
     pairings = (perms[:, :1] ^ perms[:, 1:]) - 1
     p_mats = _perm_matrices(perms)
-    signs = np.rint(np.linalg.det(p_mats))  # exact: LU of a permutation
+    # a permutation's sign is -1 to the number of its inversions
+    signs = np.array([(-1.0) ** sum(a > b for a, b in combinations(g, 2))
+                      for g in elements])
     hadamard3 = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                          dtype=float) / 2.0
     standard = hadamard3.T @ p_mats @ hadamard3
     std_sign = standard * signs[:, None, None]
-    plane_basis = np.column_stack([
-        np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
-        np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0),
-    ])
+    plane_basis = (np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]])
+                   / np.sqrt([2.0, 6.0]))
     plane = plane_basis.T @ _perm_matrices(pairings) @ plane_basis
     return EquivariantModel("JC69", elements, [
         Irrep("triv", 1, _one_dim([1.0] * 24)),
@@ -418,15 +412,15 @@ def _element_row(g, power: int, out: np.ndarray) -> np.ndarray:
     power: entry p becomes the index of g . p; for a stack of elements, row
     i of ``out`` with the row of g_i.  Built in place as a Kronecker sum,
     one digit at a time with each new digit in front (every digit carries
-    the same permutation): out[j k^m + q] = g[j] k^m + out[q]."""
-    g = np.asarray(g)
+    the same permutation): out[j k^m + q] = g[j] k^m + out[q], j > 0 first."""
+    g = np.asarray(g)[..., None]
     out[..., 0] = 0
     size = 1
     for _ in range(power):
-        prefix = out[..., :size]
-        for j in range(K - 1, -1, -1):  # j = 0 last, as it overwrites prefix
-            np.add(prefix, g[..., j, None] * size,
-                   out=out[..., j * size:(j + 1) * size])
+        np.add(g[..., 1:, :] * size, out[..., None, :size],
+               out=out[..., size:K * size].reshape(out.shape[:-1]
+                                                   + (K - 1, size)))
+        out[..., :size] += g[..., 0, :] * size
         size *= K
     return out
 
@@ -635,16 +629,17 @@ def symmetry_adapted_basis(model: EquivariantModel,
     return _build_basis(model, power)
 
 
-def _orthonormal_copies(local: np.ndarray, weights: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def _orthonormal_copies(local: np.ndarray, weights: np.ndarray,
+                        stop: bool = False) -> tuple:
     """Adapted vectors of one orbit shape for one irrep.  ``local[e, a]`` is
     the position, among the orbit's sorted members, of element e applied to
     member a; ``weights[e, r]`` is the coefficient of element e in the
     matrix-element projector E[r][0], (d/|G|) D(g_e)[r, 0].  Seeds are the
     members in order, projected by E[0][0] and orthonormalized twice
-    through; E[r][0] carries each accepted vector to copy r.  Returns an
+    through (with ``stop``, until the trace of E[0][0], its rank, are
+    accepted); E[r][0] carries each accepted vector to copy r.  Returns an
     array of shape (d, accepted, size) whose [r, j] is copy r of the j-th
-    accepted vector, and the member at which each was accepted.
+    accepted vector, the member at which each was accepted, and E[r][0].
     """
     d = weights.shape[1]
     m_size = local.shape[1]
@@ -652,23 +647,26 @@ def _orthonormal_copies(local: np.ndarray, weights: np.ndarray
     e_ops = np.zeros((d, m_size, m_size))
     np.add.at(e_ops, (slice(None), local, np.arange(m_size)),
               weights.T[:, :, None])
+    rank = round(e_ops[0].trace()) if stop else -1
     accepted: list[np.ndarray] = []
     seeds: list[int] = []
     for seed in range(m_size):
+        if len(accepted) == rank:
+            break
         w = e_ops[0, :, seed].copy()
         for _ in range(2):
             for v in accepted:
                 w -= (v @ w) * v
-        norm = np.sqrt(w.dot(w))  # as np.linalg.norm, without its checks
+        norm = sqrt(w.dot(w))  # as np.linalg.norm, without its checks
         if norm > 1e-6:
             accepted.append(w / norm)
             seeds.append(seed)
     copies = [accepted]
     for r in range(1, d):
         moved = [e_ops[r] @ v1 for v1 in accepted]
-        copies.append([v / np.sqrt(v.dot(v)) for v in moved])
+        copies.append([v / sqrt(v.dot(v)) for v in moved])
     return (np.array(copies).reshape(d, len(accepted), m_size),
-            np.array(seeds, dtype=np.int64))
+            np.array(seeds, dtype=np.int64), e_ops)
 
 
 def _orbit_shapes(maps: np.ndarray):
@@ -684,48 +682,51 @@ def _orbit_shapes(maps: np.ndarray):
     # each orbit's least member, ascending
     reps = np.flatnonzero(maps.min(axis=0) == np.arange(size))
     # column o lists orbit o's members ascending, each |stabilizer| times
-    images = np.sort(maps[:, reps], axis=0)
-    stride = order // (1 + np.count_nonzero(np.diff(images, axis=0), axis=0))
+    images = maps[:, reps]
+    images.sort(axis=0)
+    stride = order // (1 + (images[1:] != images[:-1]).sum(axis=0))
     pos = np.empty(size, dtype=np.uint8)  # position of a point in its orbit
     pos[images] = np.arange(order)[:, None] // stride
     # column[o, e]: position of g_e . r for the least member r of orbit o.
     # The maps form a group, so g_e sends member g_f . r to (g_e g_f) . r:
     # equal columns mean equal orbit size and equal local action
-    column = np.ascontiguousarray(pos[maps[:, reps]].T)
-    _, first, shape_of = np.unique(
-        column.view(np.dtype((np.void, order))).ravel(),
-        return_index=True, return_inverse=True)
+    column = pos[maps[:, reps]].T
+    # a stable sort brings equal columns together, each run ascending
+    ranked = np.lexsort(column.T)
+    ends = [0, *(np.flatnonzero((column[ranked[1:]] != column[ranked[:-1]])
+                                .any(axis=1)) + 1).tolist(), len(ranked)]
     out = []
-    for s, o in enumerate(first):
-        orbits = np.flatnonzero(shape_of == s)
+    for orbits in (ranked[a:b] for a, b in zip(ends, ends[1:])):
+        o = orbits[0]
         out.append((orbits, images[::stride[o], orbits].T,
                     pos[maps[:, images[::stride[o], o]]]))
     return len(reps), out
 
 
-def _orbit_rows(shapes, n_orbits: int, vectors: list[np.ndarray],
-                width: int) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_rows(shapes, n_orbits: int, tables) -> list:
     """Copy the vectors of each orbit shape onto each of its orbits, as
-    read-only ``(index, weight)`` arrays of shape (rows, width): row i has
-    weight[i, k] at pattern index[i, k], zero-padded to ``width`` (at least
-    the largest orbit).  ``n_orbits, shapes`` are ``_orbit_shapes``', and
-    ``vectors[s]`` (accepted x orbit size) holds shape s's vectors on its
-    members in order.  Rows are ordered by orbit (by least member), then
-    accepted vector."""
+    read-only ``(index, weight)`` arrays, one pair per ``(vectors, members,
+    width)`` of ``tables``: row i has weight[i, k] at pattern index[i, k],
+    zero-padded to ``width``.  ``vectors[s]`` (accepted x k) weighs the
+    patterns ``members[s]`` (orbits x k) of shape s's orbits (``n_orbits,
+    shapes`` are ``_orbit_shapes``'); rows go by orbit, then vector."""
     counts = np.zeros(n_orbits, dtype=np.int64)
-    for (orbits, _, _), vecs in zip(shapes, vectors):
+    for (orbits, _, _), vecs in zip(shapes, tables[0][0]):
         counts[orbits] = len(vecs)
-    start = np.cumsum(counts) - counts
-    index = np.zeros((counts.sum(), width), dtype=np.int64)
-    weight = np.zeros((counts.sum(), width))
-    for (orbits, members, _), vecs in zip(shapes, vectors):
-        accepted, size = vecs.shape
-        rows = start[orbits][:, None] + np.arange(accepted)
-        index[rows, :size] = members[:, None, :]
-        weight[rows, :size] = vecs
-    index.setflags(write=False)
-    weight.setflags(write=False)
-    return index, weight
+    start = counts.cumsum() - counts
+    slots = [start[orbits][:, None] + np.arange(counts[orbits[0]])
+             for orbits, _, _ in shapes]
+    found = []
+    for vectors, members, width in tables:
+        index = np.zeros((counts.sum(), width), np.int64)
+        weight = np.zeros(index.shape)
+        for rows, vecs, at in zip(slots, vectors, members):
+            index[rows, :at.shape[1]] = at[:, None, :]
+            weight[rows, :at.shape[1]] = vecs
+        index.setflags(write=False)
+        weight.setflags(write=False)
+        found.append((index, weight))
+    return found
 
 
 def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
@@ -744,20 +745,27 @@ def _build_basis(model: EquivariantModel, power: int) -> SymmetryAdaptedBasis:
         tags = tuple((0, 0, j) for j in range(size))
         return SymmetryAdaptedBasis(model, power,
                                     (np.ones(size), steps[:-1], steps), tags)
-
+    sends = [g[0] for g in model.elements]  # where each element sends A
+    if power == 1 and model.abelian and sorted(sends) == list(range(K)):
+        # one regular orbit, where Gram-Schmidt makes chi_t/2 of chi_t/k,
+        # read at the element sending A to each state
+        return SymmetryAdaptedBasis(model, 1, (
+            (model.characters[:, np.argsort(sends)] / 2).ravel(),
+            np.arange(K * K) % K, np.arange(0, K * K + 1, K)),
+            tuple((t, 0, 0) for t in range(K)))
     n_orbits, shapes = _orbit_shapes(_element_row(
         np.array(model.elements), power,
         np.empty((model.order, size), dtype=np.int64)))
+    members = [m for _, m, _ in shapes]
     nnz, rows, data = [], [], []
     for t, ir in enumerate(model.irreps):
         weights = ir.dim / model.order * ir.matrices[:, :, 0]
         vectors = [_orthonormal_copies(local, weights)[0]
                    for _, _, local in shapes]
-        for r in range(ir.dim):
-            # no orbit is larger than the group
-            index, weight = _orbit_rows(shapes, n_orbits,
-                                        [vecs[r] for vecs in vectors],
-                                        model.order)
+        # no orbit is larger than the group
+        for index, weight in _orbit_rows(shapes, n_orbits, [
+                ([vecs[r] for vecs in vectors], members, model.order)
+                for r in range(ir.dim)]):
             if len(index) != mult[t]:
                 raise AssertionError(
                     f"{model.name}: projector image rank {len(index)} "
@@ -835,16 +843,16 @@ class CliffordReduction:
             raise AssertionError(f"{model.name}: the stabiliser of a "
                                  f"label moves its patterns off it")
         irrep_labels, self._stabilisers = [], []
+        moved = self.digit_labels[self._perms].tolist()
         for ir in model.irreps:
             # part of e_A in each character's eigenspace of D_t over N
             first = ir.matrices[in_group][:, :, 0]
             parts = self.labels.characters @ first / self.labels.order
-            lengths = np.linalg.norm(parts, axis=1)
-            c = int(np.flatnonzero(lengths > 1e-6)[0])
+            lengths = np.sqrt((parts * parts).sum(axis=1))  # as np.linalg.norm
+            c = int((lengths > 1e-6).argmax())
             u = parts[c] / lengths[c]
-            digit = int(np.flatnonzero(self.digit_labels == c)[0])
-            keep = tuple(np.flatnonzero(
-                self.digit_labels[self._perms[:, digit]] == c).tolist())
+            digit = self.digit_labels.tolist().index(c)
+            keep = tuple(e for e, row in enumerate(moved) if row[digit] == c)
             weights = np.array([u @ ir.matrices[stab[e]] @ u for e in keep])
             weights *= ir.dim / len(stab)
             if len(keep) == 1 and not _close(weights[0], 1.0, 1e-8):
@@ -869,10 +877,11 @@ class CliffordReduction:
         lead = power // 2
         source = kept.reshape(K ** lead, -1)
         total = source.copy()
-        head, tail = (np.empty(K ** m, np.int64) for m in (lead, power - lead))
-        for perm in self._perms[1:]:
-            total += source[_element_row(perm, lead, head)[:, None],
-                            _element_row(perm, power - lead, tail)]
+        heads, tails = (_element_row(self._perms[1:], m, np.empty(
+            (len(self._perms) - 1, K ** m), np.int64))
+            for m in (lead, power - lead))
+        for head, tail in zip(heads, tails):
+            total += source[head[:, None], tail]
         total /= len(self._perms)
         return total.reshape(kept.shape)
 
@@ -920,6 +929,7 @@ class CliffordReduction:
         of side 2's first-copy vectors."""
         found = self._cuts.get((l1, l2))
         if found is None:
+            self._pieces(max(l1, l2))  # the rows once, at the higher power
             found = self._cuts.setdefault((l1, l2), tuple(
                 None if seeded is None else
                 (seeded[0].reshape(-1, 1), piece[0].T[:, None, :])
@@ -966,31 +976,27 @@ class CliffordReduction:
         if found is None:
             if power > self._top:
                 self._top, self._rows = power, self._stabiliser_rows(power)
-            pieces, seeds = [], []
+            pieces = []  # per irrep, its rows and its seeds at this power
             for t, rows in enumerate(self._rows):
-                if rows is None:
-                    pieces.append(None)
-                    seeds.append(None)
-                    continue
-                (index, weight), (seed, gamma) = rows
-                count = np.searchsorted(index[:, 0], K ** (power - 1))
-                expected = self.model.multiplicities(power)[t]
-                if count != expected:
-                    raise AssertionError(
-                        f"{self.model.name}: stabiliser image rank {count} "
-                        f"!= multiplicity {expected} for irrep "
-                        f"{self.model.irreps[t].name}")
-                pieces.append((index[:count], weight[:count]))
-                seeds.append((seed[:count], gamma[:count]))
-            found = self._first_copies.setdefault(
-                power, (tuple(pieces), tuple(seeds)))
+                if rows is not None:
+                    count = rows[0][0][:, 0].searchsorted(K ** (power - 1))
+                    expected = self.model.multiplicities(power)[t]
+                    if count != expected:
+                        raise AssertionError(
+                            f"{self.model.name}: stabiliser image rank "
+                            f"{count} != multiplicity {expected} for irrep "
+                            f"{self.model.irreps[t].name}")
+                    rows = tuple((a[:count], b[:count]) for a, b in rows)
+                pieces.append(rows or (None, None))
+            found = self._first_copies.setdefault(power, tuple(zip(*pieces)))
         return found
 
     def _stabiliser_rows(self, power: int) -> list:
         """Per irrep, ``None`` or the ``_orbit_rows`` of its stabiliser and
         weights at this power, ``(index, weight)``, with those of its seeds,
         ``(seeds, gamma)``; the orbits found once per stabiliser on the
-        positions of any class it fixes (the power-(l - 1) patterns)."""
+        positions of any class it fixes (the power-(l - 1) patterns), and
+        Gram-Schmidt stopped at each rank (``_gamma`` asserts the span)."""
         orbits, made, rows = {}, {}, []
         for keep, weights in self._stabilisers:
             if len(keep) == 1:
@@ -1004,43 +1010,36 @@ class CliffordReduction:
             if key not in made:
                 n_orbits, shapes = orbits[keep]
                 vectors, seeds, gammas = [], [], []
-                for _, _, local in shapes:
-                    copies, accepted = _orthonormal_copies(local,
-                                                           weights[:, None])
+                for _, members, local in shapes:
+                    copies, accepted, proj = _orthonormal_copies(
+                        local, weights[:, None], stop=True)
                     vectors.append(copies[0])
-                    seeds.append(accepted)
-                    gammas.append(_gamma(local, weights, copies[0], accepted))
+                    seeds.append(members[:, accepted])
+                    gammas.append(_gamma(proj[0], copies[0], accepted))
                 # no orbit is larger than the stabiliser, and no vector
                 # grows from more seeds than its orbit has vectors
-                made[key] = (
-                    _orbit_rows(shapes, n_orbits, vectors, len(keep)),
-                    _orbit_rows([(o, members[:, at], local) for
-                                 (o, members, local), at
-                                 in zip(shapes, seeds)], n_orbits, gammas,
-                                max(map(len, seeds)) or 1))
+                made[key] = _orbit_rows(shapes, n_orbits, [
+                    (vectors, [m for _, m, _ in shapes], len(keep)),
+                    (gammas, seeds, max(map(len, gammas)) or 1)])
             rows.append(made[key])
         return rows
 
 
-def _gamma(local: np.ndarray, weights: np.ndarray, vectors: np.ndarray,
+def _gamma(proj: np.ndarray, vectors: np.ndarray,
            seeds: np.ndarray) -> np.ndarray:
     """The matrix gamma such that the first-copy ``vectors`` of one orbit
     shape, accepted by ``_orthonormal_copies`` at members ``seeds``, are
-    vectors[j] = sum over a of gamma[j, a] E e_{seeds[a]}, where E = sum_e
-    weights[e] g_e.  The members before seed j have images in the span of
-    the vectors before j, which vector j is orthogonal to, so V[:, seeds] is
-    upper triangular.  E is the symmetric projector V^T V onto the vectors'
-    span (asserted), so E e_{seeds[a]} = V^T V[:, seeds[a]], and gamma is
-    the inverse transpose of V[:, seeds].  Asserted: gamma reproduces the
-    vectors."""
-    size = local.shape[1]
-    proj = np.zeros((size, size))  # column a is E e_a
-    np.add.at(proj, (local, np.arange(size)), weights[:, None])
+    vectors[j] = sum over a of gamma[j, a] E e_{seeds[a]}, where ``proj``
+    is E on the members.  The members before seed j have images in the
+    span of the vectors before j, which vector j is orthogonal to, so
+    V[:, seeds] is upper triangular.  E is the symmetric projector V^T V
+    onto the vectors' span (asserted), so E e_{seeds[a]} = V^T V[:,
+    seeds[a]], and gamma is the inverse transpose of V[:, seeds].
+    Asserted: gamma reproduces the vectors."""
     corner = vectors[:, seeds]
-    gamma = 1 / corner if len(seeds) == 1 else np.linalg.inv(corner).T
-    gaps = np.concatenate([(vectors.T @ vectors - proj).ravel(),
-                           (gamma @ proj[:, seeds].T - vectors).ravel()])
-    if np.abs(gaps).max(initial=0.0) > 1e-12:
+    gamma = 1 / corner if len(seeds) < 2 else np.linalg.inv(corner).T
+    gaps = (vectors.T @ vectors - proj, gamma @ proj[:, seeds].T - vectors)
+    if max(np.abs(gap).max(initial=0.0) for gap in gaps) > 1e-12:
         raise AssertionError("a stabiliser's first copies do not grow from "
                              "seeds by a symmetric projector")
     return gamma

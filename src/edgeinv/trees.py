@@ -102,8 +102,16 @@ class Bipartition(Record):
         left, _, right = text.partition("|")
         if not right:
             raise ValueError(f"not a split spec: {text!r}")
-        a = [int(x) for x in left.split(",") if x.strip()]
-        b = [int(x) for x in right.split(",") if x.strip()]
+
+        def leaf(token: str) -> int:
+            try:
+                return int(token)
+            except ValueError:
+                raise ValueError(f"split {text!r}: leaf {token.strip()!r} "
+                                 f"is not an integer") from None
+
+        a = [leaf(x) for x in left.split(",") if x.strip()]
+        b = [leaf(x) for x in right.split(",") if x.strip()]
         if sorted(a + b) != list(range(1, n_leaves + 1)):
             raise ValueError(f"split {text!r} does not partition 1..{n_leaves}")
         return cls(a, n_leaves)

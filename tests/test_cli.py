@@ -301,6 +301,16 @@ class TestScore:
         assert len(doc["bipartitions"]) == 1
         assert doc["bipartitions"][0]["score"] > 0.01
 
+    @pytest.mark.parametrize("split, token", [("a|b", "a"),
+                                              ("1,2|3,4|5,6", "4|5")])
+    def test_split_leaf_not_an_integer_exit_one(self, capsys, tensor_path,
+                                                split, token):
+        code, out, err = run(capsys, "score", "--model", "K81",
+                             "--input", str(tensor_path), "--split", split)
+        assert (code, out) == (1, "")
+        assert err == (f"error: split {split!r}: leaf {token!r} is not an "
+                       f"integer\n")
+
     @pytest.mark.parametrize("ambiguous", ["error", "drop"])
     def test_fasta_scores_as_its_empirical_tensor(self, capsys, tmp_path,
                                                   ambiguous):
@@ -333,6 +343,45 @@ class TestReconstruct:
         assert doc["tree"] is not None
         assert doc["warnings"] == []
         assert doc["method"] == "exhaustive"
+
+    @pytest.mark.parametrize("model, method, power", [
+        ("JC69", "exhaustive", 5), ("K80", "splits", 4)])
+    def test_cold_solve_builds_each_table_once(self, capsys, tmp_path,
+                                               monkeypatch, model, method,
+                                               power):
+        path = tmp_path / "t.eqpt"
+        run(capsys, "simulate", "--model", model, "--tree",
+            "(((1,2),3),(4,(5,6)));", "--seed", "1", "--out", str(path))
+        for cached in (groups.builtin_model, groups.clifford_reduction,
+                       groups.symmetry_adapted_basis, groups.label_classes,
+                       groups._label_table, groups._chain_factors):
+            cached.cache_clear()
+        built = []
+
+        def counted(what, original):
+            def call(*args):
+                built.append(what(*args))
+                return original(*args)
+            return call
+
+        for name, builder in groups._BUILDERS.items():
+            monkeypatch.setitem(groups._BUILDERS, name,
+                                counted(lambda name=name: ("model", name),
+                                        builder))
+        reduction = groups.CliffordReduction
+        monkeypatch.setattr(reduction, "__init__", counted(
+            lambda _, m: ("reduction", m.name), reduction.__init__))
+        monkeypatch.setattr(reduction, "_stabiliser_rows", counted(
+            lambda r, p: ("rows", r.model.name, p),
+            reduction._stabiliser_rows))
+        code, out, _ = run(capsys, "reconstruct", "--model", model,
+                           "--input", str(path), "--method", method)
+        assert code == 0
+        assert json.loads(out)["tree"] == "(1,2,(3,(4,(5,6))));"
+        # the label group K81 once, for the reduction's one-site basis
+        assert sorted(built) == sorted([
+            ("model", "K81"), ("model", model), ("reduction", model),
+            ("rows", model, power)])
 
     @pytest.mark.parametrize("method", ["exhaustive", "splits"])
     @pytest.mark.parametrize("tol", ["-1", "nan"])

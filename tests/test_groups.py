@@ -187,6 +187,23 @@ class TestTables:
             == TABLE_DIGESTS[name][1]
 
     @pytest.mark.parametrize("name", ["K80", "JC69"])
+    def test_cuts_build_the_rows_once_at_the_higher_power(self, name,
+                                                          monkeypatch):
+        # side 1 at power 2 is asked before side 2 at power 6
+        powers = []
+        original = G.CliffordReduction._stabiliser_rows
+
+        def counted(reduction, power):
+            powers.append(power)
+            return original(reduction, power)
+
+        monkeypatch.setattr(G.CliffordReduction, "_stabiliser_rows", counted)
+        reduction = G.CliffordReduction(builtin_model(name))
+        reduction.cuts(2, 6)
+        reduction.cuts(6, 2)
+        assert powers == [6]
+
+    @pytest.mark.parametrize("name", ["K80", "JC69"])
     def test_first_copy_seeds_match_pinned_digests(self, name):
         reduction = G.CliffordReduction(builtin_model(name))
         assert table_digest(tuple(reduction.first_copy_seeds(p)
